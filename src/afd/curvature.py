@@ -11,10 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .algebraifold import Derivation
 from .errors import DescriptorMismatch, NonConstantCoupling
-from .tensors import Tensor
+from .tensors import Tensor, accumulate
 
 
 class Connection:
@@ -79,31 +80,22 @@ def covariant_derivative(connection, u, T):
         if not u.coeffs[i - 1].is_zero:
             G[k - 1][j - 1] = G[k - 1][j - 1] + u.coeffs[i - 1] * gamma
     out = {}
-
-    def bump(idx, value):
-        if value.is_zero:
-            return
-        total = out.get(idx)
-        total = value if total is None else total + value
-        if total.is_zero:
-            out.pop(idx, None)
-        else:
-            out[idx] = total
-
     for idx, c in T.comp.items():
-        bump(idx, A.apply(u, c))
+        accumulate(out, idx, A.apply(u, c))
         for pos in range(T.r):
             m = idx[pos]
             for k in range(1, n + 1):
                 coeff = G[k - 1][m - 1]
                 if not coeff.is_zero:
-                    bump(idx[:pos] + (k,) + idx[pos + 1:], coeff * c)
+                    accumulate(out, idx[:pos] + (k,) + idx[pos + 1:],
+                               coeff * c)
         for pos in range(T.r, T.r + T.s):
             m = idx[pos]
             for j in range(1, n + 1):
                 coeff = G[m - 1][j - 1]
                 if not coeff.is_zero:
-                    bump(idx[:pos] + (j,) + idx[pos + 1:], -(coeff * c))
+                    accumulate(out, idx[:pos] + (j,) + idx[pos + 1:],
+                               -(coeff * c))
     return Tensor(A, T.r, T.s, out)
 
 
@@ -112,14 +104,8 @@ def torsion(connection):
     A = connection.algebraifold
     out = {}
     for (k, i, j), gamma in connection.gamma.comp.items():
-        for idx, sign in (((k, i, j), 1), ((k, j, i), -1)):
-            value = gamma if sign > 0 else -gamma
-            total = out.get(idx)
-            total = value if total is None else total + value
-            if total.is_zero:
-                out.pop(idx, None)
-            else:
-                out[idx] = total
+        accumulate(out, (k, i, j), gamma)
+        accumulate(out, (k, j, i), -gamma)
     return Tensor(A, 1, 2, out)
 
 
@@ -206,15 +192,8 @@ def ricci(algebraifold, riemann):
     """Contraction of the curvature: Ric(v, w) = sum_i (R(u_i, v)w)(a_i)."""
     out = {}
     for (l, i, j, k), value in riemann.comp.items():
-        if l != i:
-            continue
-        idx = (j, k)
-        total = out.get(idx)
-        total = value if total is None else total + value
-        if total.is_zero:
-            out.pop(idx, None)
-        else:
-            out[idx] = total
+        if l == i:
+            accumulate(out, (j, k), value)
     return Tensor(algebraifold, 0, 2, out)
 
 
@@ -228,13 +207,65 @@ def ricci_scalar(algebraifold, metric, ric):
     return total
 
 
+class Geometry:
+    """The Levi-Civita geometry of one metric, each stage built once.
+
+    The stages ``connection`` -> ``riemann`` -> ``ricci`` -> ``scalar`` ->
+    ``einstein`` are computed on first access and then kept; a stage that
+    raises keeps nothing, so the next access raises again.  Stages call the
+    module-level stage functions, so replacing one of those (to count or
+    time it) covers every caller.
+    """
+
+    def __init__(self, algebraifold, metric):
+        self.algebraifold = algebraifold
+        self.metric = metric
+
+    @cached_property
+    def connection(self):
+        return levi_civita(self.algebraifold, self.metric)
+
+    @cached_property
+    def riemann(self):
+        return curvature_tensor(self.connection)
+
+    @cached_property
+    def ricci(self):
+        return ricci(self.algebraifold, self.riemann)
+
+    @cached_property
+    def scalar(self):
+        return ricci_scalar(self.algebraifold, self.metric, self.ricci)
+
+    @cached_property
+    def einstein(self):
+        half = self.algebraifold.scalar(Fraction(1, 2))
+        return self.ricci - self.metric.g.scale(half * self.scalar)
+
+    def efe_residual(self, lam, kappa, stress_energy=None):
+        """Residual of Ric - (1/2) S g + Lambda g - kappa T.
+
+        The couplings are checked before any curvature stage runs.
+        """
+        A = self.algebraifold
+        lam = A.scalar(lam)
+        kappa = A.scalar(kappa)
+        for name, value in (("lambda", lam), ("kappa", kappa)):
+            if not A.is_constant(value):
+                raise NonConstantCoupling(f"{name} is not a constant")
+        if kappa.is_zero:
+            raise NonConstantCoupling("kappa must be nonzero")
+        residual = self.einstein + self.metric.g.scale(lam)
+        if stress_energy is not None:
+            if stress_energy.rank != (0, 2):
+                raise DescriptorMismatch("stress-energy must be rank (0, 2)")
+            residual = residual - stress_energy.scale(kappa)
+        return residual
+
+
 def einstein_tensor(algebraifold, metric):
     """Ric - (1/2) S g for the Levi-Civita connection of the metric."""
-    connection = levi_civita(algebraifold, metric)
-    riemann = curvature_tensor(connection)
-    ric = ricci(algebraifold, riemann)
-    scalar = ricci_scalar(algebraifold, metric, ric)
-    return ric - metric.g.scale(algebraifold.scalar(Fraction(1, 2)) * scalar)
+    return Geometry(algebraifold, metric).einstein
 
 
 def efe_residual(algebraifold, metric, lam, kappa, stress_energy=None):
@@ -243,20 +274,8 @@ def efe_residual(algebraifold, metric, lam, kappa, stress_energy=None):
     Both couplings must lie in the constants; the residual vanishes exactly
     when the metric and stress-energy satisfy the field equations.
     """
-    A = algebraifold
-    lam = A.scalar(lam)
-    kappa = A.scalar(kappa)
-    for name, value in (("lambda", lam), ("kappa", kappa)):
-        if not A.is_constant(value):
-            raise NonConstantCoupling(f"{name} is not a constant")
-    if kappa.is_zero:
-        raise NonConstantCoupling("kappa must be nonzero")
-    residual = einstein_tensor(A, metric) + metric.g.scale(lam)
-    if stress_energy is not None:
-        if stress_energy.rank != (0, 2):
-            raise DescriptorMismatch("stress-energy must be rank (0, 2)")
-        residual = residual - stress_energy.scale(kappa)
-    return residual
+    return Geometry(algebraifold, metric).efe_residual(lam, kappa,
+                                                       stress_energy)
 
 
 @dataclass(frozen=True)
@@ -270,10 +289,6 @@ class CurvatureReport:
 
 
 def curvature_report(algebraifold, metric):
-    connection = levi_civita(algebraifold, metric)
-    riemann = curvature_tensor(connection)
-    ric = ricci(algebraifold, riemann)
-    scalar = ricci_scalar(algebraifold, metric, ric)
-    einstein = ric - metric.g.scale(
-        algebraifold.scalar(Fraction(1, 2)) * scalar)
-    return CurvatureReport(riemann, ric, scalar, einstein)
+    geometry = Geometry(algebraifold, metric)
+    return CurvatureReport(geometry.riemann, geometry.ricci, geometry.scalar,
+                           geometry.einstein)

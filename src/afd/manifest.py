@@ -101,10 +101,7 @@ def _string_list(value, what):
 def load_manifest(path):
     """Load, parse and context-validate a manifest file."""
     path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except FileNotFoundError:
-        raise
+    text = path.read_text(encoding="utf-8")
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -11,11 +11,7 @@ import json
 from dataclasses import dataclass, field
 
 from . import __version__
-from .curvature import (
-    curvature_report,
-    efe_residual,
-    levi_civita,
-)
+from .curvature import Geometry, levi_civita  # noqa: F401  callers import it here
 from .errors import AfdError, ManifestValidationError
 from .expr import parse_scalar, render_scalar
 from .manifest import COMMANDS, CheckSpec
@@ -112,28 +108,24 @@ def tensor_payload(tensor):
 # ---------------------------------------------------------------------------
 
 class _Runtime:
-    """Caches expensive objects across the checks of one run."""
+    """Caches expensive objects across the checks of one run; a build that
+    raises caches nothing, so each check that needs it records the error."""
 
     def __init__(self, manifest):
         self.manifest = manifest
-        self._metric = None
-        self._curvature = None
+        self._geometry = None
         self._homs = {}
 
     @property
     def algebraifold(self):
         return self.manifest.algebraifold
 
-    def metric(self):
-        if self._metric is None:
-            self._metric = metric_inverse(self.algebraifold,
-                                          self.manifest.metric_tensor())
-        return self._metric
-
-    def curvature(self):
-        if self._curvature is None:
-            self._curvature = curvature_report(self.algebraifold, self.metric())
-        return self._curvature
+    def geometry(self):
+        if self._geometry is None:
+            metric = metric_inverse(self.algebraifold,
+                                    self.manifest.metric_tensor())
+            self._geometry = Geometry(self.algebraifold, metric)
+        return self._geometry
 
     def hom(self, curve_name):
         if curve_name not in self._homs:
@@ -168,23 +160,23 @@ def _run_check(runtime, spec):
             result["status"] = "pass" if value == expected else "fail"
 
     elif spec.command == "christoffel":
-        connection = levi_civita(A, runtime.metric())
-        result["christoffel"] = tensor_payload(connection.gamma)
+        result["christoffel"] = tensor_payload(
+            runtime.geometry().connection.gamma)
         result["status"] = "info"
 
     elif spec.command == "curvature":
-        report = runtime.curvature()
-        result["riemann"] = tensor_payload(report.riemann)
-        result["ricci"] = tensor_payload(report.ricci)
-        result["ricci_scalar"] = render_scalar(report.scalar)
-        result["einstein"] = tensor_payload(report.einstein)
+        geometry = runtime.geometry()
+        result["riemann"] = tensor_payload(geometry.riemann)
+        result["ricci"] = tensor_payload(geometry.ricci)
+        result["ricci_scalar"] = render_scalar(geometry.scalar)
+        result["einstein"] = tensor_payload(geometry.einstein)
         result["status"] = "info"
 
     elif spec.command == "efe":
         lam = parse_scalar(manifest.lambda_text, ctx)
         kappa = parse_scalar(manifest.kappa_text, ctx)
-        residual = efe_residual(A, runtime.metric(), lam, kappa,
-                                manifest.stress_tensor())
+        residual = runtime.geometry().efe_residual(lam, kappa,
+                                                   manifest.stress_tensor())
         result["lambda"] = render_scalar(lam)
         result["kappa"] = render_scalar(kappa)
         result["residual"] = tensor_payload(residual)
@@ -194,8 +186,8 @@ def _run_check(runtime, spec):
     elif spec.command == "geodesic":
         curve = options["curve"]
         hom = runtime.hom(curve)
-        connection = levi_civita(A, runtime.metric())
-        residual = geodesic_residual(manifest.line, hom, connection)
+        residual = geodesic_residual(manifest.line, hom,
+                                     runtime.geometry().connection)
         result["curve"] = curve
         result["residual"] = [render_scalar(c) for c in residual.coeffs]
         result["status"] = _expect_status(options.get("expect"),
@@ -203,7 +195,7 @@ def _run_check(runtime, spec):
 
     elif spec.command == "lie":
         vector = A.derivation(*options["vector"])
-        derivative = lie_derivative(A, vector, runtime.metric().g)
+        derivative = lie_derivative(A, vector, runtime.geometry().metric.g)
         result["vector"] = list(options["vector"])
         result["metric_derivative"] = tensor_payload(derivative)
         result["status"] = _expect_status(options.get("expect"),

@@ -600,84 +600,108 @@ def _usub(a, b, zero):
 # Algebraic extension elements
 # ---------------------------------------------------------------------------
 
+def _dense_in_gen(poly, gen, base_vars):
+    """A polynomial over base_vars + (gen,) as a dense RatFunc vector in gen."""
+    idx = poly.vars.index(gen)
+    deg = poly.degree_in(gen) if not poly.is_zero else 0
+    dense = [_rf_const(base_vars, 0)] * (deg + 1)
+    for e, c in poly.terms.items():
+        rest = MultiPoly(poly.vars,
+                         {e[:idx] + (0,) + e[idx + 1:]: c}).reordered(base_vars)
+        dense[e[idx]] = dense[e[idx]] + RatFunc(
+            rest, MultiPoly.const(base_vars, 1))
+    return dense
+
+
+class Extension:
+    """One algebraic extension of a context: the generator, its minimal
+    relation, and what every element's arithmetic reduces with.
+
+    ``modulus`` is the relation as a dense RatFunc vector in the generator;
+    ``zero`` and ``one`` are the constants of the rational-function subfield.
+    Built once per context and shared by all of its elements; two extensions
+    are equal when their generator and relation are.
+    """
+
+    __slots__ = ("gen", "relation", "zero", "one", "modulus", "degree")
+
+    def __init__(self, gen, relation, base_vars):
+        self.gen = gen
+        self.relation = relation
+        self.zero = _rf_const(base_vars, 0)
+        self.one = _rf_const(base_vars, 1)
+        self.modulus = _dense_in_gen(relation, gen, base_vars)
+        self.degree = len(self.modulus) - 1
+
+    def reduce(self, dense):
+        """The element with the dense coefficient vector ``dense``."""
+        if len(dense) > self.degree:
+            _, dense = _udivmod(dense, self.modulus, self.zero)
+        coeffs = list(dense) + [self.zero] * (self.degree - len(dense))
+        return ExtElem(coeffs, self)
+
+    def __eq__(self, other):
+        return self is other or (isinstance(other, Extension)
+                                 and self.gen == other.gen
+                                 and self.relation == other.relation)
+
+    def __hash__(self):
+        return hash((self.gen, self.relation))
+
+
 class ExtElem:
     """Element of the extension field, reduced modulo the minimal relation.
 
     ``coeffs`` has length exactly deg(relation in the generator); entry i is
-    the RatFunc coefficient of generator**i.
+    the RatFunc coefficient of generator**i.  ``ext`` is the context's shared
+    :class:`Extension`.
     """
 
-    __slots__ = ("coeffs", "gen", "relation")
+    __slots__ = ("coeffs", "ext")
 
-    def __init__(self, coeffs, gen, relation):
+    def __init__(self, coeffs, ext):
         self.coeffs = tuple(coeffs)
-        self.gen = gen
-        self.relation = relation
+        self.ext = ext
+
+    @property
+    def gen(self):
+        return self.ext.gen
 
     @property
     def is_zero(self):
         return all(c.is_zero for c in self.coeffs)
 
     def __eq__(self, other):
-        return (isinstance(other, ExtElem) and self.gen == other.gen
-                and self.relation == other.relation
+        return (isinstance(other, ExtElem) and self.ext == other.ext
                 and self.coeffs == other.coeffs)
 
     def __hash__(self):
-        return hash((self.coeffs, self.gen))
-
-    def _zero_one(self):
-        base_vars = self.coeffs[0].num.vars
-        return _rf_const(base_vars, 0), _rf_const(base_vars, 1)
-
-    def _rel_coeffs(self):
-        """Minimal relation as a dense RatFunc vector in the generator."""
-        zero, _ = self._zero_one()
-        base_vars = self.coeffs[0].num.vars
-        idx = self.relation.vars.index(self.gen)
-        out = [zero] * (self.relation.degree_in(self.gen) + 1)
-        for e, c in self.relation.terms.items():
-            k = e[idx]
-            rest = MultiPoly(self.relation.vars,
-                             {e[:idx] + (0,) + e[idx + 1:]: c}).reordered(base_vars)
-            out[k] = out[k] + RatFunc(rest, MultiPoly.const(base_vars, 1))
-        return out
-
-    def _wrap(self, dense):
-        zero, _ = self._zero_one()
-        p = self._rel_coeffs()
-        if len(dense) >= len(p):
-            _, dense = _udivmod(dense, p, zero)
-        coeffs = list(dense) + [zero] * (len(p) - 1 - len(dense))
-        return ExtElem(coeffs, self.gen, self.relation)
+        return hash((self.coeffs, self.ext.gen))
 
     def __add__(self, other):
-        zero, _ = self._zero_one()
-        return self._wrap(_uadd(list(self.coeffs), list(other.coeffs), zero))
+        return self.ext.reduce(_uadd(list(self.coeffs), list(other.coeffs),
+                                     self.ext.zero))
 
     def __neg__(self):
-        return ExtElem([-c for c in self.coeffs], self.gen, self.relation)
+        return ExtElem([-c for c in self.coeffs], self.ext)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        zero, _ = self._zero_one()
-        return self._wrap(_umul(_utrim(list(self.coeffs)),
-                                _utrim(list(other.coeffs)), zero))
+        return self.ext.reduce(_umul(_utrim(list(self.coeffs)),
+                                     _utrim(list(other.coeffs)), self.ext.zero))
 
     def inverse(self):
         if self.is_zero:
             raise DivisionByZero("inverse of zero")
-        zero, one = self._zero_one()
-        inv = _uinv_mod(_utrim(list(self.coeffs)), self._rel_coeffs(), zero, one)
-        return self._wrap(inv)
+        ext = self.ext
+        return ext.reduce(_uinv_mod(_utrim(list(self.coeffs)), ext.modulus,
+                                    ext.zero, ext.one))
 
     def partial(self, name, gen_derivative):
         """d/d(name), given the implicit derivative of the generator."""
-        zero, _ = self._zero_one()
-        direct = ExtElem([c.partial(name) for c in self.coeffs],
-                         self.gen, self.relation)
+        direct = ExtElem([c.partial(name) for c in self.coeffs], self.ext)
         # chain-rule part: (sum_i i * c_i * y**(i-1)) * dy
         dcoeffs = []
         for i, c in enumerate(self.coeffs):
@@ -686,7 +710,7 @@ class ExtElem:
             dcoeffs.append(RatFunc.make(c.num.scale(i), c.den))
         if not _utrim(list(dcoeffs)):
             return direct
-        chain = self._wrap(dcoeffs) * gen_derivative
+        chain = self.ext.reduce(dcoeffs) * gen_derivative
         return direct + chain
 
     def __repr__(self):
@@ -791,10 +815,11 @@ class ScalarContext:
     are killed by every derivation); ``transcendentals`` are the coordinate
     variables; ``extensions`` holds at most one (generator, minimal relation)
     pair.  ``kind`` distinguishes polynomial rings from function fields.
+    ``extension`` is the :class:`Extension` of that pair, or None.
     """
 
     __slots__ = ("kind", "constants", "transcendentals", "extensions",
-                 "all_vars", "irreducibility_verified")
+                 "extension", "all_vars", "irreducibility_verified")
 
     def __init__(self, kind, transcendentals, constants=(), extensions=()):
         if kind not in (POLYNOMIAL, FIELD):
@@ -831,6 +856,8 @@ class ScalarContext:
                 self.irreducibility_verified = False
             checked.append((gen, rel))
         self.extensions = tuple(checked)
+        self.extension = (Extension(*checked[0], self.all_vars)
+                          if checked else None)
 
     # -- identity
 
@@ -871,18 +898,10 @@ class ScalarContext:
     def var(self, name):
         if name in self.all_vars:
             return Scalar.make(self, MultiPoly.var(self.all_vars, name))
-        for gen, rel in self.extensions:
-            if name == gen:
-                d = rel.degree_in(gen)
-                zero = _rf_const(self.all_vars, 0)
-                one = _rf_const(self.all_vars, 1)
-                coeffs = [zero] * d
-                coeffs[1 if d > 1 else 0] = one
-                elem = ExtElem(coeffs, gen, rel)
-                if d == 1:
-                    # linear relation: the generator already reduces
-                    elem = elem._wrap([zero, one])
-                return Scalar.make(self, elem)
+        ext = self.extension
+        if ext is not None and name == ext.gen:
+            # a linear relation reduces the generator into the subfield
+            return Scalar.make(self, ext.reduce([ext.zero, ext.one]))
         raise UnknownVariable(f"'{name}' is not declared in this context")
 
 
@@ -1027,8 +1046,6 @@ class Scalar:
             return Scalar.make(self.ctx, a / b)
         if isinstance(a, MultiPoly):
             result = RatFunc.make(a, b)
-        elif isinstance(a, RatFunc):
-            result = a * b.inverse()
         else:
             result = a * b.inverse()
         out = Scalar.make(self.ctx, result)
@@ -1117,10 +1134,7 @@ def _lift(ctx, payload, frm, to):
         payload = RatFunc(payload, MultiPoly.const(ctx.all_vars, 1))
         frm = 2
     if frm == 2 and to == 3:
-        gen, rel = ctx.extensions[0]
-        d = rel.degree_in(gen)
-        zero = _rf_const(ctx.all_vars, 0)
-        payload = ExtElem([payload] + [zero] * (d - 1), gen, rel)
+        payload = ctx.extension.reduce([payload])
     return payload
 
 
@@ -1154,19 +1168,8 @@ def _gen_derivative(ctx, name):
 
 def _poly_in_gen_to_elem(ctx, poly):
     """Convert a polynomial over all_vars + (gen,) into a reduced ExtElem."""
-    gen, rel = ctx.extensions[0]
-    idx = poly.vars.index(gen)
-    zero = _rf_const(ctx.all_vars, 0)
-    deg = poly.degree_in(gen) if not poly.is_zero else 0
-    dense = [zero] * (deg + 1)
-    for e, c in poly.terms.items():
-        rest = MultiPoly(poly.vars,
-                         {e[:idx] + (0,) + e[idx + 1:]: c}).reordered(ctx.all_vars)
-        dense[e[idx]] = dense[e[idx]] + RatFunc(
-            rest, MultiPoly.const(ctx.all_vars, 1))
-    d = rel.degree_in(gen)
-    probe = ExtElem([zero] * d, gen, rel)
-    return probe._wrap(dense)
+    ext = ctx.extension
+    return ext.reduce(_dense_in_gen(poly, ext.gen, ctx.all_vars))
 
 
 def _substitute(s, bindings, target):

@@ -21,6 +21,22 @@ from .errors import (
 from .scalars import FIELD, POLYNOMIAL, Scalar, ScalarContext
 
 
+def accumulate(comp, idx, value):
+    """Add ``value`` into the sparse table ``comp`` at ``idx``.
+
+    The table keeps no zero entries: a zero ``value`` is skipped and an
+    entry that cancels to zero is dropped.
+    """
+    if value.is_zero:
+        return
+    total = comp.get(idx)
+    total = value if total is None else total + value
+    if total.is_zero:
+        comp.pop(idx, None)
+    else:
+        comp[idx] = total
+
+
 class Tensor:
     """Sparse exact tensor over an algebraifold."""
 
@@ -97,12 +113,7 @@ class Tensor:
             raise ArityMismatch(f"cannot add rank {self.rank} and {other.rank}")
         comp = dict(self.comp)
         for idx, value in other.comp.items():
-            total = comp.get(idx)
-            total = value if total is None else total + value
-            if total.is_zero:
-                comp.pop(idx, None)
-            else:
-                comp[idx] = total
+            accumulate(comp, idx, value)
         return Tensor(self.algebraifold, self.r, self.s, comp)
 
     def __neg__(self):
@@ -127,11 +138,9 @@ class Tensor:
         comp = {}
         for (i1, v1), (i2, v2) in product(self.comp.items(), other.comp.items()):
             idx = i1[:self.r] + i2[:other.r] + i1[self.r:] + i2[other.r:]
-            value = v1 * v2
-            if not value.is_zero:
-                comp[idx] = comp.get(idx, self.algebraifold.zero()) + value
+            accumulate(comp, idx, v1 * v2)
         return Tensor(self.algebraifold, self.r + other.r, self.s + other.s,
-                      {i: v for i, v in comp.items() if not v.is_zero})
+                      comp)
 
     def contract(self, contra_slot, cov_slot):
         """Contract one contravariant against one covariant slot (1-based)."""
@@ -149,12 +158,7 @@ class Tensor:
                 continue
             out = tuple(k for pos, k in enumerate(idx)
                         if pos != up and pos != down)
-            total = comp.get(out)
-            total = value if total is None else total + value
-            if total.is_zero:
-                comp.pop(out, None)
-            else:
-                comp[out] = total
+            accumulate(comp, out, value)
         return Tensor(self.algebraifold, self.r - 1, self.s - 1, comp)
 
     def evaluate(self, oneforms, derivations):
@@ -204,36 +208,26 @@ def lie_derivative(algebraifold, u, T):
         raise DescriptorMismatch("inputs over different algebraifolds")
     n = algebraifold.n
     names = algebraifold.ctx.transcendentals
-    zero = algebraifold.zero()
     # partials[i][m] = d(u^{i+1}) / dx_{m+1}
     partials = [[u.coeffs[i].partial(names[m]) for m in range(n)]
                 for i in range(n)]
     out = {}
-
-    def bump(idx, value):
-        if value.is_zero:
-            return
-        total = out.get(idx)
-        total = value if total is None else total + value
-        if total.is_zero:
-            out.pop(idx, None)
-        else:
-            out[idx] = total
-
     for idx, c in T.comp.items():
-        bump(idx, algebraifold.apply(u, c))
+        accumulate(out, idx, algebraifold.apply(u, c))
         for pos in range(T.r):
             m = idx[pos]
             for i in range(1, n + 1):
                 coeff = partials[i - 1][m - 1]
                 if not coeff.is_zero:
-                    bump(idx[:pos] + (i,) + idx[pos + 1:], -(coeff * c))
+                    accumulate(out, idx[:pos] + (i,) + idx[pos + 1:],
+                               -(coeff * c))
         for pos in range(T.r, T.r + T.s):
             m = idx[pos]
             for j in range(1, n + 1):
                 coeff = partials[m - 1][j - 1]
                 if not coeff.is_zero:
-                    bump(idx[:pos] + (j,) + idx[pos + 1:], coeff * c)
+                    accumulate(out, idx[:pos] + (j,) + idx[pos + 1:],
+                               coeff * c)
     return Tensor(algebraifold, T.r, T.s, out)
 
 
@@ -314,10 +308,6 @@ class Metric:
         self.algebraifold = algebraifold
         self.g = g
         self.g_inv = g_inv
-
-    @classmethod
-    def build(cls, algebraifold, g):
-        return metric_inverse(algebraifold, g)
 
     def entry(self, i, j):
         return self.g.get((i, j))

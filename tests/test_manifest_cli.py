@@ -167,6 +167,77 @@ class TestRunCommand:
         assert any("irreducibility" in w for w in report.warnings)
 
 
+GEOMETRY_CHECKS = [
+    {"name": "symbols", "command": "christoffel"},
+    {"name": "curvature", "command": "curvature"},
+    {"name": "vacuum", "command": "efe", "expect": "zero"},
+    {"name": "line", "command": "geodesic", "curve": "line"},
+    {"name": "symbols-again", "command": "christoffel"},
+]
+
+
+class TestSharedGeometry:
+    """One run builds the connection and the curvature once for all checks."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        from afd import curvature
+
+        counts = {"levi_civita": 0, "curvature_tensor": 0}
+
+        def counting(name):
+            original = getattr(curvature, name)
+
+            def counted(*args):
+                counts[name] += 1
+                return original(*args)
+            return counted
+
+        for name in counts:
+            monkeypatch.setattr(curvature, name, counting(name))
+        return counts
+
+    def run(self, metric, only=None, **overrides):
+        raw = manifest_with(metric=metric, checks=GEOMETRY_CHECKS,
+                            curves={"line": {"x": "t", "y": "2*t"}},
+                            **overrides)
+        return run_command(build_manifest(raw), "check", only).results
+
+    def test_each_stage_runs_once(self, calls):
+        results = self.run([["1", "x"], ["x", "1 + x^2"]])
+        assert [r["status"] for r in results] == [
+            "info", "info", "pass", "info", "info"]
+        assert calls == {"levi_civita": 1, "curvature_tensor": 1}
+
+    def test_degenerate_metric_errors_every_dependent_check(self, calls):
+        results = self.run([["1", "1"], ["1", "1"]])
+        assert [(r["status"], r["code"]) for r in results] == [
+            ("error", "degenerate-metric")] * len(GEOMETRY_CHECKS)
+        assert calls == {"levi_civita": 0, "curvature_tensor": 0}
+
+    def test_failing_stage_is_not_cached(self, monkeypatch, calls):
+        from afd import curvature
+        from afd.errors import DivisionByZero
+
+        def failing(*args):
+            calls["levi_civita"] += 1
+            raise DivisionByZero("stage failed")
+
+        monkeypatch.setattr(curvature, "levi_civita", failing)
+        results = self.run([["1", "x"], ["x", "1 + x^2"]])
+        assert [(r["status"], r["code"]) for r in results] == [
+            ("error", "division-by-zero")] * len(GEOMETRY_CHECKS)
+        assert calls == {"levi_civita": len(GEOMETRY_CHECKS),
+                         "curvature_tensor": 0}
+
+    def test_efe_checks_couplings_before_curvature(self, calls):
+        (result,) = self.run([["1", "x"], ["x", "1 + x^2"]], only=["vacuum"],
+                             **{"lambda": "x"})
+        assert (result["status"], result["code"]) == (
+            "error", "non-constant-coupling")
+        assert calls == {"levi_civita": 0, "curvature_tensor": 0}
+
+
 class TestEmitReport:
     def test_zero_tensor_payload(self):
         A = poly_ring("x", "y")
@@ -218,6 +289,15 @@ class TestGoldenReports:
             assert report.exit_code == 0, stem
             assert emit_report(report, "json") == golden.read_text(
                 encoding="utf-8"), stem
+
+
+    def test_extension_workload_matches_its_reference(self, repo_root):
+        # Schwarzschild-like Kerr-Schild metric over Q(m)(t,x,y)[r]/(r^2-x^2-y^2)
+        bench = repo_root / "perfbench"
+        report = run_command(load_manifest(bench / "ks_extension.json"),
+                             "check")
+        assert emit_report(report, "json") == (
+            bench / "ks_extension.check.json").read_text(encoding="utf-8")
 
 
 class TestConcurrency:

@@ -258,6 +258,22 @@ class TestContextValidation:
 FIELD2 = ScalarContext(FIELD, ("x", "y"))
 
 
+class TestSharedExtension:
+    def test_equal_contexts_give_equal_elements(self):
+        # each context builds its own extension record; elements still
+        # compare and hash by the relation's value
+        other = field_with_extension(("x",), "y", "y^2 - x^3 - 1")
+        a = EY * EX + 1
+        b = other.var("y") * other.var("x") + 1
+        assert a.val.ext is not b.val.ext
+        assert a.val == b.val and hash(a.val) == hash(b.val)
+        assert a == b and hash(a) == hash(b)
+        assert (a - b).is_zero
+
+    def test_elements_share_their_context_record(self):
+        assert (EY * EY + EY).val.ext is EY.val.ext is ELL.extension
+
+
 class TestFieldAxioms:
     @given(field_scalars(FIELD2), field_scalars(FIELD2), field_scalars(FIELD2))
     def test_ring_axioms_rational_functions(self, a, b, c):
