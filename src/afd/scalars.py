@@ -9,6 +9,8 @@ that can represent them:
 * ``MultiPoly`` is a sparse multivariate polynomial: a dict mapping exponent
   tuples to nonzero Fraction coefficients.  The zero polynomial is the empty
   dict.  Term order is graded lexicographic on the declared variable order.
+  A product accumulates integer numerators over the operands' common
+  denominators and stores each coefficient once, still as a Fraction.
 * ``RatFunc`` is a reduced fraction of two MultiPolys with monic denominator.
 * ``ExtElem`` represents an element of a separable algebraic extension as a
   coefficient vector over the rational-function subfield, reduced modulo the
@@ -26,7 +28,8 @@ Everything here is immutable after construction and all operations are pure.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
+from operator import add
 from typing import Union
 
 from .errors import (
@@ -51,6 +54,16 @@ ONE = Fraction(1)
 
 def _grlex_key(exps):
     return (sum(exps), exps)
+
+
+def _integral(terms):
+    """``terms`` as (exponent, integer numerator) pairs over d, the lcm of
+    their denominators; returns (pairs, d)."""
+    d = lcm(*[c.denominator for c in terms.values()])
+    if d == 1:
+        return [(e, c.numerator) for e, c in terms.items()], 1
+    return [(e, c.numerator * (d // c.denominator))
+            for e, c in terms.items()], d
 
 
 class MultiPoly:
@@ -152,16 +165,17 @@ class MultiPoly:
     def __mul__(self, other):
         if not self.terms or not other.terms:
             return MultiPoly.zero(self.vars)
+        a, da = _integral(self.terms)
+        b, db = _integral(other.terms)
         out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, ZERO) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    del out[e]
-        return MultiPoly(self.vars, out)
+        get = out.get
+        for e1, c1 in a:
+            for e2, c2 in b:
+                e = tuple(map(add, e1, e2))
+                out[e] = get(e, 0) + c1 * c2
+        d = da * db
+        return MultiPoly(self.vars,
+                         {e: Fraction(n, d) for e, n in out.items() if n})
 
     def scale(self, c):
         c = Fraction(c)
@@ -561,11 +575,11 @@ def _umul(a, b, zero):
     return _utrim(out)
 
 
-def _udivmod(a, b, zero):
-    """Division with remainder over the rational-function field."""
+def _udivmod(a, b, inv_lead, zero):
+    """Division with remainder over the rational-function field, given the
+    inverse of b's leading coefficient."""
     a = list(a)
     q = [zero] * max(len(a) - len(b) + 1, 0)
-    inv_lead = b[-1].inverse()
     while len(a) >= len(b):
         c = a[-1] * inv_lead
         k = len(a) - len(b)
@@ -583,7 +597,7 @@ def _uinv_mod(a, p, zero, one):
     r0, r1 = list(p), list(a)
     s0, s1 = [], [one]
     while r1:
-        q, r = _udivmod(r0, r1, zero)
+        q, r = _udivmod(r0, r1, r1[-1].inverse(), zero)
         r0, r1 = r1, r
         s0, s1 = s1, _usub(s0, _umul(q, s1, zero), zero)
     if len(r0) != 1:
@@ -617,13 +631,16 @@ class Extension:
     """One algebraic extension of a context: the generator, its minimal
     relation, and what every element's arithmetic reduces with.
 
-    ``modulus`` is the relation as a dense RatFunc vector in the generator;
-    ``zero`` and ``one`` are the constants of the rational-function subfield.
-    Built once per context and shared by all of its elements; two extensions
-    are equal when their generator and relation are.
+    ``modulus`` is the relation as a dense RatFunc vector in the generator,
+    ``inv_lead`` the inverse of its leading coefficient; ``zero`` and ``one``
+    are the constants of the rational-function subfield; ``derivatives``
+    caches the generator's implicit derivative per transcendental.  Built
+    once per context and shared by all of its elements; two extensions are
+    equal when their generator and relation are.
     """
 
-    __slots__ = ("gen", "relation", "zero", "one", "modulus", "degree")
+    __slots__ = ("gen", "relation", "zero", "one", "modulus", "inv_lead",
+                 "degree", "derivatives")
 
     def __init__(self, gen, relation, base_vars):
         self.gen = gen
@@ -631,12 +648,14 @@ class Extension:
         self.zero = _rf_const(base_vars, 0)
         self.one = _rf_const(base_vars, 1)
         self.modulus = _dense_in_gen(relation, gen, base_vars)
+        self.inv_lead = self.modulus[-1].inverse()
         self.degree = len(self.modulus) - 1
+        self.derivatives = {}
 
     def reduce(self, dense):
         """The element with the dense coefficient vector ``dense``."""
         if len(dense) > self.degree:
-            _, dense = _udivmod(dense, self.modulus, self.zero)
+            _, dense = _udivmod(dense, self.modulus, self.inv_lead, self.zero)
         coeffs = list(dense) + [self.zero] * (self.degree - len(dense))
         return ExtElem(coeffs, self)
 
@@ -779,25 +798,14 @@ def relation_is_irreducible(relation, gen):
         values = {v: Fraction(seed + i) for i, v in enumerate(others)}
         if others and lead.specialize(values).is_zero:
             continue
-        special = relation.specialize(values)
-        dense = [Fraction(0)] * (deg + 1)
-        for e, c in special.terms.items():
-            dense[e[0]] += c
-        lcm = 1
-        for c in dense:
-            lcm = lcm * c.denominator // _int_gcd(lcm, c.denominator)
-        int_coeffs = [int(c * lcm) for c in dense]
+        int_coeffs = [0] * (deg + 1)
+        for e, c in _integral(relation.specialize(values).terms)[0]:
+            int_coeffs[e[0]] = c
         if not _rational_roots_exist(int_coeffs):
             return True
         if not others:
             return False  # exact over Q: a root really exists
     return False
-
-
-def _int_gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 # ---------------------------------------------------------------------------
@@ -865,7 +873,8 @@ class ScalarContext:
         return (self.kind, self.constants, self.transcendentals, self.extensions)
 
     def __eq__(self, other):
-        return isinstance(other, ScalarContext) and self._key() == other._key()
+        return self is other or (isinstance(other, ScalarContext)
+                                 and self._key() == other._key())
 
     def __hash__(self):
         return hash(self._key())
@@ -1157,13 +1166,17 @@ def _gen_derivative(ctx, name):
     """Implicit derivative of the extension generator: -(dp/dname)/(dp/dgen).
 
     Always returned at the extension level, even when the quotient happens to
-    collapse into the rational-function subfield.
+    collapse into the rational-function subfield; computed once per context
+    and transcendental.
     """
-    gen, rel = ctx.extensions[0]
-    num = Scalar.make(ctx, _poly_in_gen_to_elem(ctx, rel.partial(name)))
-    den = Scalar.make(ctx, _poly_in_gen_to_elem(ctx, rel.partial(gen)))
-    value = -(num / den)
-    return _lift(ctx, value.val, _level(value.val), 3)
+    cache = ctx.extension.derivatives
+    if name not in cache:
+        gen, rel = ctx.extensions[0]
+        num = Scalar.make(ctx, _poly_in_gen_to_elem(ctx, rel.partial(name)))
+        den = Scalar.make(ctx, _poly_in_gen_to_elem(ctx, rel.partial(gen)))
+        value = -(num / den)
+        cache[name] = _lift(ctx, value.val, _level(value.val), 3)
+    return cache[name]
 
 
 def _poly_in_gen_to_elem(ctx, poly):

@@ -1,5 +1,6 @@
 """Exact scalar tower: arithmetic, GCDs, partials, substitution."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,13 @@ from afd.errors import (
     UnsupportedTower,
 )
 from afd.expr import render_poly
-from afd.scalars import FIELD, POLYNOMIAL, _poly_in_gen_to_elem, Scalar
+from afd.scalars import (
+    FIELD,
+    POLYNOMIAL,
+    Scalar,
+    _gen_derivative,
+    _poly_in_gen_to_elem,
+)
 
 from conftest import ext_scalars, field_scalars, nonzero_field_scalars, poly_scalars
 
@@ -77,6 +84,71 @@ class TestDiv:
         ctx = ScalarContext(POLYNOMIAL, ("x",), constants=("m",))
         quotient = ctx.var("x") / ctx.var("m")
         assert quotient * ctx.var("m") == ctx.var("x")
+
+
+def _random_poly(rng, variables, max_terms=6, max_deg=3):
+    """A seeded sparse polynomial with signed Fraction coefficients."""
+    terms = {}
+    for _ in range(rng.randint(0, max_terms)):
+        e = tuple(rng.randint(0, max_deg) for _ in variables)
+        terms[e] = Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 6, 35)))
+    return MultiPoly.from_terms(variables, terms)
+
+
+def _schoolbook_product(a, b):
+    """Reference product: Fraction arithmetic term by term."""
+    out = {}
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, Fraction(0)) + c1 * c2
+    return {e: c for e, c in out.items() if c != 0}
+
+
+def _assert_canonical(poly):
+    for c in poly.terms.values():
+        assert type(c) is Fraction and c != 0
+
+
+class TestSparseProduct:
+    VARS = ("x", "y", "z")
+
+    def test_matches_schoolbook_on_random_polynomials(self):
+        rng = random.Random(11)
+        for trial in range(300):
+            a = _random_poly(rng, self.VARS)
+            b = _random_poly(rng, self.VARS)
+            product = a * b
+            assert product.terms == _schoolbook_product(a, b), trial
+            _assert_canonical(product)
+            if not b.is_zero:
+                assert product.exact_div(b) == a, trial
+
+    def test_full_cancellation(self):
+        x = MultiPoly.var(self.VARS, "x")
+        one = MultiPoly.const(self.VARS, 1)
+        assert ((x + one) * (x - one) - (x * x - one)).is_zero
+        half = MultiPoly.const(self.VARS, Fraction(1, 2))
+        # (x/2 + 1/3)(x/2 - 1/3) keeps only x^2/4 - 1/9: the cross terms
+        # cancel inside the integer accumulator
+        third = MultiPoly.const(self.VARS, Fraction(1, 3))
+        product = (half * x + third) * (half * x - third)
+        assert product.terms == {(2, 0, 0): Fraction(1, 4),
+                                 (0, 0, 0): Fraction(-1, 9)}
+        _assert_canonical(product)
+
+    def test_zero_and_constants(self):
+        zero = MultiPoly.zero(self.VARS)
+        p = _random_poly(random.Random(3), self.VARS) \
+            + MultiPoly.var(self.VARS, "y")
+        assert (zero * p).is_zero and (p * zero).is_zero
+        c = MultiPoly.const(self.VARS, Fraction(-4, 6))
+        assert (c * p).terms == p.scale(Fraction(-2, 3)).terms
+        assert (c * c).terms == {(0, 0, 0): Fraction(4, 9)}
+        integral = MultiPoly.const(self.VARS, Fraction(6, 3))
+        assert (integral * integral).terms == {(0, 0, 0): Fraction(4)}
+        _assert_canonical(c * p)
+        _assert_canonical(integral * integral)
 
 
 class TestPolyGcd:
@@ -141,6 +213,18 @@ class TestPartial:
     def test_unknown_variable(self):
         with pytest.raises(UnknownVariable):
             X.partial("z")
+
+    def test_generator_derivative_is_cached_per_context(self):
+        ctx = field_with_extension(("x", "z"), "y", "y^2 - x^3 - z/2 - 1")
+        gen, rel = ctx.extensions[0]
+        for name in ("x", "z"):
+            cached = _gen_derivative(ctx, name)
+            assert _gen_derivative(ctx, name) is cached
+            assert ctx.extension.derivatives[name] is cached
+            num = Scalar.make(ctx, _poly_in_gen_to_elem(ctx, rel.partial(name)))
+            den = Scalar.make(ctx, _poly_in_gen_to_elem(ctx, rel.partial(gen)))
+            assert Scalar.make(ctx, cached) == -(num / den)
+        assert ctx.var("y").partial("z") == 1 / (4 * ctx.var("y"))
 
     def test_collapsing_generator_derivative(self):
         # (y + x)^2 + 1 = 0 forces dy/dx = -1: the implicit derivative drops
@@ -219,6 +303,12 @@ class TestContextValidation:
     def test_reducible_relation(self):
         with pytest.raises(ReducibleRelation):
             field_with_extension(("x",), "y", "y^2 - x^2")
+
+    def test_rational_coefficient_relations(self):
+        with pytest.raises(ReducibleRelation):
+            field_with_extension(("x",), "y", "y^2 - 1/4")
+        ctx = field_with_extension(("x",), "y", "y^2 - 1/2")
+        assert ctx.var("y") ** 2 == ctx.const(Fraction(1, 2))
 
     def test_quartic_accepted_with_warning_flag(self):
         ctx = field_with_extension(("x",), "w", "w^4 - x^3 - x - 1")
