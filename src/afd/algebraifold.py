@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import ContextMismatch, DescriptorMismatch
-from .scalars import Scalar, validate_relation_separable
+from .scalars import Scalar
 
 
 class Algebraifold:
@@ -30,12 +30,10 @@ class Algebraifold:
     def build(cls, ctx):
         """Construct the coordinate instance for a context.
 
-        Separability of the extension relation is re-validated here (the
-        derivation basis only exists when d(relation)/d(generator) is
-        invertible).
+        The derivation basis exists because the context has already checked
+        that d(relation)/d(generator) is invertible (the relation is
+        separable).
         """
-        for gen, rel in ctx.extensions:
-            validate_relation_separable(rel, gen)
         coords = tuple(ctx.var(name) for name in ctx.transcendentals)
         matrix = tuple(
             tuple(a.partial(name) for a in coords)
@@ -85,17 +83,18 @@ class Algebraifold:
 
     # -- constructors for module elements
 
-    def basis_derivation(self, i):
-        """The coordinate derivation d/dx_i (1-based index)."""
+    def _unit(self, kind, i):
         coeffs = [self.zero()] * self.n
         coeffs[i - 1] = self.one()
-        return Derivation(self, tuple(coeffs))
+        return kind(self, tuple(coeffs))
+
+    def basis_derivation(self, i):
+        """The coordinate derivation d/dx_i (1-based index)."""
+        return self._unit(Derivation, i)
 
     def coordinate_form(self, i):
         """The coordinate differential d(a_i) (1-based index)."""
-        coeffs = [self.zero()] * self.n
-        coeffs[i - 1] = self.one()
-        return OneForm(self, tuple(coeffs))
+        return self._unit(OneForm, i)
 
     def derivation(self, *coeffs):
         return Derivation(self, tuple(self.scalar(c) for c in coeffs))
@@ -122,7 +121,7 @@ class Algebraifold:
 
     def bracket(self, u, v):
         """Lie bracket of derivations in the commuting coordinate basis."""
-        _same(self, u, v)
+        require_elements(self, Derivation, u, v)
         coeffs = tuple(
             self.apply(u, v.coeffs[j]) - self.apply(v, u.coeffs[j])
             for j in range(self.n)
@@ -154,15 +153,11 @@ class Algebraifold:
         residuals = []
         gens = [(name, self.ctx.var(name))
                 for name in self.ctx.generators]
-        for j in range(self.n):
+        for j, coord in enumerate(self.ctx.transcendentals):
+            v = Derivation(self, M[j])
             for name, g in gens:
-                total = self.zero()
-                for i in range(self.n):
-                    if not M[j][i].is_zero:
-                        total = total + M[j][i] * g.partial(
-                            self.ctx.transcendentals[i])
-                total = total - g.partial(self.ctx.transcendentals[j])
-                residuals.append(("derivation", j + 1, name, total))
+                residuals.append(("derivation", j + 1, name,
+                                  self.apply(v, g) - g.partial(coord)))
         for j in range(self.n):
             for i in range(self.n):
                 delta = self.one() if i == j else self.zero()
@@ -172,14 +167,22 @@ class Algebraifold:
         return residuals
 
 
-def _same(afd, *elements):
+def require_elements(algebraifold, kind, *elements):
+    """Reject any element that is not a ``kind`` over ``algebraifold``."""
     for e in elements:
-        if e.algebraifold != afd:
+        if not isinstance(e, kind):
+            raise DescriptorMismatch(
+                f"expected a {kind.__name__}, got {type(e).__name__}")
+        if e.algebraifold != algebraifold:
             raise DescriptorMismatch("element belongs to a different algebraifold")
 
 
-class Derivation:
-    """A derivation written against the coordinate basis u_1..u_n."""
+class _CoordinateVector:
+    """A coefficient vector against one coordinate basis of an algebraifold.
+
+    The module operations stay within one kind: adding a derivation to a
+    one-form raises DescriptorMismatch.
+    """
 
     __slots__ = ("algebraifold", "coeffs")
 
@@ -190,25 +193,22 @@ class Derivation:
         self.algebraifold = algebraifold
         self.coeffs = tuple(coeffs)
 
-    def __call__(self, a):
-        return self.algebraifold.apply(self, a)
-
     def __add__(self, other):
-        _same(self.algebraifold, other)
-        return Derivation(self.algebraifold, tuple(
+        require_elements(self.algebraifold, type(self), other)
+        return type(self)(self.algebraifold, tuple(
             a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __sub__(self, other):
-        _same(self.algebraifold, other)
-        return Derivation(self.algebraifold, tuple(
+        require_elements(self.algebraifold, type(self), other)
+        return type(self)(self.algebraifold, tuple(
             a - b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __neg__(self):
-        return Derivation(self.algebraifold, tuple(-a for a in self.coeffs))
+        return type(self)(self.algebraifold, tuple(-a for a in self.coeffs))
 
     def __rmul__(self, scalar):
         scalar = self.algebraifold.scalar(scalar)
-        return Derivation(self.algebraifold,
+        return type(self)(self.algebraifold,
                           tuple(scalar * a for a in self.coeffs))
 
     __mul__ = __rmul__
@@ -218,62 +218,32 @@ class Derivation:
         return all(c.is_zero for c in self.coeffs)
 
     def __eq__(self, other):
-        return (isinstance(other, Derivation)
+        return (type(other) is type(self)
                 and self.algebraifold == other.algebraifold
                 and self.coeffs == other.coeffs)
 
     def __repr__(self):
-        return f"Derivation({self.coeffs!r})"
+        return f"{type(self).__name__}({self.coeffs!r})"
 
 
-class OneForm:
+class Derivation(_CoordinateVector):
+    """A derivation written against the coordinate basis u_1..u_n."""
+
+    __slots__ = ()
+
+    def __call__(self, a):
+        return self.algebraifold.apply(self, a)
+
+
+class OneForm(_CoordinateVector):
     """A one-form written against the coordinate differentials da_1..da_n."""
 
-    __slots__ = ("algebraifold", "coeffs")
-
-    def __init__(self, algebraifold, coeffs):
-        if len(coeffs) != algebraifold.n:
-            raise DescriptorMismatch(
-                f"expected {algebraifold.n} coefficients, got {len(coeffs)}")
-        self.algebraifold = algebraifold
-        self.coeffs = tuple(coeffs)
+    __slots__ = ()
 
     def __call__(self, v):
         """Pairing with a derivation."""
-        _same(self.algebraifold, v)
+        require_elements(self.algebraifold, Derivation, v)
         total = self.algebraifold.zero()
         for a, b in zip(self.coeffs, v.coeffs):
             total = total + a * b
         return total
-
-    def __add__(self, other):
-        _same(self.algebraifold, other)
-        return OneForm(self.algebraifold, tuple(
-            a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other):
-        _same(self.algebraifold, other)
-        return OneForm(self.algebraifold, tuple(
-            a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self):
-        return OneForm(self.algebraifold, tuple(-a for a in self.coeffs))
-
-    def __rmul__(self, scalar):
-        scalar = self.algebraifold.scalar(scalar)
-        return OneForm(self.algebraifold,
-                       tuple(scalar * a for a in self.coeffs))
-
-    __mul__ = __rmul__
-
-    @property
-    def is_zero(self):
-        return all(c.is_zero for c in self.coeffs)
-
-    def __eq__(self, other):
-        return (isinstance(other, OneForm)
-                and self.algebraifold == other.algebraifold
-                and self.coeffs == other.coeffs)
-
-    def __repr__(self):
-        return f"OneForm({self.coeffs!r})"

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .algebraifold import Derivation
+from .algebraifold import Derivation, require_elements
 from .errors import DescriptorMismatch, NonConstantCoupling
-from .tensors import Tensor, accumulate
+from .tensors import Tensor, accumulate, derive_tensor
 
 
 class Connection:
@@ -26,8 +26,7 @@ class Connection:
     def __init__(self, algebraifold, gamma):
         if gamma.rank != (1, 2):
             raise DescriptorMismatch("connection coefficients must be rank (1, 2)")
-        if gamma.algebraifold != algebraifold:
-            raise DescriptorMismatch("gamma over a different algebraifold")
+        require_elements(algebraifold, Tensor, gamma)
         self.algebraifold = algebraifold
         self.gamma = gamma
 
@@ -42,8 +41,7 @@ class Connection:
     def apply(self, u, v):
         """Covariant derivative of a derivation along a derivation."""
         A = self.algebraifold
-        if u.algebraifold != A or v.algebraifold != A:
-            raise DescriptorMismatch("derivations over a different algebraifold")
+        require_elements(A, Derivation, u, v)
         coeffs = [A.apply(u, v.coeffs[k]) for k in range(A.n)]
         for (k, i, j), gamma in self.gamma.comp.items():
             term = gamma * u.coeffs[i - 1] * v.coeffs[j - 1]
@@ -67,36 +65,20 @@ def standard_connection(algebraifold):
 def covariant_derivative(connection, u, T):
     """Covariant derivative of a tensor along a derivation.
 
-    The componentwise u-derivative plus one Gamma correction per slot: +Gamma
-    on contravariant slots, -Gamma on covariant slots.
+    The tensor derivation with M[k][j] = sum_i u^i Gamma^k_{ij}: the
+    componentwise u-derivative plus +Gamma on contravariant slots and -Gamma
+    on covariant slots.
     """
     A = connection.algebraifold
-    if u.algebraifold != A or T.algebraifold != A:
-        raise DescriptorMismatch("inputs over a different algebraifold")
+    require_elements(A, Derivation, u)
+    require_elements(A, Tensor, T)
     n = A.n
     # G[k][j] = sum_i u^i Gamma^k_{ij}
     G = [[A.zero() for _ in range(n)] for _ in range(n)]
     for (k, i, j), gamma in connection.gamma.comp.items():
         if not u.coeffs[i - 1].is_zero:
             G[k - 1][j - 1] = G[k - 1][j - 1] + u.coeffs[i - 1] * gamma
-    out = {}
-    for idx, c in T.comp.items():
-        accumulate(out, idx, A.apply(u, c))
-        for pos in range(T.r):
-            m = idx[pos]
-            for k in range(1, n + 1):
-                coeff = G[k - 1][m - 1]
-                if not coeff.is_zero:
-                    accumulate(out, idx[:pos] + (k,) + idx[pos + 1:],
-                               coeff * c)
-        for pos in range(T.r, T.r + T.s):
-            m = idx[pos]
-            for j in range(1, n + 1):
-                coeff = G[m - 1][j - 1]
-                if not coeff.is_zero:
-                    accumulate(out, idx[:pos] + (j,) + idx[pos + 1:],
-                               -(coeff * c))
-    return Tensor(A, T.r, T.s, out)
+    return derive_tensor(A, u, T, G)
 
 
 def torsion(connection):

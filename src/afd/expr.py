@@ -27,6 +27,10 @@ from .scalars import FIELD, MultiPoly, RatFunc, ScalarContext
 
 _OPS = set("+-*/^()")
 
+# deepest accepted nesting of parentheses and unary minus; deeper input is a
+# syntax error rather than a Python recursion failure
+MAX_NESTING = 100
+
 
 def _tokenize(text):
     tokens = []
@@ -65,6 +69,7 @@ class _Parser:
         self.tokens = tokens
         self.ctx = ctx
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -78,6 +83,16 @@ class _Parser:
         kind, text, where = self.peek()
         shown = text or "end of input"
         raise ExprSyntaxError(f"unexpected {shown!r}", where, expected=expected)
+
+    def nested(self, parse, where):
+        """Run ``parse`` one nesting level deeper."""
+        if self.depth == MAX_NESTING:
+            raise ExprSyntaxError(
+                f"expression nested deeper than {MAX_NESTING} levels", where)
+        self.depth += 1
+        value = parse()
+        self.depth -= 1
+        return value
 
     def expr(self):
         value = self.term()
@@ -126,14 +141,14 @@ class _Parser:
                 raise UnknownIdentifier(text) from None
         if kind == "(":
             self.advance()
-            value = self.expr()
+            value = self.nested(self.expr, where)
             if self.peek()[0] != ")":
                 self.fail(expected=(")",))
             self.advance()
             return value
         if kind == "-":
             self.advance()
-            return -self.base()
+            return -self.nested(self.base, where)
         self.fail(expected=("integer", "identifier", "(", "-"))
 
 

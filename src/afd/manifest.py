@@ -101,13 +101,21 @@ def _string_list(value, what):
 def load_manifest(path):
     """Load, parse and context-validate a manifest file."""
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except IsADirectoryError:
+        raise ManifestParseError(f"{path.name}: is a directory") from None
+    except UnicodeDecodeError as exc:
+        raise ManifestParseError(
+            f"{path.name}: not valid UTF-8 at byte {exc.start}") from None
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ManifestParseError(
             f"{path.name}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
+    except RecursionError:
+        raise ManifestParseError(f"{path.name}: JSON nested too deeply") from None
     return build_manifest(raw)
 
 

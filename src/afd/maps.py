@@ -11,7 +11,7 @@ curve's own velocity.
 
 from __future__ import annotations
 
-from .algebraifold import Algebraifold, OneForm
+from .algebraifold import Algebraifold, Derivation, OneForm, require_elements
 from .errors import (
     ContextMismatch,
     DescriptorMismatch,
@@ -20,7 +20,15 @@ from .errors import (
     PullbackVerificationFailed,
     RelationNotPreserved,
 )
-from .scalars import FIELD, POLYNOMIAL, MultiPoly, RatFunc, Scalar, ScalarContext
+from .scalars import (
+    FIELD,
+    POLYNOMIAL,
+    MultiPoly,
+    RatFunc,
+    Scalar,
+    ScalarContext,
+    _subst_payload,
+)
 
 
 class AlgebraifoldHom:
@@ -55,18 +63,11 @@ class AlgebraifoldHom:
         return hom
 
     def _evaluate_relation(self, rel):
-        total = self.target.zero()
-        for exps, coeff in rel.terms.items():
-            term = self.target.scalar(coeff)
-            for name, e in zip(rel.vars, exps):
-                if not e:
-                    continue
-                if name in self.images:
-                    term = term * self.images[name] ** e
-                else:
-                    term = term * self.target.ctx.var(name) ** e
-            total = total + term
-        return total
+        """The image of a relation, base constants mapping to their namesakes."""
+        target = self.target.ctx
+        bindings = {name: target.var(name) for name in self.source.ctx.constants}
+        bindings.update(self.images)
+        return _subst_payload(rel, bindings, target)
 
     def _verify_pullback(self):
         """Check the explicit pullback against d(image) on every generator."""
@@ -97,18 +98,12 @@ class AlgebraifoldHom:
 
         Coefficients of sum_i phi(xi(u_i)) d(phi(a_i)) in the target basis.
         """
-        if xi.algebraifold != self.source:
-            raise DescriptorMismatch("one-form over a different source")
-        out = [self.target.zero()] * self.target.n
-        for i, coeff in enumerate(xi.coeffs):
-            if coeff.is_zero:
-                continue
-            moved = self.apply(coeff)
-            d_image = self.target.d(self.images[self.source.ctx.transcendentals[i]])
-            for j in range(self.target.n):
-                if not d_image.coeffs[j].is_zero:
-                    out[j] = out[j] + moved * d_image.coeffs[j]
-        return OneForm(self.target, tuple(out))
+        require_elements(self.source, OneForm, xi)
+        out = OneForm(self.target, (self.target.zero(),) * self.target.n)
+        for coeff, name in zip(xi.coeffs, self.source.ctx.transcendentals):
+            if not coeff.is_zero:
+                out = out + self.apply(coeff) * self.target.d(self.images[name])
+        return out
 
     def differential(self, w):
         """The differential applied to a target derivation.
@@ -116,8 +111,7 @@ class AlgebraifoldHom:
         Returns the coefficient sequence (w(phi(a_1)), ..., w(phi(a_n)))
         against the pushed-forward basis.
         """
-        if w.algebraifold != self.target:
-            raise DescriptorMismatch("derivation over a different target")
+        require_elements(self.target, Derivation, w)
         coeffs = tuple(
             self.target.apply(w, self.images[name])
             for name in self.source.ctx.transcendentals

@@ -616,15 +616,11 @@ def _usub(a, b, zero):
 
 def _dense_in_gen(poly, gen, base_vars):
     """A polynomial over base_vars + (gen,) as a dense RatFunc vector in gen."""
-    idx = poly.vars.index(gen)
-    deg = poly.degree_in(gen) if not poly.is_zero else 0
-    dense = [_rf_const(base_vars, 0)] * (deg + 1)
-    for e, c in poly.terms.items():
-        rest = MultiPoly(poly.vars,
-                         {e[:idx] + (0,) + e[idx + 1:]: c}).reordered(base_vars)
-        dense[e[idx]] = dense[e[idx]] + RatFunc(
-            rest, MultiPoly.const(base_vars, 1))
-    return dense
+    by_power = _univar_coeffs(poly, poly.vars.index(gen))
+    one = MultiPoly.const(base_vars, 1)
+    zero = _rf_const(base_vars, 0)
+    return [RatFunc(by_power[k].reordered(base_vars), one) if k in by_power
+            else zero for k in range(max(by_power, default=0) + 1)]
 
 
 class Extension:
@@ -931,14 +927,8 @@ def validate_relation_separable(relation, gen):
 Payload = Union[Fraction, MultiPoly, RatFunc, ExtElem]
 
 
-def _level(payload):
-    if isinstance(payload, Fraction):
-        return 0
-    if isinstance(payload, MultiPoly):
-        return 1
-    if isinstance(payload, RatFunc):
-        return 2
-    return 3
+# tower level of each payload type; payloads are never subclass instances
+_LEVEL = {Fraction: 0, MultiPoly: 1, RatFunc: 2, ExtElem: 3}
 
 
 class Scalar:
@@ -963,7 +953,7 @@ class Scalar:
     @property
     def is_zero(self):
         v = self.val
-        return v == 0 if isinstance(v, Fraction) else v.is_zero
+        return v == 0 if type(v) is Fraction else v.is_zero
 
     @property
     def is_constant_rational(self):
@@ -978,11 +968,11 @@ class Scalar:
         return not self.is_zero
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Scalar):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = self.ctx.const(other)
-        if not isinstance(other, Scalar) or self.ctx != other.ctx:
-            return NotImplemented if not isinstance(other, Scalar) else False
-        return self.val == other.val
+        return self.ctx == other.ctx and self.val == other.val
 
     def __hash__(self):
         return hash((self.ctx, self.val))
@@ -996,18 +986,19 @@ class Scalar:
 
     def _coerce(self, other):
         """Coerce to a same-context Scalar; None signals NotImplemented."""
+        if isinstance(other, Scalar):
+            if other.ctx != self.ctx:
+                raise ContextMismatch(
+                    f"operands live in different contexts: {self.ctx!r}"
+                    f" vs {other.ctx!r}")
+            return other
         if isinstance(other, (int, Fraction)):
             return self.ctx.const(other)
-        if not isinstance(other, Scalar):
-            return None
-        if other.ctx != self.ctx:
-            raise ContextMismatch(
-                f"operands live in different contexts: {self.ctx!r} vs {other.ctx!r}")
-        return other
+        return None
 
     def _pair(self, other):
         a, b = self.val, other.val
-        la, lb = _level(a), _level(b)
+        la, lb = _LEVEL[type(a)], _LEVEL[type(b)]
         top = max(la, lb)
         return _lift(self.ctx, a, la, top), _lift(self.ctx, b, lb, top)
 
@@ -1175,7 +1166,7 @@ def _gen_derivative(ctx, name):
         num = Scalar.make(ctx, _poly_in_gen_to_elem(ctx, rel.partial(name)))
         den = Scalar.make(ctx, _poly_in_gen_to_elem(ctx, rel.partial(gen)))
         value = -(num / den)
-        cache[name] = _lift(ctx, value.val, _level(value.val), 3)
+        cache[name] = _lift(ctx, value.val, _LEVEL[type(value.val)], 3)
     return cache[name]
 
 
@@ -1241,11 +1232,6 @@ def _subst_payload(payload, bindings, target):
     total = target.zero()
     y = bindings[payload.gen]
     for i, c in enumerate(payload.coeffs):
-        if c.is_zero:
-            continue
-        num = _subst_payload(c.num, bindings, target)
-        den = _subst_payload(c.den, bindings, target)
-        if den.is_zero:
-            raise TargetDivisionByZero("a denominator maps to zero")
-        total = total + (num / den) * y ** i
+        if not c.is_zero:
+            total = total + _subst_payload(c, bindings, target) * y ** i
     return total

@@ -9,16 +9,22 @@ from __future__ import annotations
 
 from itertools import product
 
-from .algebraifold import Derivation, OneForm
+from .algebraifold import Derivation, OneForm, require_elements
 from .errors import (
     ArityMismatch,
     Degenerate,
-    DescriptorMismatch,
+    NotDivisible,
     NotInvertibleInAlgebra,
     NotSymmetric,
     SlotOutOfRange,
 )
-from .scalars import FIELD, POLYNOMIAL, Scalar, ScalarContext
+from .scalars import (
+    FIELD,
+    POLYNOMIAL,
+    Scalar,
+    ScalarContext,
+    _require_in_polynomial_ring,
+)
 
 
 def accumulate(comp, idx, value):
@@ -103,12 +109,8 @@ class Tensor:
 
     # -- module structure
 
-    def _check_same(self, other):
-        if not isinstance(other, Tensor) or other.algebraifold != self.algebraifold:
-            raise DescriptorMismatch("tensors over different algebraifolds")
-
     def __add__(self, other):
-        self._check_same(other)
+        require_elements(self.algebraifold, Tensor, other)
         if self.rank != other.rank:
             raise ArityMismatch(f"cannot add rank {self.rank} and {other.rank}")
         comp = dict(self.comp)
@@ -134,7 +136,7 @@ class Tensor:
 
     def tensor(self, other):
         """Tensor product; adds up the arities slotwise."""
-        self._check_same(other)
+        require_elements(self.algebraifold, Tensor, other)
         comp = {}
         for (i1, v1), (i2, v2) in product(self.comp.items(), other.comp.items()):
             idx = i1[:self.r] + i2[:other.r] + i1[self.r:] + i2[other.r:]
@@ -167,12 +169,8 @@ class Tensor:
             raise ArityMismatch(
                 f"rank {self.rank} tensor takes {self.r} one-forms and"
                 f" {self.s} derivations")
-        for xi in oneforms:
-            if not isinstance(xi, OneForm) or xi.algebraifold != self.algebraifold:
-                raise DescriptorMismatch("one-form over a different algebraifold")
-        for v in derivations:
-            if not isinstance(v, Derivation) or v.algebraifold != self.algebraifold:
-                raise DescriptorMismatch("derivation over a different algebraifold")
+        require_elements(self.algebraifold, OneForm, *oneforms)
+        require_elements(self.algebraifold, Derivation, *derivations)
         total = self.algebraifold.zero()
         for idx, value in self.comp.items():
             term = value
@@ -197,38 +195,49 @@ def kronecker(algebraifold):
                   {(i, i): one for i in range(1, algebraifold.n + 1)})
 
 
-def lie_derivative(algebraifold, u, T):
-    """Lie derivative of a tensor along a derivation, componentwise.
+def derive_tensor(algebraifold, u, T, M):
+    """The derivation of the tensor algebra along ``u`` acting on the
+    derivation module by the matrix ``M``, applied to ``T`` componentwise.
 
-    Each component contributes u(T[K]); a contravariant slot holding m feeds
-    -d(u^i)/dx_m into the slot-i component, a covariant slot holding m feeds
-    +d(u^m)/dx_j into the slot-j component.
+    Such a derivation commutes with contractions, so it is fixed by u on
+    scalars and by M: each component contributes u(T[K]); a contravariant
+    slot holding m feeds M[k][m] into the slot-k component, a covariant slot
+    holding m feeds -M[m][j] into the slot-j component.  ``M`` is indexed
+    from 0; callers check that ``u`` and ``T`` live over ``algebraifold``.
     """
-    if u.algebraifold != algebraifold or T.algebraifold != algebraifold:
-        raise DescriptorMismatch("inputs over different algebraifolds")
     n = algebraifold.n
-    names = algebraifold.ctx.transcendentals
-    # partials[i][m] = d(u^{i+1}) / dx_{m+1}
-    partials = [[u.coeffs[i].partial(names[m]) for m in range(n)]
-                for i in range(n)]
     out = {}
     for idx, c in T.comp.items():
         accumulate(out, idx, algebraifold.apply(u, c))
         for pos in range(T.r):
-            m = idx[pos]
-            for i in range(1, n + 1):
-                coeff = partials[i - 1][m - 1]
+            m = idx[pos] - 1
+            for k in range(n):
+                coeff = M[k][m]
                 if not coeff.is_zero:
-                    accumulate(out, idx[:pos] + (i,) + idx[pos + 1:],
-                               -(coeff * c))
-        for pos in range(T.r, T.r + T.s):
-            m = idx[pos]
-            for j in range(1, n + 1):
-                coeff = partials[m - 1][j - 1]
-                if not coeff.is_zero:
-                    accumulate(out, idx[:pos] + (j,) + idx[pos + 1:],
+                    accumulate(out, idx[:pos] + (k + 1,) + idx[pos + 1:],
                                coeff * c)
+        for pos in range(T.r, T.r + T.s):
+            row = M[idx[pos] - 1]
+            for j in range(n):
+                coeff = row[j]
+                if not coeff.is_zero:
+                    accumulate(out, idx[:pos] + (j + 1,) + idx[pos + 1:],
+                               -(coeff * c))
     return Tensor(algebraifold, T.r, T.s, out)
+
+
+def lie_derivative(algebraifold, u, T):
+    """Lie derivative of a tensor along a derivation, componentwise.
+
+    The tensor derivation with M[k][m] = -d(u^k)/dx_m.
+    """
+    require_elements(algebraifold, Derivation, u)
+    require_elements(algebraifold, Tensor, T)
+    n = algebraifold.n
+    names = algebraifold.ctx.transcendentals
+    M = [[-u.coeffs[k].partial(names[m]) for m in range(n)]
+         for k in range(n)]
+    return derive_tensor(algebraifold, u, T, M)
 
 
 # ---------------------------------------------------------------------------
@@ -243,10 +252,12 @@ def _fraction_field(ctx):
 
 
 def _matrix_inverse(ctx, rows):
-    """Exact Gauss-Jordan inverse over the fraction field of the context.
+    """Exact Gauss-Jordan inverse of a Scalar matrix, computed over the
+    fraction field of the context and returned as Scalars of the context.
 
-    Returns entries as Scalars of the (possibly field-lifted) context, or
-    raises Degenerate when the determinant vanishes.
+    Raises Degenerate when the determinant vanishes, and in a polynomial
+    context NotInvertibleInAlgebra when an entry of the inverse lies only in
+    the fraction field.
     """
     field = _fraction_field(ctx)
     n = len(rows)
@@ -273,30 +284,16 @@ def _matrix_inverse(ctx, rows):
             work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
             identity[r] = [a - factor * b
                            for a, b in zip(identity[r], identity[col])]
-    return identity
-
-
-def matrix_inverse_in_context(algebraifold, rows):
-    """Invert a Scalar matrix, verifying entries lie in the context algebra."""
-    from .errors import NotDivisible
-    from .scalars import _require_in_polynomial_ring
-
-    ctx = algebraifold.ctx
-    inverse = _matrix_inverse(ctx, rows)
-    out = []
-    for row in inverse:
-        mapped = []
-        for v in row:
-            s = Scalar(ctx, v.val)
-            if ctx.kind == POLYNOMIAL:
+    inverse = [[Scalar(ctx, v.val) for v in row] for row in identity]
+    if ctx.kind == POLYNOMIAL:
+        for row in inverse:
+            for s in row:
                 try:
                     _require_in_polynomial_ring(s)
                 except NotDivisible:
                     raise NotInvertibleInAlgebra(
                         "inverse exists only in the fraction field") from None
-            mapped.append(s)
-        out.append(mapped)
-    return out
+    return inverse
 
 
 class Metric:
@@ -337,7 +334,7 @@ def metric_inverse(algebraifold, g):
             if g.get((i, j)) != g.get((j, i)):
                 raise NotSymmetric(f"g[{i},{j}] != g[{j},{i}]")
     rows = [[g.get((i, j)) for j in range(1, n + 1)] for i in range(1, n + 1)]
-    inverse = matrix_inverse_in_context(algebraifold, rows)
+    inverse = _matrix_inverse(algebraifold.ctx, rows)
     g_inv = Tensor.make(algebraifold, 2, 0, {
         (i + 1, j + 1): inverse[i][j]
         for i in range(n) for j in range(n)
@@ -345,29 +342,25 @@ def metric_inverse(algebraifold, g):
     return Metric(algebraifold, g, g_inv)
 
 
-def musical_flat(metric, v):
-    """Lower an index: the one-form g(v, -)."""
-    A = metric.algebraifold
+def _contract_first(table, vector):
+    """Coefficients sum_j table[i, j] vector[j] of a rank-2 table."""
+    A = vector.algebraifold
     coeffs = []
     for i in range(1, A.n + 1):
         total = A.zero()
-        for j in range(1, A.n + 1):
-            entry = metric.entry(i, j)
-            if not entry.is_zero and not v.coeffs[j - 1].is_zero:
-                total = total + entry * v.coeffs[j - 1]
+        for j, c in enumerate(vector.coeffs, start=1):
+            entry = table.get((i, j))
+            if not entry.is_zero and not c.is_zero:
+                total = total + entry * c
         coeffs.append(total)
-    return OneForm(A, tuple(coeffs))
+    return tuple(coeffs)
+
+
+def musical_flat(metric, v):
+    """Lower an index: the one-form g(v, -)."""
+    return OneForm(metric.algebraifold, _contract_first(metric.g, v))
 
 
 def musical_sharp(metric, eta):
     """Raise an index: the derivation paired to a one-form by the inverse."""
-    A = metric.algebraifold
-    coeffs = []
-    for i in range(1, A.n + 1):
-        total = A.zero()
-        for j in range(1, A.n + 1):
-            entry = metric.inv_entry(i, j)
-            if not entry.is_zero and not eta.coeffs[j - 1].is_zero:
-                total = total + entry * eta.coeffs[j - 1]
-        coeffs.append(total)
-    return Derivation(A, tuple(coeffs))
+    return Derivation(metric.algebraifold, _contract_first(metric.g_inv, eta))

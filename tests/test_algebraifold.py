@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given
 
 from afd import ScalarContext, field_with_extension
-from afd.algebraifold import Algebraifold, Derivation
-from afd.errors import NotSeparable
+from afd.algebraifold import Algebraifold, Derivation, OneForm
+from afd.errors import DescriptorMismatch, NotSeparable
 from afd.scalars import FIELD
 
 from conftest import poly_scalars
@@ -54,6 +54,35 @@ class TestApplyDerivation:
         v = ((2 * y) / (3 * x**2)) * ELL.basis_derivation(1)
         assert v(x) == (2 * y) / (3 * x**2)
         assert v(y) == ELL.one()
+
+
+class TestVectorKinds:
+    def test_module_operations_build_the_same_kind(self):
+        u, xi = P2.basis_derivation(1), P2.coordinate_form(2)
+        assert type(u + u) is Derivation and type(X * u - u) is Derivation
+        assert type(xi + xi) is OneForm and type(-xi * Y) is OneForm
+
+    @pytest.mark.parametrize("combine", [
+        lambda u, xi: u + xi,
+        lambda u, xi: xi + u,
+        lambda u, xi: u - xi,
+        lambda u, xi: xi - u,
+        lambda u, xi: xi(xi),
+        lambda u, xi: P2.bracket(u, xi),
+    ], ids=["d+form", "form+d", "d-form", "form-d", "form(form)",
+            "bracket(d,form)"])
+    def test_mixed_kinds_are_rejected(self, combine):
+        with pytest.raises(DescriptorMismatch):
+            combine(P2.basis_derivation(1), P2.coordinate_form(2))
+
+    def test_kinds_never_compare_equal(self):
+        assert P2.basis_derivation(1) != P2.coordinate_form(1)
+        assert P2.coordinate_form(2) == P2.d(Y)
+
+    def test_other_algebraifold_is_rejected(self):
+        other = poly_ring("s", "t")
+        with pytest.raises(DescriptorMismatch):
+            P2.basis_derivation(1) + other.basis_derivation(1)
 
 
 class TestDifferential:

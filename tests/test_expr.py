@@ -8,6 +8,7 @@ from hypothesis import given
 
 from afd import ScalarContext, field_with_extension, parse_scalar, render_scalar
 from afd.errors import ExprSyntaxError, NotDivisible, UnknownIdentifier
+from afd.expr import MAX_NESTING
 from afd.scalars import FIELD, POLYNOMIAL
 
 from conftest import ext_scalars, field_scalars, poly_scalars
@@ -64,6 +65,17 @@ class TestParse:
 
     def test_parentheses(self):
         assert parse_scalar("(x + y)^2", POLY) == (POLY.var("x") + POLY.var("y")) ** 2
+
+
+    def test_nesting_limit(self):
+        depth = MAX_NESTING
+        assert parse_scalar("(" * depth + "x" + ")" * depth, POLY) == POLY.var("x")
+        assert parse_scalar("-" * depth + "x", POLY) == POLY.var("x")
+        with pytest.raises(ExprSyntaxError) as err:
+            parse_scalar("(" * (depth + 1) + "x" + ")" * (depth + 1), POLY)
+        assert err.value.position == depth
+        with pytest.raises(ExprSyntaxError):
+            parse_scalar("-(" * depth + "x" + ")" * depth, POLY)
 
 
 class TestRender:

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from afd.cli import main
 from afd.errors import ManifestParseError, ManifestValidationError
 from afd.manifest import build_manifest, load_manifest
 from afd.report import emit_report, run_command, tensor_payload
@@ -353,6 +354,23 @@ class TestCli:
         assert proc.returncode == 0
         assert proc.stdout == ""
         assert "dimension: 4" in out.read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("content, code", [
+        (None, "manifest-parse-error"),
+        (json.dumps(MINIMAL).encode("utf-16"), "manifest-parse-error"),
+        (b"[" * 100000, "manifest-parse-error"),
+        (json.dumps(manifest_with(metric=[
+            ["(" * 3000 + "1" + ")" * 3000, "0"], ["0", "1"]])).encode(),
+         "syntax-error"),
+    ], ids=["directory", "utf-16", "nested-json", "nested-expression"])
+    def test_unreadable_input_is_an_input_error(self, tmp_path, capsys,
+                                                content, code):
+        path = tmp_path
+        if content is not None:
+            path = tmp_path / "manifest.json"
+            path.write_bytes(content)
+        assert main(["check", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"afd: [{code}]")
 
     def test_check_filter(self, repo_root):
         proc = self.run_cli(

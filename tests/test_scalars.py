@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given
 
-from afd import MultiPoly, ScalarContext, field_with_extension, poly_gcd
+from afd import MultiPoly, ScalarContext, field_with_extension, parse_scalar, poly_gcd
 from afd.errors import (
     ContextMismatch,
     DivisionByZero,
@@ -262,6 +262,16 @@ class TestSubstitute:
     def test_incomplete_bindings(self):
         with pytest.raises(IncompleteBindings):
             (X + Y).substitute({"x": self.t})
+
+    @pytest.mark.parametrize("text", ["y / x", "1 / x"])
+    def test_denominator_not_invertible_in_target(self, text):
+        # x -> t^2 maps 1/x outside Q[t], both alone and as the coefficient
+        # of the extension generator
+        sqrt = field_with_extension(("x",), "y", "y^2 - x")
+        value = parse_scalar(text, sqrt)
+        with pytest.raises(TargetDivisionByZero) as err:
+            value.substitute({"x": self.t**2, "y": self.t})
+        assert err.value.code == "target-division-by-zero"
 
 
 class TestCanonicalStorage:
