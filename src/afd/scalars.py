@@ -12,6 +12,9 @@ that can represent them:
   A product accumulates integer numerators over the operands' common
   denominators and stores each coefficient once, still as a Fraction.
 * ``RatFunc`` is a reduced fraction of two MultiPolys with monic denominator.
+  Sums and products of reduced operands use Henrici's formulas, which take
+  gcds of the denominators and of the cross numerator/denominator pairs
+  instead of one gcd of the full unreduced product.
 * ``ExtElem`` represents an element of a separable algebraic extension as a
   coefficient vector over the rational-function subfield, reduced modulo the
   minimal relation of the single extension generator.
@@ -474,7 +477,13 @@ def _prs_gcd(pa, pb, idx):
 # ---------------------------------------------------------------------------
 
 class RatFunc:
-    """Reduced fraction of polynomials with monic denominator."""
+    """Reduced fraction of polynomials with monic denominator.
+
+    ``make`` reduces an arbitrary pair with one gcd.  Sums and products use
+    Henrici's formulas for reduced operands (Knuth, TAOCP vol. 2, 4.5.1):
+    they take gcds of the denominators and of the cross numerator and
+    denominator pairs, never of the full unreduced product.
+    """
 
     __slots__ = ("num", "den")
 
@@ -492,11 +501,7 @@ class RatFunc:
         if not g.is_const:
             num = num.exact_div(g)
             den = den.exact_div(g)
-        _, lc = den.lead()
-        if lc != 1:
-            num = num.scale(ONE / lc)
-            den = den.scale(ONE / lc)
-        return cls(num, den)
+        return _coprime_quotient(num, den)
 
     @property
     def is_zero(self):
@@ -514,8 +519,24 @@ class RatFunc:
         return hash((self.num, self.den))
 
     def __add__(self, other):
-        return RatFunc.make(self.num * other.den + other.num * self.den,
-                            self.den * other.den)
+        # a denominator of one is the constant 1 (monic)
+        a, b = self.num, self.den
+        c, d = other.num, other.den
+        if b.is_const:
+            return RatFunc(a + c if d.is_const else a * d + c, d)
+        if d.is_const:
+            return RatFunc(a + c * b, b)
+        g = poly_gcd(b, d)
+        if g.is_const:
+            return RatFunc(a * d + c * b, b * d)
+        b = b.exact_div(g)
+        t = a * d.exact_div(g) + c * b
+        # t = 0 only when b = d; then g2 = g and the denominator is 1
+        g2 = poly_gcd(t, g)
+        if not g2.is_const:
+            t = t.exact_div(g2)
+            d = d.exact_div(g2)
+        return RatFunc(t, b * d)
 
     def __neg__(self):
         return RatFunc(-self.num, self.den)
@@ -524,12 +545,28 @@ class RatFunc:
         return self + (-other)
 
     def __mul__(self, other):
-        return RatFunc.make(self.num * other.num, self.den * other.den)
+        a, b = self.num, self.den
+        c, d = other.num, other.den
+        if a.is_zero:
+            return self
+        if c.is_zero:
+            return other
+        if not d.is_const:
+            g1 = poly_gcd(a, d)
+            if not g1.is_const:
+                a = a.exact_div(g1)
+                d = d.exact_div(g1)
+        if not b.is_const:
+            g2 = poly_gcd(c, b)
+            if not g2.is_const:
+                c = c.exact_div(g2)
+                b = b.exact_div(g2)
+        return RatFunc(a * c, b * d)
 
     def inverse(self):
         if self.is_zero:
             raise DivisionByZero("inverse of zero")
-        return RatFunc.make(self.den, self.num)
+        return _coprime_quotient(self.den, self.num)
 
     def partial(self, name):
         num = self.num.partial(name) * self.den - self.num * self.den.partial(name)
@@ -537,6 +574,15 @@ class RatFunc:
 
     def __repr__(self):
         return f"RatFunc({self.num!r}, {self.den!r})"
+
+
+def _coprime_quotient(num, den):
+    """num/den for coprime num and den, scaled to a monic denominator."""
+    _, lc = den.lead()
+    if lc != 1:
+        num = num.scale(ONE / lc)
+        den = den.scale(ONE / lc)
+    return RatFunc(num, den)
 
 
 def _rf_const(variables, value):
@@ -722,7 +768,7 @@ class ExtElem:
         for i, c in enumerate(self.coeffs):
             if i == 0:
                 continue
-            dcoeffs.append(RatFunc.make(c.num.scale(i), c.den))
+            dcoeffs.append(RatFunc(c.num.scale(i), c.den))
         if not _utrim(list(dcoeffs)):
             return direct
         chain = self.ext.reduce(dcoeffs) * gen_derivative
@@ -975,7 +1021,10 @@ class Scalar:
         return self.ctx == other.ctx and self.val == other.val
 
     def __hash__(self):
-        return hash((self.ctx, self.val))
+        # a base rational equals the int or Fraction it holds, so it hashes
+        # like one
+        v = self.val
+        return hash(v) if type(v) is Fraction else hash((self.ctx, v))
 
     def __repr__(self):
         from .expr import render_scalar
@@ -1054,7 +1103,10 @@ class Scalar:
         return out
 
     def __rtruediv__(self, other):
-        return self.ctx.const(other) / self
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return other / self
 
     def __pow__(self, n):
         if not isinstance(n, int):

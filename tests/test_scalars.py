@@ -22,6 +22,7 @@ from afd.expr import render_poly
 from afd.scalars import (
     FIELD,
     POLYNOMIAL,
+    RatFunc,
     Scalar,
     _gen_derivative,
     _poly_in_gen_to_elem,
@@ -84,6 +85,32 @@ class TestDiv:
         ctx = ScalarContext(POLYNOMIAL, ("x",), constants=("m",))
         quotient = ctx.var("x") / ctx.var("m")
         assert quotient * ctx.var("m") == ctx.var("x")
+
+    def test_float_numerator_is_refused(self):
+        f = ScalarContext(FIELD, ("x",))
+        x = f.var("x")
+        with pytest.raises(TypeError):
+            0.1 / x
+        with pytest.raises(TypeError):
+            1.5 / f.const(1)
+        third = Fraction(1, 3) / x
+        assert third * x == f.const(Fraction(1, 3))
+        assert 2 / x == f.const(2) / x
+
+
+class TestHash:
+    def test_base_rational_hashes_like_its_value(self):
+        assert POLY.const(2) == 2 and hash(POLY.const(2)) == hash(2)
+        assert 2 in {POLY.const(2)}
+        assert POLY.const(2) in {2}
+        assert Fraction(1, 3) in {POLY.const(Fraction(1, 3))}
+        assert (X + 1) - X in {1}
+
+    def test_equal_scalars_share_a_dict_slot(self):
+        table = {POLY.const(Fraction(4, 2)): "two", X + Y: "sum"}
+        assert table[2] == "two"
+        assert table[Y + X] == "sum"
+        assert table[POLY.var("x") + POLY.var("y")] == "sum"
 
 
 def _random_poly(rng, variables, max_terms=6, max_deg=3):
@@ -149,6 +176,118 @@ class TestSparseProduct:
         assert (integral * integral).terms == {(0, 0, 0): Fraction(4)}
         _assert_canonical(c * p)
         _assert_canonical(integral * integral)
+
+
+def _assert_reduced(q):
+    _assert_canonical(q.num)
+    _assert_canonical(q.den)
+    assert q.den.lead()[1] == 1
+    assert poly_gcd(q.num, q.den).is_const
+
+
+class TestReducedArithmetic:
+    """Sums, products and inverses of reduced fractions, checked field for
+    field against ``RatFunc.make`` of the schoolbook numerator and
+    denominator."""
+
+    VARS = ("x", "y", "z")
+
+    def _random_pair(self, rng):
+        variables = self.VARS[:rng.choice((2, 3))]
+        x = MultiPoly.var(variables, "x")
+        y = MultiPoly.var(variables, "y")
+        one = MultiPoly.const(variables, 1)
+        # factors the two denominators share on purpose
+        shared = (one, x - one, (x - one) * (x - one), x * y + one.scale(2),
+                  (x - one) * (y + one.scale(3)))
+
+        def operand():
+            num = _random_poly(rng, variables, max_terms=3, max_deg=2)
+            # a linear cofactor: a random quadratic one makes the
+            # schoolbook reference gcd swell past seconds per pair
+            den = _random_poly(rng, variables, max_terms=3, max_deg=1)
+            if den.is_zero:
+                den = one
+            den = den * rng.choice(shared)
+            if rng.random() < 0.3:
+                num = num * rng.choice(shared)
+            return RatFunc.make(num, den)
+
+        a, b = operand(), operand()
+        if rng.random() < 0.25:
+            # b = c - a, so that a + b = c cancels factors of the common
+            # denominator: the gcd(t, g) step of the sum
+            b = RatFunc.make(b.num * a.den - a.num * b.den, b.den * a.den)
+        return a, b
+
+    def test_matches_make_of_schoolbook_on_random_pairs(self):
+        rng = random.Random(5)
+        for trial in range(300):
+            a, b = self._random_pair(rng)
+            expected = {
+                "sum": RatFunc.make(a.num * b.den + b.num * a.den,
+                                    a.den * b.den),
+                "difference": RatFunc.make(a.num * b.den - b.num * a.den,
+                                           a.den * b.den),
+                "product": RatFunc.make(a.num * b.num, a.den * b.den),
+            }
+            got = {"sum": a + b, "difference": a - b, "product": a * b}
+            if not a.is_zero:
+                expected["inverse"] = RatFunc.make(a.den, a.num)
+                got["inverse"] = a.inverse()
+            for op, q in got.items():
+                assert q.num == expected[op].num, (trial, op)
+                assert q.den == expected[op].den, (trial, op)
+                _assert_reduced(q)
+
+    def _q(self, num, den="1"):
+        """``num / den`` parsed over x, y and reduced by ``RatFunc.make``."""
+        ctx = ScalarContext(POLYNOMIAL, ("x", "y"))
+
+        def poly(text):
+            val = parse_scalar(text, ctx).val
+            if isinstance(val, Fraction):
+                return MultiPoly.const(ctx.all_vars, val)
+            return val
+
+        return RatFunc.make(poly(num), poly(den))
+
+    def _check(self, got, num, den="1"):
+        want = self._q(num, den)
+        assert got.num == want.num and got.den == want.den
+        _assert_reduced(got)
+
+    def test_equal_denominators(self):
+        a, b = self._q("x", "x - 1"), self._q("y", "x - 1")
+        self._check(a + b, "x + y", "x - 1")
+        # the whole common denominator cancels
+        self._check(a - self._q("1", "x - 1"), "1")
+
+    def test_sum_cancels_part_of_the_common_factor(self):
+        # 1/(x(x-1)) - 1/(x-1) = (1 - x)/(x(x-1)) = -1/x: gcd(t, g) = x - 1
+        self._check(self._q("1", "x*(x - 1)") - self._q("1", "x - 1"),
+                    "-1", "x")
+
+    def test_sum_that_is_exactly_zero(self):
+        a = self._q("x^2 + y/3", "(x - 1)*(y + 2)")
+        x = self._q("x")
+        for zero in (a - a, a + (-a), x - x):
+            self._check(zero, "0")
+
+    def test_product_collapses_to_a_polynomial(self):
+        a, b = self._q("x^2 - 1", "y"), self._q("2*y", "x - 1")
+        self._check(a * b, "2*x + 2")
+        self._check(b * a, "2*x + 2")
+        self._check(a * a.inverse(), "1")
+
+    def test_denominator_one_on_either_side(self):
+        poly, frac = self._q("x + y"), self._q("1", "x*(x - 1)")
+        self._check(poly + frac, "(x + y)*x*(x - 1) + 1", "x*(x - 1)")
+        self._check(frac + poly, "(x + y)*x*(x - 1) + 1", "x*(x - 1)")
+        self._check(self._q("x - 1") * frac, "1", "x")
+        self._check(frac * self._q("x - 1"), "1", "x")
+        self._check(self._q("2") + self._q("y"), "y + 2")
+        self._check(self._q("-2*x").inverse(), "-1/2", "x")
 
 
 class TestPolyGcd:
