@@ -168,13 +168,15 @@ class Algebraifold:
 
 
 def require_elements(algebraifold, kind, *elements):
-    """Reject any element that is not a ``kind`` over ``algebraifold``."""
+    """Reject any element that is not a ``kind`` over ``algebraifold`` (for
+    a pulled-back vector, the homomorphism it was pulled back along)."""
     for e in elements:
         if not isinstance(e, kind):
             raise DescriptorMismatch(
                 f"expected a {kind.__name__}, got {type(e).__name__}")
         if e.algebraifold != algebraifold:
-            raise DescriptorMismatch("element belongs to a different algebraifold")
+            raise DescriptorMismatch(
+                "element belongs to a different algebraifold or map")
 
 
 class _CoordinateVector:

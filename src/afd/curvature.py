@@ -30,24 +30,34 @@ class Connection:
         self.algebraifold = algebraifold
         self.gamma = gamma
 
-    @classmethod
-    def standard(cls, algebraifold):
-        """The componentwise-derivative connection (Gamma = 0)."""
-        return cls(algebraifold, Tensor.zero(algebraifold, 1, 2))
-
     def coeff(self, k, i, j):
         return self.gamma.get((k, i, j))
+
+    def matrix(self, u, hom=None):
+        """M[k][j] = sum_i u^i Gamma^k_{ij}, indexed from 0: nabla_u sends
+        the coordinate derivation u_j to sum_k M[k][j] u_k.
+
+        Along a homomorphism ``hom``, ``u`` holds target scalars and each
+        Gamma is first mapped by ``hom.apply``.
+        """
+        n = self.algebraifold.n
+        zero = (self.algebraifold if hom is None else hom.target).zero()
+        M = [[zero] * n for _ in range(n)]
+        for (k, i, j), gamma in self.gamma.comp.items():
+            c = u.coeffs[i - 1]
+            if not c.is_zero:
+                if hom is not None:
+                    gamma = hom.apply(gamma)
+                M[k - 1][j - 1] = M[k - 1][j - 1] + c * gamma
+        return M
 
     def apply(self, u, v):
         """Covariant derivative of a derivation along a derivation."""
         A = self.algebraifold
-        require_elements(A, Derivation, u, v)
-        coeffs = [A.apply(u, v.coeffs[k]) for k in range(A.n)]
-        for (k, i, j), gamma in self.gamma.comp.items():
-            term = gamma * u.coeffs[i - 1] * v.coeffs[j - 1]
-            if not term.is_zero:
-                coeffs[k - 1] = coeffs[k - 1] + term
-        return Derivation(A, tuple(coeffs))
+        require_elements(A, Derivation, v)
+        vector = Tensor.make(A, 1, 0, {(k,): c for k, c in enumerate(v.coeffs, 1)})
+        out = covariant_derivative(self, u, vector)
+        return Derivation(A, tuple(out.get((k,)) for k in range(1, A.n + 1)))
 
     def __eq__(self, other):
         return (isinstance(other, Connection)
@@ -59,26 +69,21 @@ class Connection:
 
 
 def standard_connection(algebraifold):
-    return Connection.standard(algebraifold)
+    """The componentwise-derivative connection (Gamma = 0)."""
+    return Connection(algebraifold, Tensor.zero(algebraifold, 1, 2))
 
 
 def covariant_derivative(connection, u, T):
     """Covariant derivative of a tensor along a derivation.
 
-    The tensor derivation with M[k][j] = sum_i u^i Gamma^k_{ij}: the
+    The tensor derivation with M = ``connection.matrix(u)``: the
     componentwise u-derivative plus +Gamma on contravariant slots and -Gamma
     on covariant slots.
     """
     A = connection.algebraifold
     require_elements(A, Derivation, u)
     require_elements(A, Tensor, T)
-    n = A.n
-    # G[k][j] = sum_i u^i Gamma^k_{ij}
-    G = [[A.zero() for _ in range(n)] for _ in range(n)]
-    for (k, i, j), gamma in connection.gamma.comp.items():
-        if not u.coeffs[i - 1].is_zero:
-            G[k - 1][j - 1] = G[k - 1][j - 1] + u.coeffs[i - 1] * gamma
-    return derive_tensor(A, u, T, G)
+    return derive_tensor(A, u, T, connection.matrix(u))
 
 
 def torsion(connection):

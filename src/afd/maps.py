@@ -11,7 +11,13 @@ curve's own velocity.
 
 from __future__ import annotations
 
-from .algebraifold import Algebraifold, Derivation, OneForm, require_elements
+from .algebraifold import (
+    Algebraifold,
+    Derivation,
+    OneForm,
+    _CoordinateVector,
+    require_elements,
+)
 from .errors import (
     ContextMismatch,
     DescriptorMismatch,
@@ -27,7 +33,7 @@ from .scalars import (
     RatFunc,
     Scalar,
     ScalarContext,
-    _subst_payload,
+    _substitute,
 )
 
 
@@ -64,10 +70,8 @@ class AlgebraifoldHom:
 
     def _evaluate_relation(self, rel):
         """The image of a relation, base constants mapping to their namesakes."""
-        target = self.target.ctx
-        bindings = {name: target.var(name) for name in self.source.ctx.constants}
-        bindings.update(self.images)
-        return _subst_payload(rel, bindings, target)
+        return _substitute(rel, self.source.ctx.constants, dict(self.images),
+                           self.target.ctx)
 
     def _verify_pullback(self):
         """Check the explicit pullback against d(image) on every generator."""
@@ -84,14 +88,20 @@ class AlgebraifoldHom:
                 and self.target == other.target
                 and self.images == other.images)
 
+    # -- the pulled-back derivation module: source rank, target scalars
+
+    @property
+    def n(self):
+        return self.source.n
+
+    def scalar(self, value):
+        return self.target.scalar(value)
+
     # -- action on scalars and module elements
 
     def apply(self, a):
         """The image of a scalar under the homomorphism."""
-        a = self.source.scalar(a)
-        if a.is_constant_rational:
-            return self.target.ctx.const(a.as_fraction())
-        return a.substitute(self.images)
+        return self.source.scalar(a).substitute(self.images)
 
     def pullback(self, xi):
         """Pull a source one-form back to the target.
@@ -131,50 +141,29 @@ class AlgebraifoldHom:
         return f"AlgebraifoldHom({pairs})"
 
 
-class PulledVector:
+class PulledVector(_CoordinateVector):
     """An element of the pulled-back derivation module.
 
     Coefficients are target scalars against the pushed-forward basis
-    1 (x) u_1, ..., 1 (x) u_n of the source derivations.
+    1 (x) u_1, ..., 1 (x) u_n of the source derivations.  The homomorphism
+    fixes the module, so it stands where a derivation holds its algebraifold:
+    vectors pulled back along different maps do not mix.
     """
 
-    __slots__ = ("hom", "coeffs")
-
-    def __init__(self, hom, coeffs):
-        if len(coeffs) != hom.source.n:
-            raise DescriptorMismatch(
-                f"expected {hom.source.n} coefficients, got {len(coeffs)}")
-        self.hom = hom
-        self.coeffs = tuple(coeffs)
+    __slots__ = ()
 
     @property
-    def is_zero(self):
-        return all(c.is_zero for c in self.coeffs)
-
-    def __eq__(self, other):
-        return (isinstance(other, PulledVector) and self.hom == other.hom
-                and self.coeffs == other.coeffs)
-
-    def __add__(self, other):
-        return PulledVector(self.hom, tuple(
-            a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __rmul__(self, scalar):
-        scalar = self.hom.target.scalar(scalar)
-        return PulledVector(self.hom, tuple(scalar * c for c in self.coeffs))
-
-    __mul__ = __rmul__
+    def hom(self):
+        return self.algebraifold
 
     def pair_source_form(self, xi):
         """Pair with a pulled-back source one-form: (1 (x) xi)(self)."""
+        require_elements(self.hom.source, OneForm, xi)
         total = self.hom.target.zero()
         for coeff, xi_coeff in zip(self.coeffs, xi.coeffs):
             if not coeff.is_zero and not xi_coeff.is_zero:
                 total = total + coeff * self.hom.apply(xi_coeff)
         return total
-
-    def __repr__(self):
-        return f"PulledVector({self.coeffs!r})"
 
 
 def pushforward_connection(hom, connection, w, section):
@@ -183,18 +172,22 @@ def pushforward_connection(hom, connection, w, section):
     For section = sum_j b_j (x) u_j and the source connection written as the
     standard part plus Gamma, the result has coefficients
 
-        w(b_k) + sum_{i,j} w(phi(a_i)) b_j phi(Gamma^k_{ij}).
+        w(b_k) + sum_j M[k][j] b_j,
+
+    with M[k][j] = sum_i w(phi(a_i)) phi(Gamma^k_{ij}) the connection's
+    matrix along the velocity of w.
     """
     if connection.algebraifold != hom.source:
         raise DescriptorMismatch("connection over a different source")
-    if section.hom is not hom and section.hom != hom:
-        raise DescriptorMismatch("section pulled back along a different map")
-    velocity = hom.differential(w)
-    out = [hom.target.apply(w, b) for b in section.coeffs]
-    for (k, i, j), gamma in connection.gamma.comp.items():
-        term = velocity.coeffs[i - 1] * section.coeffs[j - 1]
-        if not term.is_zero:
-            out[k - 1] = out[k - 1] + term * hom.apply(gamma)
+    require_elements(hom, PulledVector, section)
+    M = connection.matrix(hom.differential(w), hom)
+    out = []
+    for row, b in zip(M, section.coeffs):
+        total = hom.target.apply(w, b)
+        for m, c in zip(row, section.coeffs):
+            if not m.is_zero and not c.is_zero:
+                total = total + m * c
+        out.append(total)
     return PulledVector(hom, tuple(out))
 
 
@@ -263,11 +256,9 @@ class FormalLine:
 
 
 def _integrate_poly(poly, name):
-    from fractions import Fraction
-
     idx = poly.vars.index(name)
     out = {}
     for exps, coeff in poly.terms.items():
         k = exps[idx]
-        out[exps[:idx] + (k + 1,) + exps[idx + 1:]] = coeff * Fraction(1, k + 1)
+        out[exps[:idx] + (k + 1,) + exps[idx + 1:]] = coeff / (k + 1)
     return MultiPoly(poly.vars, out)

@@ -25,6 +25,11 @@ algebraic extension.  ``Scalar`` wraps a payload together with its context
 and provides field/ring arithmetic, partial derivatives (with implicit
 differentiation of the extension generator) and substitution.
 
+Scalar arithmetic has one path: coerce the operand, lift the lower payload
+to the level of the other, run the payload operation, demote the result.
+A rational factor of ``*`` instead scales the other payload at its own
+level, and ``a / b`` is ``a`` times the payload inverse of ``b``.
+
 Everything here is immutable after construction and all operations are pure.
 """
 
@@ -32,7 +37,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import isqrt, lcm
-from operator import add
+from operator import add, mul, sub
 from typing import Union
 
 from .errors import (
@@ -181,10 +186,15 @@ class MultiPoly:
                          {e: Fraction(n, d) for e, n in out.items() if n})
 
     def scale(self, c):
+        if c == 1:
+            return self
         c = Fraction(c)
         if c == 0:
             return MultiPoly.zero(self.vars)
         return MultiPoly(self.vars, {e: k * c for e, k in self.terms.items()})
+
+    def inverse(self):
+        return _coprime_quotient(MultiPoly.const(self.vars, 1), self)
 
     def __pow__(self, n):
         if n < 0:
@@ -202,8 +212,7 @@ class MultiPoly:
         """Scale so the graded-lex leading coefficient is one."""
         if not self.terms:
             return self
-        _, c = self.lead()
-        return self.scale(ONE / c) if c != 1 else self
+        return self.scale(ONE / self.lead()[1])
 
     def exact_div(self, divisor):
         """Return self / divisor if the division is exact, else None."""
@@ -563,6 +572,10 @@ class RatFunc:
                 b = b.exact_div(g2)
         return RatFunc(a * c, b * d)
 
+    def scale(self, c):
+        """The product with a nonzero int or Fraction ``c``."""
+        return RatFunc(self.num.scale(c), self.den)
+
     def inverse(self):
         if self.is_zero:
             raise DivisionByZero("inverse of zero")
@@ -753,6 +766,10 @@ class ExtElem:
         return self.ext.reduce(_umul(_utrim(list(self.coeffs)),
                                      _utrim(list(other.coeffs)), self.ext.zero))
 
+    def scale(self, c):
+        """The product with a nonzero int or Fraction ``c``."""
+        return ExtElem([x.scale(c) for x in self.coeffs], self.ext)
+
     def inverse(self):
         if self.is_zero:
             raise DivisionByZero("inverse of zero")
@@ -764,11 +781,7 @@ class ExtElem:
         """d/d(name), given the implicit derivative of the generator."""
         direct = ExtElem([c.partial(name) for c in self.coeffs], self.ext)
         # chain-rule part: (sum_i i * c_i * y**(i-1)) * dy
-        dcoeffs = []
-        for i, c in enumerate(self.coeffs):
-            if i == 0:
-                continue
-            dcoeffs.append(RatFunc(c.num.scale(i), c.den))
+        dcoeffs = [c.scale(i) for i, c in enumerate(self.coeffs) if i]
         if not _utrim(list(dcoeffs)):
             return direct
         chain = self.ext.reduce(dcoeffs) * gen_derivative
@@ -938,13 +951,13 @@ class ScalarContext:
     # -- element constructors
 
     def const(self, value):
-        return Scalar.make(self, Fraction(value))
+        return Scalar(self, Fraction(value))
 
     def zero(self):
-        return self.const(0)
+        return Scalar(self, ZERO)
 
     def one(self):
-        return self.const(1)
+        return Scalar(self, ONE)
 
     def var(self, name):
         if name in self.all_vars:
@@ -1045,18 +1058,21 @@ class Scalar:
             return self.ctx.const(other)
         return None
 
-    def _pair(self, other):
-        a, b = self.val, other.val
-        la, lb = _LEVEL[type(a)], _LEVEL[type(b)]
-        top = max(la, lb)
-        return _lift(self.ctx, a, la, top), _lift(self.ctx, b, lb, top)
-
-    def __add__(self, other):
+    def _arith(self, other, op):
+        """The one path of + - * / (see the module docstring)."""
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        a, b = self._pair(other)
-        return Scalar.make(self.ctx, a + b)
+        a, b = self.val, other.val
+        la, lb = _LEVEL[type(a)], _LEVEL[type(b)]
+        if la < lb:
+            a = _lift(self.ctx, a, la, lb)
+        elif lb < la:
+            b = _lift(self.ctx, b, lb, la)
+        return Scalar.make(self.ctx, op(a, b))
+
+    def __add__(self, other):
+        return self._arith(other, add)
 
     __radd__ = __add__
 
@@ -1064,11 +1080,7 @@ class Scalar:
         return Scalar(self.ctx, -self.val)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        a, b = self._pair(other)
-        return Scalar.make(self.ctx, a - b)
+        return self._arith(other, sub)
 
     def __rsub__(self, other):
         return -(self - other)
@@ -1077,27 +1089,29 @@ class Scalar:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        a, b = self._pair(other)
-        return Scalar.make(self.ctx, a * b)
+        a, b = self.val, other.val
+        if type(a) is Fraction:
+            a, b = b, a
+        if type(b) is not Fraction:
+            return self._arith(other, mul)
+        # a rational factor scales the other payload at its own level; a
+        # nonzero one keeps it canonical
+        if not b:
+            return self.ctx.zero()
+        return Scalar(self.ctx, a * b if type(a) is Fraction else a.scale(b))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
+        """Multiplication by the divisor's inverse."""
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         if other.is_zero:
             raise DivisionByZero("scalar division by zero")
-        if self.is_zero:
-            return self.ctx.zero()
-        a, b = self._pair(other)
-        if isinstance(a, Fraction):
-            return Scalar.make(self.ctx, a / b)
-        if isinstance(a, MultiPoly):
-            result = RatFunc.make(a, b)
-        else:
-            result = a * b.inverse()
-        out = Scalar.make(self.ctx, result)
+        v = other.val
+        out = self * Scalar.make(
+            self.ctx, ONE / v if type(v) is Fraction else v.inverse())
         if self.ctx.kind == POLYNOMIAL:
             _require_in_polynomial_ring(out)
         return out
@@ -1134,11 +1148,12 @@ class Scalar:
             raise UnknownVariable(
                 f"'{name}' is not a transcendental of this context")
         v = self.val
-        if isinstance(v, Fraction):
+        if type(v) is Fraction:
             return self.ctx.zero()
-        if isinstance(v, (MultiPoly, RatFunc)):
-            return Scalar.make(self.ctx, v.partial(name))
-        return Scalar.make(self.ctx, v.partial(name, _gen_derivative(self.ctx, name)))
+        if type(v) is ExtElem:
+            return Scalar.make(
+                self.ctx, v.partial(name, _gen_derivative(self.ctx, name)))
+        return Scalar.make(self.ctx, v.partial(name))
 
     def substitute(self, bindings):
         """Image under the ring homomorphism sending generators to bindings.
@@ -1155,37 +1170,31 @@ class Scalar:
                 raise ContextMismatch("binding images live in different contexts")
         if target is None:
             target = self.ctx
-        return _substitute(self, dict(bindings), target)
+        return _substitute(self.val, self.ctx.constants, dict(bindings),
+                           target)
 
 
 def _demote(payload):
-    if isinstance(payload, ExtElem):
-        if all(c.is_zero for c in payload.coeffs[1:]):
-            payload = payload.coeffs[0]
-        else:
+    if type(payload) is ExtElem:
+        if not all(c.is_zero for c in payload.coeffs[1:]):
             return payload
-    if isinstance(payload, RatFunc):
-        if payload.is_poly:
-            payload = payload.num.scale(ONE / payload.den.const_value())
-        else:
+        payload = payload.coeffs[0]
+    if type(payload) is RatFunc:
+        if not payload.is_poly:
             return payload
-    if isinstance(payload, MultiPoly):
-        if payload.is_const:
-            return payload.const_value()
-        return payload
+        payload = payload.num  # a constant monic denominator is 1
+    if type(payload) is MultiPoly and payload.is_const:
+        return payload.const_value()
     return payload
 
 
 def _lift(ctx, payload, frm, to):
-    if frm == to:
-        return payload
+    """The payload of level ``frm`` as a payload of the higher level ``to``."""
     if frm == 0:
         payload = MultiPoly.const(ctx.all_vars, payload)
-        frm = 1
-    if frm == 1 and to >= 2:
+    if frm <= 1 < to:
         payload = RatFunc(payload, MultiPoly.const(ctx.all_vars, 1))
-        frm = 2
-    if frm == 2 and to == 3:
+    if to == 3:
         payload = ctx.extension.reduce([payload])
     return payload
 
@@ -1193,16 +1202,10 @@ def _lift(ctx, payload, frm, to):
 def _require_in_polynomial_ring(s):
     """Reject values whose denominator involves a transcendental."""
     v = s.val
-    if isinstance(v, (Fraction, MultiPoly)):
-        return s
-    if isinstance(v, RatFunc):
-        den = v.den
-        for name in s.ctx.transcendentals:
-            if den.involves(name):
-                raise NotDivisible(
-                    "quotient does not lie in the polynomial ring")
-        return s
-    raise NotDivisible("quotient does not lie in the polynomial ring")
+    if type(v) is RatFunc and any(v.den.involves(name)
+                                  for name in s.ctx.transcendentals):
+        raise NotDivisible("quotient does not lie in the polynomial ring")
+    return s
 
 
 def _gen_derivative(ctx, name):
@@ -1215,10 +1218,9 @@ def _gen_derivative(ctx, name):
     cache = ctx.extension.derivatives
     if name not in cache:
         gen, rel = ctx.extensions[0]
-        num = Scalar.make(ctx, _poly_in_gen_to_elem(ctx, rel.partial(name)))
-        den = Scalar.make(ctx, _poly_in_gen_to_elem(ctx, rel.partial(gen)))
-        value = -(num / den)
-        cache[name] = _lift(ctx, value.val, _LEVEL[type(value.val)], 3)
+        num = _poly_in_gen_to_elem(ctx, rel.partial(name))
+        den = _poly_in_gen_to_elem(ctx, rel.partial(gen))
+        cache[name] = -(num * den.inverse())
     return cache[name]
 
 
@@ -1228,12 +1230,12 @@ def _poly_in_gen_to_elem(ctx, poly):
     return ext.reduce(_dense_in_gen(poly, ext.gen, ctx.all_vars))
 
 
-def _substitute(s, bindings, target):
-    v = s.val
-    if isinstance(v, Fraction):
-        return Scalar.make(target, v)
+def _substitute(payload, constants, bindings, target):
+    """The image of a payload under ``bindings``; each base constant among
+    ``constants`` that it needs and ``bindings`` lacks maps to its namesake
+    in ``target``."""
     needed = set()
-    stack = [v]
+    stack = [payload]
     while stack:
         p = stack.pop()
         if isinstance(p, MultiPoly):
@@ -1249,14 +1251,14 @@ def _substitute(s, bindings, target):
     for name in sorted(needed):
         if name in bindings:
             continue
-        if name in s.ctx.constants:
+        if name in constants:
             if name not in target.constants:
                 raise IncompleteBindings(
                     f"target context lacks base constant '{name}'")
             bindings[name] = target.var(name)
         else:
             raise IncompleteBindings(f"no image given for '{name}'")
-    return _subst_payload(v, bindings, target)
+    return _subst_payload(payload, bindings, target)
 
 
 def _subst_payload(payload, bindings, target):

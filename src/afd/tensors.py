@@ -70,9 +70,7 @@ class Tensor:
 
     @classmethod
     def scalar_tensor(cls, algebraifold, value):
-        value = algebraifold.scalar(value)
-        comp = {} if value.is_zero else {(): value}
-        return cls(algebraifold, 0, 0, comp)
+        return cls.make(algebraifold, 0, 0, {(): value})
 
     @classmethod
     def zero(cls, algebraifold, r, s):

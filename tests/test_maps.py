@@ -8,6 +8,7 @@ import pytest
 from afd.algebraifold import Derivation
 from afd.curvature import Connection, levi_civita, standard_connection
 from afd.errors import (
+    DescriptorMismatch,
     MissingImage,
     NoAntiderivative,
     RelationNotPreserved,
@@ -153,6 +154,43 @@ class TestDifferential:
                 total = total + d_psi.coeffs[j] * psi.apply(inner)
             chained.append(total)
         assert direct.coeffs == tuple(chained)
+
+
+class TestPulledVectorKinds:
+    def test_sum_along_one_map(self):
+        v = CUSP.differential(LINE.derivation)
+        assert (v + v).coeffs == (4 * T, 6 * T**2)
+        assert type(T * v - v) is PulledVector
+
+    @pytest.mark.parametrize("images", [
+        {"x": "t", "y": "t"},
+        {"x": "t", "y": "t^2", "z": "t^3"},
+    ], ids=["same-length", "longer"])
+    def test_vectors_along_different_maps_do_not_mix(self, images):
+        # a 2-vector plus a 3-vector used to drop the third coefficient
+        source = poly_ring(*images)
+        other = AlgebraifoldHom.build(source, LA, images)
+        v = CUSP.differential(LINE.derivation)
+        w = other.differential(LINE.derivation)
+        with pytest.raises(DescriptorMismatch):
+            v + w
+        with pytest.raises(DescriptorMismatch):
+            w + v
+        with pytest.raises(DescriptorMismatch):
+            pushforward_connection(CUSP, standard_connection(P2),
+                                   LINE.derivation, w)
+
+    def test_derivation_is_not_a_pulled_vector(self):
+        with pytest.raises(DescriptorMismatch):
+            CUSP.differential(LINE.derivation) + P2.basis_derivation(1)
+
+    def test_pairing_takes_only_source_one_forms(self):
+        v = CUSP.differential(LINE.derivation)
+        assert v.pair_source_form(P2.coordinate_form(1)) == 2 * T
+        with pytest.raises(DescriptorMismatch):
+            v.pair_source_form(P2.basis_derivation(1))
+        with pytest.raises(DescriptorMismatch):
+            v.pair_source_form(LA.coordinate_form(1))
 
 
 class TestPushforwardConnection:

@@ -1,5 +1,6 @@
 """Exact scalar tower: arithmetic, GCDs, partials, substitution."""
 
+import operator
 import random
 from fractions import Fraction
 
@@ -22,6 +23,7 @@ from afd.expr import render_poly
 from afd.scalars import (
     FIELD,
     POLYNOMIAL,
+    ExtElem,
     RatFunc,
     Scalar,
     _gen_derivative,
@@ -111,6 +113,99 @@ class TestHash:
         assert table[2] == "two"
         assert table[Y + X] == "sum"
         assert table[POLY.var("x") + POLY.var("y")] == "sum"
+
+
+PARAM = ScalarContext(POLYNOMIAL, ("x",), constants=("m",))
+
+# two samples per payload level: Fraction, MultiPoly, RatFunc[, ExtElem]
+LEVEL_SAMPLES = {
+    "field": (ELL, ["0", "-3/2", "x + 1", "x^2 - 2*x", "3/(x+1)", "x/(x-1)",
+                    "y", "y/(x+1)"]),
+    "polynomial": (PARAM, ["0", "2/3", "x + m", "m*x + m", "x/m",
+                           "(x + 1)/(m + 2)"]),
+}
+
+# each operator beside its reference on two payloads of the top level
+LEVEL_OPS = {
+    "+": (operator.add, operator.add),
+    "-": (operator.sub, operator.sub),
+    "*": (operator.mul, operator.mul),
+    "/": (operator.truediv, lambda a, b: a * b.inverse()),
+}
+
+
+def _to_top(ctx, v):
+    """Lift a payload by hand to the top level of ``ctx``."""
+    if type(v) is Fraction:
+        v = MultiPoly.const(ctx.all_vars, v)
+    if type(v) is MultiPoly:
+        v = RatFunc(v, MultiPoly.const(ctx.all_vars, 1))
+    if ctx.extension is not None and type(v) is RatFunc:
+        zero = RatFunc(MultiPoly.zero(ctx.all_vars),
+                       MultiPoly.const(ctx.all_vars, 1))
+        v = ExtElem([v] + [zero] * (ctx.extension.degree - 1), ctx.extension)
+    return v
+
+
+class TestMixedLevels:
+    """+ - * / over every pair of payload levels, against lifting both
+    operands to the top level by hand; the result must sit at the lowest
+    level that holds it."""
+
+    @staticmethod
+    def _lowest(v):
+        if type(v) is ExtElem:
+            if any(not c.is_zero for c in v.coeffs[1:]):
+                return ExtElem
+            v = v.coeffs[0]
+        if v.den != MultiPoly.const(v.den.vars, 1):
+            return RatFunc
+        return Fraction if v.num.is_const else MultiPoly
+
+    @pytest.mark.parametrize("kind", sorted(LEVEL_SAMPLES))
+    def test_every_pair_of_levels(self, kind):
+        ctx, texts = LEVEL_SAMPLES[kind]
+        samples = [parse_scalar(t, ctx) for t in texts]
+        levels = [type(s.val) for s in samples]
+        top = [Fraction, MultiPoly, RatFunc, ExtElem][:len(samples) // 2]
+        assert levels == [t for t in top for _ in (0, 1)]
+        pairs = set()
+        for a in samples:
+            for b in samples:
+                pairs.add((type(a.val), type(b.val)))
+                ta, tb = _to_top(ctx, a.val), _to_top(ctx, b.val)
+                for symbol, (op, reference) in LEVEL_OPS.items():
+                    case = (a, symbol, b)
+                    if symbol == "/" and b.is_zero:
+                        with pytest.raises(DivisionByZero):
+                            op(a, b)
+                        continue
+                    want = reference(ta, tb)
+                    if ctx.kind == POLYNOMIAL and want.den.involves("x"):
+                        with pytest.raises(NotDivisible):
+                            op(a, b)
+                        continue
+                    got = op(a, b)
+                    assert got.ctx is ctx, case
+                    assert _to_top(ctx, got.val) == want, case
+                    assert type(got.val) is self._lowest(want), case
+        assert len(pairs) == len(top) ** 2
+
+    def test_rational_over_rational_function_is_a_polynomial(self):
+        x = ELL.var("x")
+        q = 2 / (3 / (x + 1))
+        assert type(q.val) is MultiPoly
+        assert q.val == MultiPoly(("x",), {(1,): Fraction(2, 3),
+                                           (0,): Fraction(2, 3)})
+
+    def test_zero_factor(self):
+        for product in (0 * ELL.var("y"), ELL.var("y") * ELL.zero()):
+            assert type(product.val) is Fraction and product.is_zero
+
+    def test_polynomial_over_rational_stays_a_polynomial(self):
+        half = PARAM.var("x") / 2
+        assert type(half.val) is MultiPoly
+        assert half.val == MultiPoly(("m", "x"), {(0, 1): Fraction(1, 2)})
 
 
 def _random_poly(rng, variables, max_terms=6, max_deg=3):
@@ -352,6 +447,15 @@ class TestPartial:
     def test_unknown_variable(self):
         with pytest.raises(UnknownVariable):
             X.partial("z")
+
+    def test_quotient_rule_cancels_factors_of_the_squared_denominator(self):
+        # d/dx (x + m)/(m x): n'd - nd' = m x - (x + m) m = -m^2 shares m^2
+        # with d^2 = m^2 x^2 but only m with d, and the value is -1/x^2
+        ctx = ScalarContext(FIELD, ("x",), constants=("m",))
+        f = parse_scalar("(x + m)/(m*x)", ctx)
+        x2 = MultiPoly(("m", "x"), {(0, 2): Fraction(1)})
+        assert f.val.partial("x") == RatFunc(MultiPoly.const(("m", "x"), -1), x2)
+        assert f.partial("x") == parse_scalar("-1/x^2", ctx)
 
     def test_generator_derivative_is_cached_per_context(self):
         ctx = field_with_extension(("x", "z"), "y", "y^2 - x^3 - z/2 - 1")
