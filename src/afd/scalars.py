@@ -15,9 +15,12 @@ that can represent them:
   Sums and products of reduced operands use Henrici's formulas, which take
   gcds of the denominators and of the cross numerator/denominator pairs
   instead of one gcd of the full unreduced product.
-* ``ExtElem`` represents an element of a separable algebraic extension as a
-  coefficient vector over the rational-function subfield, reduced modulo the
-  minimal relation of the single extension generator.
+* ``ExtElem`` represents an element of a separable algebraic extension as
+  one vector of polynomial coefficients of the generator's powers over one
+  common monic denominator, reduced modulo the minimal relation of the single
+  extension generator with polynomial arithmetic only.  Each operation
+  cancels with one content gcd against the denominator; the inverse is a
+  fraction-free solve of the multiplication matrix.
 
 A ``ScalarContext`` declares base parameter constants (adjoined to the
 coefficient field), the ordered transcendental variables, and at most one
@@ -173,6 +176,10 @@ class MultiPoly:
     def __mul__(self, other):
         if not self.terms or not other.terms:
             return MultiPoly.zero(self.vars)
+        if other.is_const:
+            return self.scale(other.const_value())
+        if self.is_const:
+            return other.scale(self.const_value())
         a, da = _integral(self.terms)
         b, db = _integral(other.terms)
         out = {}
@@ -598,121 +605,109 @@ def _coprime_quotient(num, den):
     return RatFunc(num, den)
 
 
-def _rf_const(variables, value):
-    return RatFunc(MultiPoly.const(variables, value),
-                   MultiPoly.const(variables, 1))
-
-
 # ---------------------------------------------------------------------------
-# Dense univariate arithmetic over RatFunc (internal, for extension elements)
+# Algebraic extension elements
 # ---------------------------------------------------------------------------
 
-def _utrim(coeffs):
-    while coeffs and coeffs[-1].is_zero:
-        coeffs.pop()
-    return coeffs
+def _vector_in_gen(poly, gen, base_vars):
+    """A polynomial over base_vars + (gen,) as a dense vector in gen of
+    polynomials over base_vars, constant term first."""
+    by_power = _univar_coeffs(poly, poly.vars.index(gen))
+    zero = MultiPoly.zero(base_vars)
+    return [by_power[k].reordered(base_vars) if k in by_power else zero
+            for k in range(max(by_power, default=0) + 1)]
 
 
-def _uadd(a, b, zero):
-    out = []
-    for i in range(max(len(a), len(b))):
-        x = a[i] if i < len(a) else zero
-        y = b[i] if i < len(b) else zero
-        out.append(x + y)
-    return _utrim(out)
-
-
-def _umul(a, b, zero):
-    if not a or not b:
-        return []
+def _vector_product(a, b):
+    """Product of two polynomial vectors in the generator, unreduced."""
+    zero = MultiPoly.zero(a[0].vars)
     out = [zero] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x.is_zero:
             continue
         for j, y in enumerate(b):
-            out[i + j] = out[i + j] + x * y
-    return _utrim(out)
+            if not y.is_zero:
+                out[i + j] = out[i + j] + x * y
+    return out
 
 
-def _udivmod(a, b, inv_lead, zero):
-    """Division with remainder over the rational-function field, given the
-    inverse of b's leading coefficient."""
-    a = list(a)
-    q = [zero] * max(len(a) - len(b) + 1, 0)
-    while len(a) >= len(b):
-        c = a[-1] * inv_lead
-        k = len(a) - len(b)
-        q[k] = q[k] + c
-        for i, y in enumerate(b):
-            a[k + i] = a[k + i] - c * y
-        _utrim(a)
-        if not a:
+def _content_gcd(den, nums):
+    """Monic gcd of ``den`` and every entry of ``nums``; ``den`` nonzero."""
+    g = den
+    # smallest entries first: a trivial gcd usually shows on them
+    for n in sorted((n for n in nums if n.terms), key=lambda n: len(n.terms)):
+        if g.is_const:
             break
-    return _utrim(q), a
-
-
-def _uinv_mod(a, p, zero, one):
-    """Inverse of a modulo p via the extended Euclidean algorithm."""
-    r0, r1 = list(p), list(a)
-    s0, s1 = [], [one]
-    while r1:
-        q, r = _udivmod(r0, r1, r1[-1].inverse(), zero)
-        r0, r1 = r1, r
-        s0, s1 = s1, _usub(s0, _umul(q, s1, zero), zero)
-    if len(r0) != 1:
-        raise DivisionByZero("element shares a factor with the minimal relation")
-    c = r0[0].inverse()
-    return [x * c for x in s0]
-
-
-def _usub(a, b, zero):
-    return _uadd(a, [-x for x in b], zero)
-
-
-# ---------------------------------------------------------------------------
-# Algebraic extension elements
-# ---------------------------------------------------------------------------
-
-def _dense_in_gen(poly, gen, base_vars):
-    """A polynomial over base_vars + (gen,) as a dense RatFunc vector in gen."""
-    by_power = _univar_coeffs(poly, poly.vars.index(gen))
-    one = MultiPoly.const(base_vars, 1)
-    zero = _rf_const(base_vars, 0)
-    return [RatFunc(by_power[k].reordered(base_vars), one) if k in by_power
-            else zero for k in range(max(by_power, default=0) + 1)]
+        g = poly_gcd(g, n)
+    return g.monic()
 
 
 class Extension:
     """One algebraic extension of a context: the generator, its minimal
     relation, and what every element's arithmetic reduces with.
 
-    ``modulus`` is the relation as a dense RatFunc vector in the generator,
-    ``inv_lead`` the inverse of its leading coefficient; ``zero`` and ``one``
-    are the constants of the rational-function subfield; ``derivatives``
-    caches the generator's implicit derivative per transcendental.  Built
-    once per context and shared by all of its elements; two extensions are
-    equal when their generator and relation are.
+    The relation is ``lead * gen**degree + sum_i tail[i] * gen**i`` with
+    polynomial coefficients over ``base_vars``; one whose leading
+    coefficient is a constant is scaled to be monic.  ``derivatives`` caches
+    the generator's implicit derivative per transcendental.  Built once per
+    context and shared by all of its elements; two extensions are equal when
+    their generator and relation are.
     """
 
-    __slots__ = ("gen", "relation", "zero", "one", "modulus", "inv_lead",
-                 "degree", "derivatives")
+    __slots__ = ("gen", "relation", "base_vars", "degree", "lead", "tail",
+                 "derivatives")
 
     def __init__(self, gen, relation, base_vars):
         self.gen = gen
         self.relation = relation
-        self.zero = _rf_const(base_vars, 0)
-        self.one = _rf_const(base_vars, 1)
-        self.modulus = _dense_in_gen(relation, gen, base_vars)
-        self.inv_lead = self.modulus[-1].inverse()
-        self.degree = len(self.modulus) - 1
+        self.base_vars = tuple(base_vars)
+        vec = _vector_in_gen(relation, gen, base_vars)
+        self.degree = len(vec) - 1
+        lead = vec.pop()
+        if lead.is_const:
+            vec = [c.scale(ONE / lead.const_value()) for c in vec]
+            lead = lead.monic()
+        self.lead = lead
+        self.tail = [(i, c) for i, c in enumerate(vec) if c.terms]
         self.derivatives = {}
 
-    def reduce(self, dense):
-        """The element with the dense coefficient vector ``dense``."""
-        if len(dense) > self.degree:
-            _, dense = _udivmod(dense, self.modulus, self.inv_lead, self.zero)
-        coeffs = list(dense) + [self.zero] * (self.degree - len(dense))
-        return ExtElem(coeffs, self)
+    def pseudo_remainder(self, vec):
+        """Fold a polynomial vector of any length below the degree.
+
+        Returns ``(r, k)`` with ``r`` of length ``degree`` equal to
+        ``lead**k`` times ``vec`` modulo the relation; ``k`` is 0 for a
+        monic relation.  Only polynomial arithmetic runs.
+        """
+        vec = list(vec)
+        d, lead, k = self.degree, self.lead, 0
+        while len(vec) > d:
+            c = vec.pop()
+            if c.is_zero:
+                continue
+            if not lead.is_const:
+                vec = [lead * v for v in vec]
+                k += 1
+            shift = len(vec) - d
+            for i, t in self.tail:
+                vec[shift + i] = vec[shift + i] - c * t
+        return vec + [MultiPoly.zero(self.base_vars)] * (d - len(vec)), k
+
+    def reduce(self, vec, den):
+        """The element ``vec / den``: ``vec`` a polynomial vector in the
+        generator of any length, ``den`` a nonzero polynomial."""
+        nums, k = self.pseudo_remainder(vec)
+        return ExtElem.make(nums, den * self.lead ** k, self)
+
+    def lift(self, value):
+        """The RatFunc ``value`` as an element of the extension."""
+        zero = MultiPoly.zero(self.base_vars)
+        return ExtElem((value.num,) + (zero,) * (self.degree - 1),
+                       value.den, self)
+
+    def zero_elem(self):
+        zero = MultiPoly.zero(self.base_vars)
+        return ExtElem((zero,) * self.degree,
+                       MultiPoly.const(self.base_vars, 1), self)
 
     def __eq__(self, other):
         return self is other or (isinstance(other, Extension)
@@ -726,69 +721,161 @@ class Extension:
 class ExtElem:
     """Element of the extension field, reduced modulo the minimal relation.
 
-    ``coeffs`` has length exactly deg(relation in the generator); entry i is
-    the RatFunc coefficient of generator**i.  ``ext`` is the context's shared
-    :class:`Extension`.
+    The element is ``sum_i nums[i] * gen**i / den``: ``nums`` holds exactly
+    deg(relation in the generator) polynomials over the base variables and
+    ``den`` is one monic polynomial.  The form is canonical: ``den`` shares
+    no factor with all of ``nums`` at once, and zero has ``den`` one.  Each
+    operation cancels with one content gcd against its denominator.
+    ``ext`` is the context's shared :class:`Extension`.
     """
 
-    __slots__ = ("coeffs", "ext")
+    __slots__ = ("nums", "den", "ext")
 
-    def __init__(self, coeffs, ext):
-        self.coeffs = tuple(coeffs)
+    def __init__(self, nums, den, ext):
+        self.nums = tuple(nums)
+        self.den = den  # trusted canonical; use ExtElem.make otherwise
         self.ext = ext
+
+    @classmethod
+    def make(cls, nums, den, ext):
+        """``nums / den`` in canonical form; ``den`` nonzero."""
+        if not any(n.terms for n in nums):
+            return ext.zero_elem()
+        if not den.is_const:
+            g = _content_gcd(den, nums)
+            if not g.is_const:
+                nums = [n.exact_div(g) for n in nums]
+                den = den.exact_div(g)
+        _, lc = den.lead()
+        if lc != 1:
+            nums = [n.scale(ONE / lc) for n in nums]
+            den = den.scale(ONE / lc)
+        return cls(nums, den, ext)
 
     @property
     def gen(self):
         return self.ext.gen
 
     @property
+    def coeffs(self):
+        """Entry i is the reduced RatFunc coefficient of generator**i."""
+        return tuple(RatFunc.make(n, self.den) for n in self.nums)
+
+    @property
     def is_zero(self):
-        return all(c.is_zero for c in self.coeffs)
+        return not any(n.terms for n in self.nums)
 
     def __eq__(self, other):
         return (isinstance(other, ExtElem) and self.ext == other.ext
-                and self.coeffs == other.coeffs)
+                and self.nums == other.nums and self.den == other.den)
 
     def __hash__(self):
-        return hash((self.coeffs, self.ext.gen))
+        return hash((self.nums, self.den, self.ext.gen))
 
     def __add__(self, other):
-        return self.ext.reduce(_uadd(list(self.coeffs), list(other.coeffs),
-                                     self.ext.zero))
+        # Henrici's sum (see RatFunc.__add__) on the numerator vectors: a
+        # factor divides a vector when it divides every entry
+        a, b = self.nums, self.den
+        c, d = other.nums, other.den
+        if b.is_const:
+            if d.is_const:
+                return ExtElem(map(add, a, c), d, self.ext)
+            return ExtElem([x * d + y for x, y in zip(a, c)], d, self.ext)
+        if d.is_const:
+            return ExtElem([x + y * b for x, y in zip(a, c)], b, self.ext)
+        g = poly_gcd(b, d)
+        if g.is_const:
+            return ExtElem([x * d + y * b for x, y in zip(a, c)], b * d,
+                           self.ext)
+        b = b.exact_div(g)
+        dg = d.exact_div(g)
+        t = [x * dg + y * b for x, y in zip(a, c)]
+        # t = 0 only when b = d; then g2 = g and the denominator is 1
+        g2 = _content_gcd(g, t)
+        if not g2.is_const:
+            t = [x.exact_div(g2) for x in t]
+            d = d.exact_div(g2)
+        return ExtElem(t, b * d, self.ext)
 
     def __neg__(self):
-        return ExtElem([-c for c in self.coeffs], self.ext)
+        return ExtElem([-n for n in self.nums], self.den, self.ext)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        return self.ext.reduce(_umul(_utrim(list(self.coeffs)),
-                                     _utrim(list(other.coeffs)), self.ext.zero))
+        if self.is_zero:
+            return self
+        if other.is_zero:
+            return other
+        return self.ext.reduce(_vector_product(self.nums, other.nums),
+                               self.den * other.den)
 
     def scale(self, c):
         """The product with a nonzero int or Fraction ``c``."""
-        return ExtElem([x.scale(c) for x in self.coeffs], self.ext)
+        return ExtElem([n.scale(c) for n in self.nums], self.den, self.ext)
 
     def inverse(self):
+        """``den * adj(M) e0 / det M`` for the matrix M of multiplication by
+        the numerator, by fraction-free Gauss-Jordan elimination."""
         if self.is_zero:
             raise DivisionByZero("inverse of zero")
         ext = self.ext
-        return ext.reduce(_uinv_mod(_utrim(list(self.coeffs)), ext.modulus,
-                                    ext.zero, ext.one))
+        # column j is lead**powers[j] * (nums * gen**j mod relation)
+        cols, powers = [list(self.nums)], [0]
+        zero = MultiPoly.zero(ext.base_vars)
+        for _ in range(1, ext.degree):
+            col, k = ext.pseudo_remainder([zero] + cols[-1])
+            cols.append(col)
+            powers.append(powers[-1] + k)
+        rhs = [MultiPoly.const(ext.base_vars, 1)] + [zero] * (ext.degree - 1)
+        det, x = _fraction_free_solve(
+            [[col[i] for col in cols] + [rhs[i]] for i in range(ext.degree)])
+        return ExtElem.make([self.den * ext.lead ** k * v
+                             for v, k in zip(x, powers)], det, ext)
 
     def partial(self, name, gen_derivative):
         """d/d(name), given the implicit derivative of the generator."""
-        direct = ExtElem([c.partial(name) for c in self.coeffs], self.ext)
-        # chain-rule part: (sum_i i * c_i * y**(i-1)) * dy
-        dcoeffs = [c.scale(i) for i, c in enumerate(self.coeffs) if i]
-        if not _utrim(list(dcoeffs)):
+        ext, den = self.ext, self.den
+        dden = den.partial(name)
+        direct = ExtElem.make([n.partial(name) * den - n * dden
+                               for n in self.nums], den * den, ext)
+        # chain-rule part: (sum_i i * nums_i * y**(i-1)) / den * dy
+        dnums = [n.scale(i) for i, n in enumerate(self.nums) if i]
+        if gen_derivative.is_zero or not any(n.terms for n in dnums):
             return direct
-        chain = self.ext.reduce(dcoeffs) * gen_derivative
+        chain = ext.reduce(_vector_product(dnums, gen_derivative.nums),
+                           den * gen_derivative.den)
         return direct + chain
 
     def __repr__(self):
-        return f"ExtElem({self.coeffs!r}, gen={self.gen!r})"
+        return f"ExtElem({self.nums!r}, {self.den!r}, gen={self.gen!r})"
+
+
+def _fraction_free_solve(rows):
+    """Solve a square system given as augmented rows, by fraction-free
+    (Bareiss) Gauss-Jordan elimination over polynomials.
+
+    Returns ``(det, x)`` with the solution ``x[i] / det``; ``det`` is the
+    system's determinant up to sign, and every division is exact.
+    """
+    n = len(rows)
+    prev = MultiPoly.const(rows[0][0].vars, 1)
+    for k in range(n):
+        p = next((i for i in range(k, n) if rows[i][k].terms), None)
+        if p is None:
+            raise DivisionByZero(
+                "element shares a factor with the minimal relation")
+        rows[k], rows[p] = rows[p], rows[k]
+        pivot, pivot_row = rows[k][k], rows[k]
+        for i, row in enumerate(rows):
+            if i == k:
+                continue
+            f = row[k]
+            for j in range(k + 1, n + 1):
+                row[j] = (pivot * row[j] - f * pivot_row[j]).exact_div(prev)
+        prev = pivot
+    return prev, [row[n] for row in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -965,7 +1052,9 @@ class ScalarContext:
         ext = self.extension
         if ext is not None and name == ext.gen:
             # a linear relation reduces the generator into the subfield
-            return Scalar.make(self, ext.reduce([ext.zero, ext.one]))
+            one = MultiPoly.const(self.all_vars, 1)
+            return Scalar.make(self, ext.reduce(
+                [MultiPoly.zero(self.all_vars), one], one))
         raise UnknownVariable(f"'{name}' is not declared in this context")
 
 
@@ -1176,9 +1265,9 @@ class Scalar:
 
 def _demote(payload):
     if type(payload) is ExtElem:
-        if not all(c.is_zero for c in payload.coeffs[1:]):
+        if any(n.terms for n in payload.nums[1:]):
             return payload
-        payload = payload.coeffs[0]
+        payload = RatFunc(payload.nums[0], payload.den)
     if type(payload) is RatFunc:
         if not payload.is_poly:
             return payload
@@ -1195,7 +1284,7 @@ def _lift(ctx, payload, frm, to):
     if frm <= 1 < to:
         payload = RatFunc(payload, MultiPoly.const(ctx.all_vars, 1))
     if to == 3:
-        payload = ctx.extension.reduce([payload])
+        payload = ctx.extension.lift(payload)
     return payload
 
 
@@ -1213,21 +1302,27 @@ def _gen_derivative(ctx, name):
 
     Always returned at the extension level, even when the quotient happens to
     collapse into the rational-function subfield; computed once per context
-    and transcendental.
+    and transcendental.  A relation free of ``name`` gives zero without any
+    arithmetic.
     """
-    cache = ctx.extension.derivatives
+    ext = ctx.extension
+    cache = ext.derivatives
     if name not in cache:
-        gen, rel = ctx.extensions[0]
-        num = _poly_in_gen_to_elem(ctx, rel.partial(name))
-        den = _poly_in_gen_to_elem(ctx, rel.partial(gen))
-        cache[name] = -(num * den.inverse())
+        rel = ext.relation
+        if not rel.involves(name):
+            cache[name] = ext.zero_elem()
+        else:
+            num = _poly_in_gen_to_elem(ctx, rel.partial(name))
+            den = _poly_in_gen_to_elem(ctx, rel.partial(ext.gen))
+            cache[name] = -(num * den.inverse())
     return cache[name]
 
 
 def _poly_in_gen_to_elem(ctx, poly):
     """Convert a polynomial over all_vars + (gen,) into a reduced ExtElem."""
     ext = ctx.extension
-    return ext.reduce(_dense_in_gen(poly, ext.gen, ctx.all_vars))
+    return ext.reduce(_vector_in_gen(poly, ext.gen, ctx.all_vars),
+                      MultiPoly.const(ctx.all_vars, 1))
 
 
 def _substitute(payload, constants, bindings, target):

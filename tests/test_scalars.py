@@ -141,9 +141,7 @@ def _to_top(ctx, v):
     if type(v) is MultiPoly:
         v = RatFunc(v, MultiPoly.const(ctx.all_vars, 1))
     if ctx.extension is not None and type(v) is RatFunc:
-        zero = RatFunc(MultiPoly.zero(ctx.all_vars),
-                       MultiPoly.const(ctx.all_vars, 1))
-        v = ExtElem([v] + [zero] * (ctx.extension.degree - 1), ctx.extension)
+        v = ctx.extension.lift(v)
     return v
 
 
@@ -469,6 +467,21 @@ class TestPartial:
             assert Scalar.make(ctx, cached) == -(num / den)
         assert ctx.var("y").partial("z") == 1 / (4 * ctx.var("y"))
 
+    def test_generator_derivative_free_of_the_variable(self, monkeypatch):
+        # the relation does not involve t: dy/dt is zero, found without
+        # inverting dp/dy, and still at the extension level
+        ctx = field_with_extension(("x", "t"), "y", "y^2 - x^3 - 1")
+
+        def refuse(self):
+            raise AssertionError("dy/dt inverted dp/dy")
+
+        monkeypatch.setattr(ExtElem, "inverse", refuse)
+        zero = _gen_derivative(ctx, "t")
+        assert type(zero) is ExtElem and zero.is_zero
+        assert _gen_derivative(ctx, "t") is zero
+        y, t = ctx.var("y"), ctx.var("t")
+        assert (y * t).partial("t") == y
+
     def test_collapsing_generator_derivative(self):
         # (y + x)^2 + 1 = 0 forces dy/dx = -1: the implicit derivative drops
         # out of the extension level entirely
@@ -676,3 +689,195 @@ class TestExtensionConsistency:
         direct = to_ext(p) * to_ext(q)
         via_lift = to_ext(p * q)
         assert direct == via_lift
+
+
+# ---------------------------------------------------------------------------
+# Extension arithmetic against the dense RatFunc reference
+# ---------------------------------------------------------------------------
+
+def _trim(v):
+    while v and v[-1].is_zero:
+        v.pop()
+    return v
+
+
+class DenseExtension:
+    """Schoolbook extension arithmetic, kept as the reference: an element is
+    a dense vector of separately reduced RatFuncs, reduced modulo the
+    relation by division with remainder over the rational-function field,
+    and inverted by the extended Euclidean algorithm."""
+
+    def __init__(self, ctx):
+        self.gen, self.rel = ctx.extensions[0]
+        self.base = ctx.all_vars
+        one = MultiPoly.const(self.base, 1)
+        self.zero = RatFunc(MultiPoly.zero(self.base), one)
+        self.one = RatFunc(one, one)
+        self.modulus = self.dense(self.rel)
+        self.degree = len(self.modulus) - 1
+
+    def dense(self, poly):
+        """A polynomial over base + (gen,) as a RatFunc vector in gen."""
+        by_power = {}
+        for e, c in poly.terms.items():
+            by_power.setdefault(e[-1], {})[e[:-1]] = c
+        return [RatFunc(MultiPoly(self.base, by_power.get(k, {})),
+                        self.one.den)
+                for k in range(max(by_power, default=-1) + 1)]
+
+    def reduce(self, v):
+        v = _trim(list(v))
+        if len(v) > self.degree:
+            v = self.divmod(v, self.modulus)[1]
+        return v + [self.zero] * (self.degree - len(v))
+
+    def product(self, a, b):
+        a, b = _trim(list(a)), _trim(list(b))
+        out = [self.zero] * max(len(a) + len(b) - 1, 0)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] = out[i + j] + x * y
+        return _trim(out)
+
+    def divmod(self, a, b):
+        a = list(a)
+        q = [self.zero] * max(len(a) - len(b) + 1, 0)
+        inv = b[-1].inverse()
+        while len(a) >= len(b):
+            c = a[-1] * inv
+            k = len(a) - len(b)
+            q[k] = q[k] + c
+            for i, y in enumerate(b):
+                a[k + i] = a[k + i] - c * y
+            _trim(a)
+        return _trim(q), a
+
+    def add(self, a, b):
+        return self.reduce(x + y for x, y in zip(a, b))
+
+    def sub(self, a, b):
+        return self.reduce(x - y for x, y in zip(a, b))
+
+    def mul(self, a, b):
+        return self.reduce(self.product(a, b))
+
+    def inverse(self, a):
+        r0, r1 = list(self.modulus), _trim(list(a))
+        s0, s1 = [], [self.one]
+        while r1:
+            q, r = self.divmod(r0, r1)
+            r0, r1 = r1, r
+            s0, s1 = s1, self._minus(s0, self.product(q, s1))
+        if len(r0) != 1:
+            raise DivisionByZero("shares a factor with the relation")
+        c = r0[0].inverse()
+        return self.reduce(x * c for x in s0)
+
+    def _minus(self, a, b):
+        n = max(len(a), len(b))
+        a = a + [self.zero] * (n - len(a))
+        b = b + [self.zero] * (n - len(b))
+        return _trim([x - y for x, y in zip(a, b)])
+
+    def partial(self, a, name):
+        direct = [c.partial(name) for c in a]
+        dp = self.reduce(self.dense(self.rel.partial(name)))
+        dgen = self.mul([-c for c in dp], self.inverse(
+            self.reduce(self.dense(self.rel.partial(self.gen)))))
+        chain = self.mul([c.scale(i) for i, c in enumerate(a) if i], dgen)
+        return self.add(direct, chain)
+
+
+def _assert_canonical_elem(elem):
+    assert elem.den.lead()[1] == 1
+    g = elem.den
+    for n in elem.nums:
+        g = poly_gcd(g, n)
+    assert g.is_const
+    for n in elem.nums + (elem.den,):
+        _assert_canonical(n)
+
+
+# relations with monic and non-monic leading coefficients; the first has a
+# transcendental, t, that it does not involve
+NON_MONIC_RELATIONS = [
+    (("x", "t"), "y", "x*y^2 - 1", ("1", "x", "x + 1", "t - x")),
+    (("x", "z"), "y", "(x+1)*y^2 - z*y - x", ("1", "x", "z + 1", "x*z - 1")),
+    (("x",), "w", "x*w^3 + w + x", ("1", "x", "x + 1", "x^2 - 2")),
+    (("x",), "w", "w^4 - x^3 - x - 1", ("1", "x", "x - 1")),
+]
+
+
+class TestCommonDenominator:
+    """Extension elements as one numerator vector over one denominator,
+    checked operation for operation against the dense reference."""
+
+    @staticmethod
+    def _random_elem(rng, ctx, dens):
+        """An element with RatFunc coefficients over the given denominators,
+        built through ``ExtElem.make`` and read back through ``coeffs``."""
+        coeffs = [RatFunc.make(_random_poly(rng, ctx.all_vars, max_terms=2,
+                                            max_deg=1), rng.choice(dens))
+                  for _ in range(ctx.extension.degree)]
+        den = MultiPoly.const(ctx.all_vars, 1)
+        for c in coeffs:
+            den = den * c.den
+        elem = ExtElem.make([c.num * den.exact_div(c.den) for c in coeffs],
+                            den, ctx.extension)
+        assert list(elem.coeffs) == coeffs
+        _assert_canonical_elem(elem)
+        return elem
+
+    @pytest.mark.parametrize("case", NON_MONIC_RELATIONS,
+                             ids=[r[2] for r in NON_MONIC_RELATIONS])
+    def test_matches_dense_reference(self, case):
+        names, gen, text, den_texts = case
+        ctx = field_with_extension(names, gen, text)
+        ref = DenseExtension(ctx)
+        dens = []
+        for t in den_texts:
+            v = parse_scalar(t, ctx).val
+            dens.append(MultiPoly.const(ctx.all_vars, v)
+                        if type(v) is Fraction else v)
+        rng = random.Random(7)
+        for trial in range(10):
+            a = self._random_elem(rng, ctx, dens)
+            b = self._random_elem(rng, ctx, dens)
+            if trial % 3 == 2:
+                # a + b = c cancels factors of the common denominator: the
+                # content gcd step of the sum
+                b = b - a
+            ra, rb = list(a.coeffs), list(b.coeffs)
+            got = {"+": a + b, "-": a - b, "*": a * b}
+            want = {"+": ref.add(ra, rb), "-": ref.sub(ra, rb),
+                    "*": ref.mul(ra, rb)}
+            if not b.is_zero:
+                got["inverse"] = b.inverse()
+                want["inverse"] = ref.inverse(rb)
+                quotient = Scalar.make(ctx, a) / Scalar.make(ctx, b)
+                got["/"] = _to_top(ctx, quotient.val)
+                want["/"] = ref.mul(ra, want["inverse"])
+            for name in names:
+                got["d" + name] = a.partial(name, _gen_derivative(ctx, name))
+                want["d" + name] = ref.partial(ra, name)
+            for op, elem in got.items():
+                assert list(elem.coeffs) == want[op], (text, trial, op)
+                _assert_canonical_elem(elem)
+
+    def test_non_monic_pins(self):
+        ctx = field_with_extension(("x",), "y", "x*y^2 - 1")
+        x, y = ctx.var("x"), ctx.var("y")
+        assert y * y == 1 / x
+        assert y.partial("x") == -y / (2 * x)
+        a = (x + 1) * y + 1 / x
+        b = y - x
+        assert (a * b) / b == a
+        assert b * b.inverse() == 1
+
+    def test_reducible_relation_has_zero_divisors(self):
+        # w^4 - 1 is accepted (degree > 3 is not checked) but w - 1 divides
+        # it, so w - 1 has no inverse
+        ctx = field_with_extension(("x",), "w", "w^4 - 1")
+        assert not ctx.irreducibility_verified
+        with pytest.raises(DivisionByZero):
+            (ctx.var("w") - 1).inverse()
