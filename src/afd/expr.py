@@ -237,8 +237,9 @@ def _rf_is_one(rf):
 def render_ext(elem):
     gen = elem.gen
     pieces = []
-    for i in range(len(elem.coeffs) - 1, -1, -1):
-        c = elem.coeffs[i]
+    coeffs = elem.coeffs  # a view that reduces every coefficient: read once
+    for i in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[i]
         if c.is_zero:
             continue
         _, lead_coeff = c.num.lead()

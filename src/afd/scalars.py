@@ -22,6 +22,11 @@ that can represent them:
   cancels with one content gcd against the denominator; the inverse is a
   fraction-free solve of the multiplication matrix.
 
+Every reduction rests on ``poly_gcd``.  It clears denominators and runs the
+heuristic GCD (GCDHEU: evaluate at large integers, take an integer gcd,
+interpolate back and certify by exact division); a primitive polynomial
+remainder sequence runs only when the heuristic gives up.
+
 A ``ScalarContext`` declares base parameter constants (adjoined to the
 coefficient field), the ordered transcendental variables, and at most one
 algebraic extension.  ``Scalar`` wraps a payload together with its context
@@ -39,7 +44,7 @@ Everything here is immutable after construction and all operations are pure.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 from operator import add, mul, sub
 from typing import Union
 
@@ -306,19 +311,13 @@ class MultiPoly:
 
 
 # ---------------------------------------------------------------------------
-# GCD via primitive polynomial remainder sequences
+# GCD: heuristic GCD (GCDHEU) first, primitive remainder sequences as the
+# fallback
 # ---------------------------------------------------------------------------
 
-def _mono_gcd(a, b):
-    return tuple(min(x, y) for x, y in zip(a, b))
-
-
 def _terms_mono(poly):
-    it = iter(poly.terms)
-    g = next(it)
-    for e in it:
-        g = _mono_gcd(g, e)
-    return g
+    """The monomial gcd of the terms of a nonzero polynomial."""
+    return tuple(map(min, zip(*poly.terms)))
 
 
 def _div_mono(poly, mono):
@@ -442,25 +441,45 @@ def _gcd_univar(a, b, idx):
 
 
 def poly_gcd(a, b):
-    """Monic greatest common divisor of two polynomials; gcd(0, 0) = 0."""
+    """Monic greatest common divisor of two polynomials; gcd(0, 0) = 0.
+
+    After the monomial, constant and scalar-multiple shortcuts the heuristic
+    GCD runs on the integer-cleared operands; the primitive remainder
+    sequence runs only when the heuristic gives up.
+    """
     if a.vars != b.vars:
         raise ContextMismatch("gcd of polynomials over different variables")
     if a.is_zero:
         return b.monic()
     if b.is_zero:
         return a.monic()
-    mono = _mono_gcd(_terms_mono(a), _terms_mono(b))
-    a = _div_mono(a, _terms_mono(a))
-    b = _div_mono(b, _terms_mono(b))
+    ma, mb = _terms_mono(a), _terms_mono(b)
+    mono = tuple(map(min, ma, mb))
+    a = _div_mono(a, ma)
+    b = _div_mono(b, mb)
     base = MultiPoly(a.vars, {mono: ONE})
     if a.is_const or b.is_const:
         return base
     if _scalar_multiple(a, b):
         return (base * a).monic()
+    if not any(any(e[i] for e in a.terms) and any(e[i] for e in b.terms)
+               for i in range(len(a.vars))):
+        return base
+    h = _heu_gcd(dict(_integral(a.terms)[0]), dict(_integral(b.terms)[0]))
+    if h is None:
+        return (base * _prs_poly_gcd(a, b)).monic()
+    if len(h) == 1:
+        return base  # monomial-free operands: a one-term gcd is constant
+    lead = h[max(h, key=_grlex_key)]
+    return MultiPoly(a.vars, {tuple(map(add, e, mono)): Fraction(c, lead)
+                              for e, c in h.items()})
+
+
+def _prs_poly_gcd(a, b):
+    """gcd of two non-constant polynomials that share a variable, by
+    recursive contents and a primitive remainder sequence; not normalized."""
     shared = [i for i in range(len(a.vars))
               if any(e[i] for e in a.terms) and any(e[i] for e in b.terms)]
-    if not shared:
-        return base
     # eliminate the lowest-degree shared variable first: fewest remainder
     # steps, least coefficient swell
     idx = min(shared, key=lambda i: min(a.degree_in(a.vars[i]),
@@ -474,7 +493,7 @@ def poly_gcd(a, b):
         g = _gcd_univar(pa, pb, idx)
     else:
         g = _prs_gcd(pa, pb, idx)
-    return (base * cont * g).monic()
+    return cont * g
 
 
 def _prs_gcd(pa, pb, idx):
@@ -486,6 +505,106 @@ def _prs_gcd(pa, pb, idx):
         if not r.involves(pa.vars[idx]):
             return MultiPoly.const(pa.vars, 1)
         pa, pb = pb, _content_pp(r, idx)[1]
+
+
+# evaluation points tried per variable before the heuristic gives up
+_HEU_TRIES = 6
+
+
+def _heu_gcd(f, g):
+    """gcd over the integers of two nonzero integer polynomials, up to sign,
+    by the heuristic GCD of Char, Geddes and Gonnet (1989); None when it
+    gives up.  ``f`` and ``g`` map exponent tuples to nonzero ints.
+
+    The last variable either involves is evaluated at an integer xi, the
+    gcd of the images is found recursively (an integer gcd once no variable
+    is left) and expanded xi-adically back into a polynomial.  For
+    ``xi >= 2 min(|f|, |g|) + 2`` on primitive ``f`` and ``g`` the primitive
+    part of that expansion is the gcd exactly when it divides both
+    (Geddes, Czapor and Labahn, Thm 7.7), so a candidate of 1 needs no
+    division; otherwise xi grows as in sympy's ``heugcd``.
+    """
+    cf, cg = gcd(*f.values()), gcd(*g.values())
+    c = gcd(cf, cg)
+    zero = (0,) * len(next(iter(f)))
+    if (len(f) == 1 and zero in f) or (len(g) == 1 and zero in g):
+        return {zero: c}
+    if cf != 1:
+        f = {e: v // cf for e, v in f.items()}
+    if cg != 1:
+        g = {e: v // cg for e, v in g.items()}
+    k = max(i for i, d in enumerate(map(max, zip(*f, *g))) if d)
+    xi = 2 * min(max(map(abs, f.values())), max(map(abs, g.values()))) + 2
+    for _ in range(_HEU_TRIES):
+        ff, gg = _int_evaluate(f, k, xi), _int_evaluate(g, k, xi)
+        if ff and gg:
+            h = _heu_gcd(ff, gg)
+            if h is None:
+                return None
+            h = _xi_adic(h, k, xi)
+            ch = gcd(*h.values())
+            h = {e: v // ch for e, v in h.items()}
+            if ((len(h) == 1 and zero in h)
+                    or (_int_divides(h, f) and _int_divides(h, g))):
+                return {e: v * c for e, v in h.items()}
+        xi = 73794 * xi * isqrt(isqrt(xi)) // 27011
+    return None
+
+
+def _int_evaluate(f, k, xi):
+    """The integer polynomial ``f`` with variable ``k`` set to ``xi``."""
+    powers = [1]
+    out = {}
+    for e, c in f.items():
+        j = e[k]
+        while len(powers) <= j:
+            powers.append(powers[-1] * xi)
+        key = e[:k] + (0,) + e[k + 1:]
+        out[key] = out.get(key, 0) + c * powers[j]
+    return {e: c for e, c in out.items() if c}
+
+
+def _xi_adic(h, k, xi):
+    """Expand each integer coefficient of ``h`` in powers of variable ``k``
+    with symmetric base-xi digits (the inverse of evaluation at xi)."""
+    half = xi // 2
+    out = {}
+    for e, c in h.items():
+        i = 0
+        while c:
+            r = c % xi
+            if r > half:
+                r -= xi
+            if r:
+                out[e[:k] + (i,) + e[k + 1:]] = r
+            c = (c - r) // xi
+            i += 1
+    return out
+
+
+def _int_divides(h, f):
+    """Whether the integer polynomial ``h`` divides ``f`` over the integers;
+    stops at the first quotient term that cannot occur."""
+    limit = tuple(map(sub, map(max, zip(*f)), map(max, zip(*h))))
+    he = max(h)
+    hc = h[he]
+    rem = dict(f)
+    while rem:
+        re = max(rem)
+        qe = tuple(map(sub, re, he))
+        if any(q < 0 or q > m for q, m in zip(qe, limit)):
+            return False
+        q, r = divmod(rem[re], hc)
+        if r:
+            return False
+        for e2, c2 in h.items():
+            e = tuple(map(add, qe, e2))
+            s = rem.get(e, 0) - q * c2
+            if s:
+                rem[e] = s
+            else:
+                del rem[e]
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Exact scalar tower: arithmetic, GCDs, partials, substitution."""
 
+import json
 import operator
 import random
 from fractions import Fraction
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given
 
 from afd import MultiPoly, ScalarContext, field_with_extension, parse_scalar, poly_gcd
+from afd import scalars
 from afd.errors import (
     ContextMismatch,
     DivisionByZero,
@@ -424,6 +426,116 @@ class TestPolyGcd:
         assert (g * a).val.exact_div(d) is not None
         assert (g * b).val.exact_div(d) is not None
         assert d.exact_div(g.val.monic()) is not None
+
+    def test_heuristic_matches_prs_reference(self, monkeypatch):
+        # seeded pairs g*a, g*b over 2-4 variables with a planted factor g;
+        # the heuristic must answer every pair itself, and the primitive
+        # remainder sequence, run alone, is the reference
+        rng = random.Random(8)
+        pairs = []
+        while len(pairs) < 120:
+            variables = ("x", "y", "z", "w")[:rng.randint(2, 4)]
+            g = _random_poly(rng, variables, max_terms=3, max_deg=2)
+            a = _random_poly(rng, variables, max_terms=4, max_deg=2)
+            b = _random_poly(rng, variables, max_terms=4, max_deg=2)
+            if g.is_const or a.is_zero or b.is_zero:
+                continue
+            pairs.append((g, g * a, g * b))
+        with monkeypatch.context() as m:
+            m.setattr(scalars, "_prs_poly_gcd", _no_fallback)
+            got = [poly_gcd(ga, gb) for _, ga, gb in pairs]
+        monkeypatch.setattr(scalars, "_heu_gcd", lambda f, g: None)
+        for (g, ga, gb), d in zip(pairs, got):
+            assert d == scalars._prs_poly_gcd(ga, gb).monic()
+            assert d.exact_div(g.monic()) is not None
+
+    def test_sympy_oracle(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(9)
+        variables = ("x", "y", "z")
+        for _ in range(40):
+            g = _random_poly(rng, variables, max_terms=3, max_deg=2)
+            a = g * _random_poly(rng, variables, max_terms=4, max_deg=2)
+            b = g * _random_poly(rng, variables, max_terms=4, max_deg=2)
+            if a.is_zero or b.is_zero:
+                continue
+            assert poly_gcd(a, b) == _sympy_gcd(sympy, a, b)
+
+
+def _no_fallback(a, b):
+    raise AssertionError("the heuristic gcd gave up")
+
+
+def _sympy_gcd(sympy, a, b):
+    """Monic gcd of two polynomials by sympy, through the canonical text."""
+    names = {v: sympy.Symbol(v) for v in a.vars}
+    a_expr, b_expr = (sympy.parse_expr(render_poly(p).replace("^", "**"),
+                                       local_dict=names) for p in (a, b))
+    text = str(sympy.gcd(a_expr, b_expr)).replace("**", "^")
+    d = parse_scalar(text, ScalarContext(POLYNOMIAL, a.vars)).val
+    return (d if type(d) is MultiPoly else MultiPoly.const(a.vars, d)).monic()
+
+
+def _kerr_gcd_pair(repo_root):
+    """The committed Kerr operand pair and its expected gcd's text."""
+    data = json.loads(
+        (repo_root / "tests" / "fixtures" / "kerr_gcd_pair.json").read_text())
+    ctx = ScalarContext(POLYNOMIAL, data["vars"])
+    return (parse_scalar(data["a"], ctx).val, parse_scalar(data["b"], ctx).val,
+            data["gcd"])
+
+
+class TestPolyGcdFallback(TestPolyGcd):
+    """TestPolyGcd's cases with the heuristic forced to give up, so the
+    primitive remainder sequence behind it stays covered."""
+
+    @pytest.fixture(autouse=True)
+    def _heuristic_gives_up(self, monkeypatch):
+        monkeypatch.setattr(scalars, "_heu_gcd", lambda f, g: None)
+
+    # compares the heuristic with this very path
+    test_heuristic_matches_prs_reference = None
+
+
+class TestKerrGcd:
+    """Genuine Kerr in Kerr-Schild form, where the remainder sequence once
+    stalled for minutes on one 6-variable gcd."""
+
+    def test_closed_form_inverse_without_fallback(self, monkeypatch):
+        # g = eta + f k k and h = eta - f k# k#, k# = eta k; k is null on
+        # the quartic, so g h = I exactly
+        monkeypatch.setattr(scalars, "_prs_poly_gcd", _no_fallback)
+        ctx = field_with_extension(
+            ("t", "x", "y", "z"), "r",
+            "r^4 - (x^2 + y^2 + z^2 - a^2)*r^2 - a^2*z^2", constants=("m", "a"))
+        f = parse_scalar("2*m*r^3/(r^4 + a^2*z^2)", ctx)
+        k = [parse_scalar(s, ctx) for s in
+             ("1", "(r*x + a*y)/(r^2 + a^2)", "(r*y - a*x)/(r^2 + a^2)", "z/r")]
+        eta = (-1, 1, 1, 1)
+        k_up = [eta[i] * k[i] for i in range(4)]
+        g = [[(eta[i] if i == j else 0) + f * k[i] * k[j] for j in range(4)]
+             for i in range(4)]
+        h = [[(eta[i] if i == j else 0) - f * k_up[i] * k_up[j]
+              for j in range(4)] for i in range(4)]
+        for i in range(4):
+            for j in range(4):
+                entry = ctx.zero()
+                for n in range(4):
+                    entry = entry + g[i][n] * h[n][j]
+                assert entry == (1 if i == j else 0), (i, j)
+
+    def test_largest_operand_pair(self, monkeypatch, repo_root):
+        monkeypatch.setattr(scalars, "_prs_poly_gcd", _no_fallback)
+        a, b, want = _kerr_gcd_pair(repo_root)
+        d = poly_gcd(a, b)
+        assert render_poly(d) == want
+        assert a.exact_div(d) is not None
+        assert b.exact_div(d) is not None
+
+    def test_largest_operand_pair_against_sympy(self, repo_root):
+        sympy = pytest.importorskip("sympy")
+        a, b, want = _kerr_gcd_pair(repo_root)
+        assert render_poly(_sympy_gcd(sympy, a, b)) == want
 
 
 class TestPartial:
