@@ -10,8 +10,6 @@ can be recomputed and reported even after deliberate corruption in tests.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import ContextMismatch, DescriptorMismatch
 from .scalars import Scalar
 
@@ -73,7 +71,7 @@ class Algebraifold:
             from .expr import parse_scalar
 
             return parse_scalar(value, self.ctx)
-        return self.ctx.const(Fraction(value))
+        return self.ctx.const(value)
 
     def zero(self):
         return self.ctx.zero()

@@ -210,7 +210,7 @@ def render_poly(poly):
 
 def _den_string(den):
     """Denominator rendering: a single variable power needs no parentheses."""
-    if len(den.terms) == 1:
+    if len(den.nums) == 1:
         exps, coeff = next(iter(den.terms.items()))
         factors = _monomial_factors(exps, den.vars)
         if coeff == 1 and len(factors) == 1:
@@ -223,7 +223,7 @@ def render_ratfunc(rf):
     if rf.num.is_zero:
         return "0"
     num = render_poly(rf.num)
-    if len(rf.num.terms) > 1:
+    if len(rf.num.nums) > 1:
         num = f"({num})"
     if rf.is_poly:
         return num

@@ -6,11 +6,13 @@ that can represent them:
     Fraction  ->  MultiPoly  ->  RatFunc  ->  ExtElem
 
 * ``Fraction`` (stdlib) holds elements of the rational base field.
-* ``MultiPoly`` is a sparse multivariate polynomial: a dict mapping exponent
-  tuples to nonzero Fraction coefficients.  The zero polynomial is the empty
-  dict.  Term order is graded lexicographic on the declared variable order.
-  A product accumulates integer numerators over the operands' common
-  denominators and stores each coefficient once, still as a Fraction.
+* ``MultiPoly`` is a sparse multivariate polynomial held as integer
+  numerators over one positive common denominator: ``nums`` maps exponent
+  tuples to nonzero ints, ``denom`` is an int, and ``gcd(denom, *nums)`` is
+  1.  Zero has no numerators and denominator 1.  Every kernel (sums,
+  products, exact division, the gcd) works on plain ints; ``terms`` is a
+  Fraction view for rendering.  Term order is graded lexicographic on the
+  declared variable order.
 * ``RatFunc`` is a reduced fraction of two MultiPolys with monic denominator.
   Sums and products of reduced operands use Henrici's formulas, which take
   gcds of the denominators and of the cross numerator/denominator pairs
@@ -22,10 +24,11 @@ that can represent them:
   cancels with one content gcd against the denominator; the inverse is a
   fraction-free solve of the multiplication matrix.
 
-Every reduction rests on ``poly_gcd``.  It clears denominators and runs the
-heuristic GCD (GCDHEU: evaluate at large integers, take an integer gcd,
-interpolate back and certify by exact division); a primitive polynomial
-remainder sequence runs only when the heuristic gives up.
+Every reduction rests on ``poly_gcd``.  It runs the heuristic GCD (GCDHEU:
+evaluate the integer numerators at large integers, take an integer gcd,
+interpolate back and certify by the integer exact division that
+``exact_div`` also uses); a primitive polynomial remainder sequence runs
+only when the heuristic gives up.
 
 A ``ScalarContext`` declares base parameter constants (adjoined to the
 coefficient field), the ordered transcendental variables, and at most one
@@ -45,7 +48,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-from operator import add, mul, sub
+from operator import add, gt, mul, sub
 from typing import Union
 
 from .errors import (
@@ -72,84 +75,126 @@ def _grlex_key(exps):
     return (sum(exps), exps)
 
 
-def _integral(terms):
-    """``terms`` as (exponent, integer numerator) pairs over d, the lcm of
-    their denominators; returns (pairs, d)."""
-    d = lcm(*[c.denominator for c in terms.values()])
-    if d == 1:
-        return [(e, c.numerator) for e, c in terms.items()], 1
-    return [(e, c.numerator * (d // c.denominator))
-            for e, c in terms.items()], d
+def _rational(value):
+    """An int or Fraction as a Fraction; anything else, floats included, is
+    a TypeError."""
+    if type(value) is Fraction:
+        return value
+    if isinstance(value, (int, Fraction)):
+        return Fraction(value)
+    raise TypeError(
+        f"exact scalars take int or Fraction values, not {type(value).__name__}")
+
+
+def _poly(variables, nums, denom):
+    """Trusted constructor: ``nums`` and ``denom`` already canonical."""
+    p = object.__new__(MultiPoly)
+    p.vars = variables
+    p.nums = nums
+    p.denom = denom
+    return p
+
+
+def _reduced(variables, nums, den):
+    """``nums / den`` made canonical by one gcd; ``nums`` holds no zero and
+    ``den`` is positive."""
+    if den != 1:
+        g = gcd(den, *nums.values())
+        if g != 1:
+            den //= g
+            nums = {e: c // g for e, c in nums.items()}
+    return _poly(variables, nums, den)
 
 
 class MultiPoly:
-    """Sparse multivariate polynomial with Fraction coefficients.
+    """Sparse multivariate polynomial over Q, held as integer numerators over
+    one common denominator.
 
-    ``terms`` maps exponent tuples (one entry per variable in ``vars``) to
-    nonzero coefficients; the zero polynomial has no terms.
+    ``nums`` maps exponent tuples (one entry per variable in ``vars``) to
+    nonzero ints and ``denom`` is a positive int (not ``den``, which names
+    the polynomial denominator of a RatFunc or ExtElem); the polynomial is
+    ``sum nums[e] * x**e / denom``.  The form is canonical:
+    ``gcd(denom, *nums.values()) == 1``, and zero is ``nums == {}`` with
+    ``denom == 1``, so ``==`` and ``hash`` compare ``(vars, nums, denom)``.
+    Every kernel works on plain ints.  ``MultiPoly(variables, terms)``
+    normalizes a dict of int or Fraction coefficients; ``terms`` is the
+    read-only Fraction view of the coefficients, for rendering.
     """
 
-    __slots__ = ("vars", "terms")
+    __slots__ = ("vars", "nums", "denom")
 
     def __init__(self, variables, terms):
+        fracs = {e: _rational(c) for e, c in terms.items()}
+        fracs = {e: c for e, c in fracs.items() if c}
+        den = lcm(*[c.denominator for c in fracs.values()])
+        # the lcm of reduced denominators is coprime to their numerators
         self.vars = tuple(variables)
-        self.terms = terms  # trusted canonical: no zero coefficients
+        self.nums = {e: c.numerator * (den // c.denominator)
+                     for e, c in fracs.items()}
+        self.denom = den
 
     @classmethod
     def from_terms(cls, variables, terms):
-        return cls(variables, {e: c for e, c in terms.items() if c != 0})
+        return cls(variables, terms)
 
     @classmethod
     def zero(cls, variables):
-        return cls(variables, {})
+        return _poly(tuple(variables), {}, 1)
 
     @classmethod
     def const(cls, variables, value):
-        value = Fraction(value)
-        if value == 0:
-            return cls(variables, {})
-        return cls(variables, {(0,) * len(variables): value})
+        value = _rational(value)
+        if not value:
+            return _poly(tuple(variables), {}, 1)
+        return _poly(tuple(variables), {(0,) * len(variables): value.numerator},
+                     value.denominator)
 
     @classmethod
     def var(cls, variables, name):
         idx = variables.index(name)
         exps = [0] * len(variables)
         exps[idx] = 1
-        return cls(variables, {tuple(exps): ONE})
+        return _poly(tuple(variables), {tuple(exps): 1}, 1)
 
     # -- predicates and views
 
     @property
+    def terms(self):
+        """The coefficients as a new dict of nonzero Fractions."""
+        d = self.denom
+        return {e: Fraction(c, d) for e, c in self.nums.items()}
+
+    @property
     def is_zero(self):
-        return not self.terms
+        return not self.nums
 
     @property
     def is_const(self):
-        return not self.terms or (len(self.terms) == 1 and not any(
-            next(iter(self.terms))))
+        nums = self.nums
+        return not nums or (len(nums) == 1 and not any(next(iter(nums))))
 
     def const_value(self):
-        if not self.terms:
+        if not self.nums:
             return ZERO
-        return next(iter(self.terms.values()))
+        return Fraction(next(iter(self.nums.values())), self.denom)
 
     def degree_in(self, name):
-        if not self.terms:
+        if not self.nums:
             return -1
         idx = self.vars.index(name)
-        return max(e[idx] for e in self.terms)
+        return max(e[idx] for e in self.nums)
 
     def involves(self, name):
         idx = self.vars.index(name)
-        return any(e[idx] for e in self.terms)
+        return any(e[idx] for e in self.nums)
 
     def lead(self):
         """Graded-lex leading (exponent, coefficient) pair."""
-        e = max(self.terms, key=_grlex_key)
-        return e, self.terms[e]
+        e = max(self.nums, key=_grlex_key)
+        return e, Fraction(self.nums[e], self.denom)
 
     def sorted_terms(self):
-        """Terms in descending graded-lex order."""
+        """Terms in descending graded-lex order, with Fraction coefficients."""
         return sorted(self.terms.items(), key=lambda t: _grlex_key(t[0]),
                       reverse=True)
 
@@ -157,53 +202,93 @@ class MultiPoly:
 
     def __eq__(self, other):
         return (isinstance(other, MultiPoly) and self.vars == other.vars
-                and self.terms == other.terms)
+                and self.denom == other.denom and self.nums == other.nums)
 
     def __hash__(self):
-        return hash((self.vars, frozenset(self.terms.items())))
+        return hash((self.vars, frozenset(self.nums.items()), self.denom))
 
     def __add__(self, other):
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, ZERO) + c
+        return self._combine(other, 1)
+
+    def __sub__(self, other):
+        return self._combine(other, -1)
+
+    def _combine(self, other, sign):
+        """``self + sign * other`` over the lcm of the denominators."""
+        if not other.nums:
+            return self
+        if not self.nums:
+            return other if sign == 1 else -other
+        da, db = self.denom, other.denom
+        if da == db:
+            ma, mb, den = 1, sign, da
+        else:
+            g = gcd(da, db)
+            ma, mb = db // g, sign * (da // g)
+            den = da * ma
+        out = (dict(self.nums) if ma == 1
+               else {e: c * ma for e, c in self.nums.items()})
+        get = out.get
+        for e, c in other.nums.items():
+            s = get(e, 0) + c * mb
             if s:
                 out[e] = s
             else:
-                out.pop(e, None)
-        return MultiPoly(self.vars, out)
+                del out[e]
+        return _reduced(self.vars, out, den)
 
     def __neg__(self):
-        return MultiPoly(self.vars, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
+        return _poly(self.vars, {e: -c for e, c in self.nums.items()},
+                     self.denom)
 
     def __mul__(self, other):
-        if not self.terms or not other.terms:
-            return MultiPoly.zero(self.vars)
+        a, b = self.nums, other.nums
+        if not a or not b:
+            return _poly(self.vars, {}, 1)
         if other.is_const:
-            return self.scale(other.const_value())
+            return self._scaled(next(iter(b.values())), other.denom)
         if self.is_const:
-            return other.scale(self.const_value())
-        a, da = _integral(self.terms)
-        b, db = _integral(other.terms)
+            return other._scaled(next(iter(a.values())), self.denom)
         out = {}
         get = out.get
-        for e1, c1 in a:
-            for e2, c2 in b:
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
                 e = tuple(map(add, e1, e2))
                 out[e] = get(e, 0) + c1 * c2
-        d = da * db
-        return MultiPoly(self.vars,
-                         {e: Fraction(n, d) for e, n in out.items() if n})
+        return _reduced(self.vars, {e: n for e, n in out.items() if n},
+                        self.denom * other.denom)
 
     def scale(self, c):
-        if c == 1:
+        """The product with an int or Fraction ``c``."""
+        c = _rational(c)
+        return self._scaled(c.numerator, c.denominator)
+
+    def _scaled(self, n, d):
+        """The product with ``n / d`` for ints ``n`` and ``d != 0``."""
+        if not n:
+            return _poly(self.vars, {}, 1)
+        if d < 0:
+            n, d = -n, -d
+        g = gcd(n, d)
+        if g != 1:
+            n //= g
+            d //= g
+        nums, den = self.nums, self.denom
+        if n == d or not nums:
             return self
-        c = Fraction(c)
-        if c == 0:
-            return MultiPoly.zero(self.vars)
-        return MultiPoly(self.vars, {e: k * c for e, k in self.terms.items()})
+        # n/d and the polynomial are reduced: only gcd(n, den) and
+        # gcd(content, d) cancel
+        g = gcd(n, den)
+        if g != 1:
+            n //= g
+            den //= g
+        g = gcd(d, *nums.values()) if d != 1 else 1
+        if g != 1:
+            d //= g
+            nums = {e: c // g * n for e, c in nums.items()}
+        elif n != 1:
+            nums = {e: c * n for e, c in nums.items()}
+        return _poly(self.vars, nums, den * d)
 
     def inverse(self):
         return _coprime_quotient(MultiPoly.const(self.vars, 1), self)
@@ -220,94 +305,123 @@ class MultiPoly:
             n >>= 1
         return result
 
+    def lead_num(self):
+        """The integer numerator of the graded-lex leading coefficient."""
+        return self.nums[max(self.nums, key=_grlex_key)]
+
     def monic(self):
         """Scale so the graded-lex leading coefficient is one."""
-        if not self.terms:
-            return self
-        return self.scale(ONE / self.lead()[1])
+        return self._scaled(self.denom, self.lead_num()) if self.nums else self
 
     def exact_div(self, divisor):
-        """Return self / divisor if the division is exact, else None."""
+        """Return self / divisor if the division is exact, else None.
+
+        By Gauss's lemma the divisor's primitive integer part divides over Q
+        exactly when it divides over Z, so one integer division decides.
+        """
         if divisor.is_zero:
             raise DivisionByZero("polynomial division by zero")
         if self.is_zero:
             return self
         if divisor.is_const:
-            return self.scale(ONE / divisor.const_value())
-        de, dc = divisor.lead()
-        rem = dict(self.terms)
-        quo = {}
-        while rem:
-            re = max(rem, key=_grlex_key)
-            qe = tuple(a - b for a, b in zip(re, de))
-            if any(x < 0 for x in qe):
-                return None
-            qc = rem[re] / dc
-            quo[qe] = qc
-            for e2, c2 in divisor.terms.items():
-                e = tuple(a + b for a, b in zip(qe, e2))
-                s = rem.get(e, ZERO) - qc * c2
-                if s:
-                    rem[e] = s
-                else:
-                    rem.pop(e, None)
-        return MultiPoly(self.vars, quo)
+            return self._scaled(divisor.denom, next(iter(divisor.nums.values())))
+        c = gcd(*divisor.nums.values())
+        prim = divisor.nums if c == 1 else {
+            e: v // c for e, v in divisor.nums.items()}
+        quo = _int_quotient(self.nums, prim)
+        if quo is None:
+            return None
+        # self / divisor = quo * divisor.denom / (self.denom * c)
+        if divisor.denom != 1:
+            quo = {e: v * divisor.denom for e, v in quo.items()}
+        return _reduced(self.vars, quo, self.denom * c)
 
     def partial(self, name):
         idx = self.vars.index(name)
         out = {}
-        for e, c in self.terms.items():
+        for e, c in self.nums.items():
             k = e[idx]
-            if k == 0:
-                continue
-            e2 = e[:idx] + (k - 1,) + e[idx + 1:]
-            s = out.get(e2, ZERO) + c * k
-            if s:
-                out[e2] = s
-            else:
-                del out[e2]
-        return MultiPoly(self.vars, out)
+            if k:
+                out[e[:idx] + (k - 1,) + e[idx + 1:]] = c * k
+        return _reduced(self.vars, out, self.denom)
 
     def specialize(self, values):
-        """Substitute Fractions for a subset of variables.
+        """Substitute ints or Fractions for a subset of variables.
 
-        ``values`` maps variable names to Fractions; the result lives over
-        the remaining variables (in their original order).
+        ``values`` maps variable names to values; the result lives over the
+        remaining variables (in their original order).  A value ``n/d`` of a
+        variable of top degree ``top`` turns ``x**k`` into
+        ``n**k * d**(top - k)`` over ``d**top``.
         """
         keep = [i for i, v in enumerate(self.vars) if v not in values]
-        new_vars = tuple(self.vars[i] for i in keep)
+        den = self.denom
+        subs = []
+        for i, v in enumerate(self.vars):
+            if v in values and self.nums:
+                x = _rational(values[v])
+                top = max(e[i] for e in self.nums)
+                den *= x.denominator ** top
+                subs.append((i, x.numerator, x.denominator, top))
         out = {}
-        for e, c in self.terms.items():
-            for i, v in enumerate(self.vars):
-                if v in values:
-                    c = c * values[v] ** e[i]
+        for e, c in self.nums.items():
+            for i, n, d, top in subs:
+                c *= n ** e[i] * d ** (top - e[i])
             e2 = tuple(e[i] for i in keep)
-            s = out.get(e2, ZERO) + c
+            s = out.get(e2, 0) + c
             if s:
                 out[e2] = s
             else:
-                del out[e2]
-        return MultiPoly(new_vars, out)
+                out.pop(e2, None)
+        new_vars = tuple(self.vars[i] for i in keep)
+        return _reduced(new_vars, out, den)
 
     def reordered(self, new_vars):
         """Re-express over a variable tuple containing all used variables."""
         pos = {v: i for i, v in enumerate(new_vars)}
         for i, v in enumerate(self.vars):
-            if v not in pos and any(e[i] for e in self.terms):
+            if v not in pos and any(e[i] for e in self.nums):
                 raise UnknownVariable(f"variable '{v}' not present in target")
         out = {}
-        for e, c in self.terms.items():
+        for e, c in self.nums.items():
             e2 = [0] * len(new_vars)
             for i, v in enumerate(self.vars):
                 if e[i]:
                     e2[pos[v]] = e[i]
             out[tuple(e2)] = c
-        return MultiPoly(tuple(new_vars), out)
+        return _poly(tuple(new_vars), out, self.denom)
 
     def __repr__(self):
         from .expr import render_poly
 
         return f"MultiPoly({render_poly(self)!r})"
+
+
+def _int_quotient(f, h):
+    """``f / h`` for nonzero integer polynomials (exponent tuple -> int) if
+    ``h`` divides ``f`` over the integers, else None; stops at the first
+    quotient term that cannot occur."""
+    limit = tuple(map(sub, map(max, zip(*f)), map(max, zip(*h))))
+    he = max(h)
+    hc = h[he]
+    rem = dict(f)
+    quo = {}
+    while rem:
+        re = max(rem)
+        qe = tuple(map(sub, re, he))
+        if min(qe) < 0 or any(map(gt, qe, limit)):
+            return None
+        q, r = divmod(rem[re], hc)
+        if r:
+            return None
+        quo[qe] = q
+        for e2, c2 in h.items():
+            e = tuple(map(add, qe, e2))
+            s = rem.get(e, 0) - q * c2
+            if s:
+                rem[e] = s
+            else:
+                del rem[e]
+    return quo
 
 
 # ---------------------------------------------------------------------------
@@ -317,41 +431,33 @@ class MultiPoly:
 
 def _terms_mono(poly):
     """The monomial gcd of the terms of a nonzero polynomial."""
-    return tuple(map(min, zip(*poly.terms)))
+    return tuple(map(min, zip(*poly.nums)))
 
 
 def _div_mono(poly, mono):
     if not any(mono):
         return poly
-    return MultiPoly(poly.vars, {
-        tuple(a - b for a, b in zip(e, mono)): c
-        for e, c in poly.terms.items()
-    })
+    return _poly(poly.vars, {tuple(map(sub, e, mono)): c
+                             for e, c in poly.nums.items()}, poly.denom)
 
 
 def _scalar_multiple(a, b):
     """Return True if a = c*b for a nonzero rational c."""
-    if a.terms.keys() != b.terms.keys():
+    an, bn = a.nums, b.nums
+    if an.keys() != bn.keys():
         return False
-    ratio = None
-    for e, c in a.terms.items():
-        r = c / b.terms[e]
-        if ratio is None:
-            ratio = r
-        elif r != ratio:
-            return False
-    return True
+    e0 = next(iter(an))
+    ra, rb = an[e0], bn[e0]
+    return all(c * rb == bn[e] * ra for e, c in an.items())
 
 
 def _univar_coeffs(poly, idx):
     """Split by the exponent of variable ``idx``: degree -> coefficient poly."""
     out = {}
-    for e, c in poly.terms.items():
-        k = e[idx]
-        e2 = e[:idx] + (0,) + e[idx + 1:]
-        bucket = out.setdefault(k, {})
-        bucket[e2] = c
-    return {k: MultiPoly(poly.vars, t) for k, t in out.items()}
+    for e, c in poly.nums.items():
+        bucket = out.setdefault(e[idx], {})
+        bucket[e[:idx] + (0,) + e[idx + 1:]] = c
+    return {k: _reduced(poly.vars, t, poly.denom) for k, t in out.items()}
 
 
 def _content_pp(poly, idx):
@@ -387,7 +493,7 @@ def _prem(f, g, idx):
         lr = r_by[n]
         shift = [0] * len(f.vars)
         shift[idx] = n - m
-        xk = MultiPoly(f.vars, {tuple(shift): ONE})
+        xk = _poly(f.vars, {tuple(shift): 1}, 1)
         q = lr.exact_div(lg)
         if q is not None:
             r = r - q * xk * g
@@ -396,56 +502,12 @@ def _prem(f, g, idx):
     return r
 
 
-def _only_var(poly, idx):
-    return all(all(e[i] == 0 for i in range(len(e)) if i != idx)
-               for e in poly.terms)
-
-
-def _gcd_univar(a, b, idx):
-    """Euclid over the rationals for single-variable polynomials.
-
-    Remainders are made monic at every step; this keeps coefficient growth
-    polynomial where a pseudo-remainder sequence would swell exponentially.
-    """
-    def dense(p):
-        out = [ZERO] * (p.degree_in(p.vars[idx]) + 1)
-        for e, c in p.terms.items():
-            out[e[idx]] = c
-        return out
-
-    fa, fb = dense(a), dense(b)
-    if len(fa) < len(fb):
-        fa, fb = fb, fa
-    while fb:
-        inv = 1 / fb[-1]
-        if inv != 1:
-            fb = [c * inv for c in fb]
-        while len(fa) >= len(fb):
-            c = fa[-1]
-            k = len(fa) - len(fb)
-            if c:
-                for i, y in enumerate(fb):
-                    fa[k + i] -= c * y
-            fa.pop()
-            while fa and fa[-1] == 0:
-                fa.pop()
-        fa, fb = fb, fa
-    lead = fa[-1]
-    exps = [0] * len(a.vars)
-    terms = {}
-    for power, c in enumerate(fa):
-        if c:
-            exps[idx] = power
-            terms[tuple(exps)] = c / lead
-    return MultiPoly(a.vars, terms)
-
-
 def poly_gcd(a, b):
     """Monic greatest common divisor of two polynomials; gcd(0, 0) = 0.
 
     After the monomial, constant and scalar-multiple shortcuts the heuristic
-    GCD runs on the integer-cleared operands; the primitive remainder
-    sequence runs only when the heuristic gives up.
+    GCD runs on the integer numerators; the primitive remainder sequence
+    runs only when the heuristic gives up.
     """
     if a.vars != b.vars:
         raise ContextMismatch("gcd of polynomials over different variables")
@@ -457,29 +519,28 @@ def poly_gcd(a, b):
     mono = tuple(map(min, ma, mb))
     a = _div_mono(a, ma)
     b = _div_mono(b, mb)
-    base = MultiPoly(a.vars, {mono: ONE})
+    base = _poly(a.vars, {mono: 1}, 1)
     if a.is_const or b.is_const:
         return base
     if _scalar_multiple(a, b):
         return (base * a).monic()
-    if not any(any(e[i] for e in a.terms) and any(e[i] for e in b.terms)
+    if not any(any(e[i] for e in a.nums) and any(e[i] for e in b.nums)
                for i in range(len(a.vars))):
         return base
-    h = _heu_gcd(dict(_integral(a.terms)[0]), dict(_integral(b.terms)[0]))
+    h = _heu_gcd(a.nums, b.nums)
     if h is None:
         return (base * _prs_poly_gcd(a, b)).monic()
     if len(h) == 1:
         return base  # monomial-free operands: a one-term gcd is constant
-    lead = h[max(h, key=_grlex_key)]
-    return MultiPoly(a.vars, {tuple(map(add, e, mono)): Fraction(c, lead)
-                              for e, c in h.items()})
+    return _poly(a.vars, {tuple(map(add, e, mono)): c for e, c in h.items()},
+                 1).monic()
 
 
 def _prs_poly_gcd(a, b):
     """gcd of two non-constant polynomials that share a variable, by
     recursive contents and a primitive remainder sequence; not normalized."""
     shared = [i for i in range(len(a.vars))
-              if any(e[i] for e in a.terms) and any(e[i] for e in b.terms)]
+              if any(e[i] for e in a.nums) and any(e[i] for e in b.nums)]
     # eliminate the lowest-degree shared variable first: fewest remainder
     # steps, least coefficient swell
     idx = min(shared, key=lambda i: min(a.degree_in(a.vars[i]),
@@ -489,11 +550,7 @@ def _prs_poly_gcd(a, b):
     cont = poly_gcd(ca, cb)
     if pa.degree_in(a.vars[idx]) < pb.degree_in(a.vars[idx]):
         pa, pb = pb, pa
-    if _only_var(pa, idx) and _only_var(pb, idx):
-        g = _gcd_univar(pa, pb, idx)
-    else:
-        g = _prs_gcd(pa, pb, idx)
-    return cont * g
+    return cont * _prs_gcd(pa, pb, idx)
 
 
 def _prs_gcd(pa, pb, idx):
@@ -545,7 +602,8 @@ def _heu_gcd(f, g):
             ch = gcd(*h.values())
             h = {e: v // ch for e, v in h.items()}
             if ((len(h) == 1 and zero in h)
-                    or (_int_divides(h, f) and _int_divides(h, g))):
+                    or (_int_quotient(f, h) is not None
+                        and _int_quotient(g, h) is not None)):
                 return {e: v * c for e, v in h.items()}
         xi = 73794 * xi * isqrt(isqrt(xi)) // 27011
     return None
@@ -580,31 +638,6 @@ def _xi_adic(h, k, xi):
             c = (c - r) // xi
             i += 1
     return out
-
-
-def _int_divides(h, f):
-    """Whether the integer polynomial ``h`` divides ``f`` over the integers;
-    stops at the first quotient term that cannot occur."""
-    limit = tuple(map(sub, map(max, zip(*f)), map(max, zip(*h))))
-    he = max(h)
-    hc = h[he]
-    rem = dict(f)
-    while rem:
-        re = max(rem)
-        qe = tuple(map(sub, re, he))
-        if any(q < 0 or q > m for q, m in zip(qe, limit)):
-            return False
-        q, r = divmod(rem[re], hc)
-        if r:
-            return False
-        for e2, c2 in h.items():
-            e = tuple(map(add, qe, e2))
-            s = rem.get(e, 0) - q * c2
-            if s:
-                rem[e] = s
-            else:
-                del rem[e]
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -717,10 +750,10 @@ class RatFunc:
 
 def _coprime_quotient(num, den):
     """num/den for coprime num and den, scaled to a monic denominator."""
-    _, lc = den.lead()
-    if lc != 1:
-        num = num.scale(ONE / lc)
-        den = den.scale(ONE / lc)
+    lc = den.lead_num()
+    if lc != den.denom:
+        num = num._scaled(den.denom, lc)
+        den = den.monic()
     return RatFunc(num, den)
 
 
@@ -754,7 +787,7 @@ def _content_gcd(den, nums):
     """Monic gcd of ``den`` and every entry of ``nums``; ``den`` nonzero."""
     g = den
     # smallest entries first: a trivial gcd usually shows on them
-    for n in sorted((n for n in nums if n.terms), key=lambda n: len(n.terms)):
+    for n in sorted((n for n in nums if n.nums), key=lambda n: len(n.nums)):
         if g.is_const:
             break
         g = poly_gcd(g, n)
@@ -787,7 +820,7 @@ class Extension:
             vec = [c.scale(ONE / lead.const_value()) for c in vec]
             lead = lead.monic()
         self.lead = lead
-        self.tail = [(i, c) for i, c in enumerate(vec) if c.terms]
+        self.tail = [(i, c) for i, c in enumerate(vec) if c.nums]
         self.derivatives = {}
 
     def pseudo_remainder(self, vec):
@@ -858,17 +891,17 @@ class ExtElem:
     @classmethod
     def make(cls, nums, den, ext):
         """``nums / den`` in canonical form; ``den`` nonzero."""
-        if not any(n.terms for n in nums):
+        if not any(n.nums for n in nums):
             return ext.zero_elem()
         if not den.is_const:
             g = _content_gcd(den, nums)
             if not g.is_const:
                 nums = [n.exact_div(g) for n in nums]
                 den = den.exact_div(g)
-        _, lc = den.lead()
-        if lc != 1:
-            nums = [n.scale(ONE / lc) for n in nums]
-            den = den.scale(ONE / lc)
+        lc = den.lead_num()
+        if lc != den.denom:
+            nums = [n._scaled(den.denom, lc) for n in nums]
+            den = den.monic()
         return cls(nums, den, ext)
 
     @property
@@ -882,7 +915,7 @@ class ExtElem:
 
     @property
     def is_zero(self):
-        return not any(n.terms for n in self.nums)
+        return not any(n.nums for n in self.nums)
 
     def __eq__(self, other):
         return (isinstance(other, ExtElem) and self.ext == other.ext
@@ -961,7 +994,7 @@ class ExtElem:
                                for n in self.nums], den * den, ext)
         # chain-rule part: (sum_i i * nums_i * y**(i-1)) / den * dy
         dnums = [n.scale(i) for i, n in enumerate(self.nums) if i]
-        if gen_derivative.is_zero or not any(n.terms for n in dnums):
+        if gen_derivative.is_zero or not any(n.nums for n in dnums):
             return direct
         chain = ext.reduce(_vector_product(dnums, gen_derivative.nums),
                            den * gen_derivative.den)
@@ -981,7 +1014,7 @@ def _fraction_free_solve(rows):
     n = len(rows)
     prev = MultiPoly.const(rows[0][0].vars, 1)
     for k in range(n):
-        p = next((i for i in range(k, n) if rows[i][k].terms), None)
+        p = next((i for i in range(k, n) if rows[i][k].nums), None)
         if p is None:
             raise DivisionByZero(
                 "element shares a factor with the minimal relation")
@@ -1051,16 +1084,16 @@ def relation_is_irreducible(relation, gen):
         return True
     others = [v for v in relation.vars if v != gen]
     idx = relation.vars.index(gen)
-    lead = MultiPoly(relation.vars, {
+    lead = _poly(relation.vars, {
         e[:idx] + (0,) + e[idx + 1:]: c
-        for e, c in relation.terms.items() if e[idx] == deg
-    })
+        for e, c in relation.nums.items() if e[idx] == deg
+    }, 1)
     for j, seed in enumerate(_SPECIALIZE_SEEDS):
-        values = {v: Fraction(seed + i) for i, v in enumerate(others)}
+        values = {v: seed + i for i, v in enumerate(others)}
         if others and lead.specialize(values).is_zero:
             continue
         int_coeffs = [0] * (deg + 1)
-        for e, c in _integral(relation.specialize(values).terms)[0]:
+        for e, c in relation.specialize(values).nums.items():
             int_coeffs[e[0]] = c
         if not _rational_roots_exist(int_coeffs):
             return True
@@ -1157,7 +1190,7 @@ class ScalarContext:
     # -- element constructors
 
     def const(self, value):
-        return Scalar(self, Fraction(value))
+        return Scalar(self, _rational(value))
 
     def zero(self):
         return Scalar(self, ZERO)
@@ -1384,7 +1417,7 @@ class Scalar:
 
 def _demote(payload):
     if type(payload) is ExtElem:
-        if any(n.terms for n in payload.nums[1:]):
+        if any(n.nums for n in payload.nums[1:]):
             return payload
         payload = RatFunc(payload.nums[0], payload.den)
     if type(payload) is RatFunc:
@@ -1454,7 +1487,7 @@ def _substitute(payload, constants, bindings, target):
         p = stack.pop()
         if isinstance(p, MultiPoly):
             for i, name in enumerate(p.vars):
-                if any(e[i] for e in p.terms):
+                if any(e[i] for e in p.nums):
                     needed.add(name)
         elif isinstance(p, RatFunc):
             stack.extend((p.num, p.den))

@@ -4,6 +4,7 @@ import json
 import operator
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given
@@ -271,6 +272,142 @@ class TestSparseProduct:
         assert (integral * integral).terms == {(0, 0, 0): Fraction(4)}
         _assert_canonical(c * p)
         _assert_canonical(integral * integral)
+
+
+def _ref_add(a, b, sign=1):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, Fraction(0)) + sign * c
+    return {e: c for e, c in out.items() if c}
+
+
+def _ref_lead(a):
+    return max(a, key=lambda e: (sum(e), e))
+
+
+def _ref_div(a, b):
+    """Long division in graded-lex order; None when it is not exact."""
+    rem, quo = dict(a), {}
+    be = _ref_lead(b)
+    while rem:
+        re = _ref_lead(rem)
+        qe = tuple(map(operator.sub, re, be))
+        if min(qe) < 0:
+            return None
+        quo[qe] = q = rem[re] / b[be]
+        rem = _ref_add(rem, {tuple(map(operator.add, qe, e)): q * c
+                             for e, c in b.items()}, -1)
+    return quo
+
+
+def _ref_partial(a, idx):
+    return {e[:idx] + (e[idx] - 1,) + e[idx + 1:]: c * e[idx]
+            for e, c in a.items() if e[idx]}
+
+
+def _ref_specialize(a, values, variables):
+    out = {}
+    for e, c in a.items():
+        for k, v in zip(e, variables):
+            if v in values:
+                c *= values[v] ** k
+        kept = tuple(k for k, v in zip(e, variables) if v not in values)
+        out = _ref_add(out, {kept: c})
+    return out
+
+
+def _assert_int_canonical(poly):
+    """Integer numerators over a positive denominator, in lowest terms."""
+    assert type(poly.denom) is int and poly.denom > 0
+    assert all(type(c) is int and c for c in poly.nums.values())
+    assert gcd(poly.denom, *poly.nums.values()) == 1
+    if not poly.nums:
+        assert poly.denom == 1
+
+
+class TestIntegerKernels:
+    """Every integer kernel of MultiPoly against Fraction-dict arithmetic on
+    random polynomials in 2-4 variables."""
+
+    NAMES = ("w", "x", "y", "z")
+
+    def test_kernels_match_fraction_reference(self):
+        rng = random.Random(9)
+        for trial in range(300):
+            n = rng.randint(2, 4)
+            names = self.NAMES[:n]
+            a, b = _random_poly(rng, names), _random_poly(rng, names)
+            ta, tb = a.terms, b.terms
+            c = Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 6, 35)))
+            idx = rng.randrange(n)
+            values = {v: Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                      for v in rng.sample(names, rng.randint(1, n - 1))}
+            order = tuple(reversed(names)) + ("t",)
+            checks = {
+                "+": (a + b, _ref_add(ta, tb)),
+                "-": (a - b, _ref_add(ta, tb, -1)),
+                "*": (a * b, _schoolbook_product(a, b)),
+                "scale": (a.scale(c), {e: v * c for e, v in ta.items() if c}),
+                "partial": (a.partial(names[idx]), _ref_partial(ta, idx)),
+                "specialize": (a.specialize(values),
+                               _ref_specialize(ta, values, names)),
+                "reordered": (a.reordered(order),
+                              {tuple(reversed(e)) + (0,): v
+                               for e, v in ta.items()}),
+            }
+            if ta:
+                lead = ta[_ref_lead(ta)]
+                checks["monic"] = (a.monic(),
+                                   {e: v / lead for e, v in ta.items()})
+            if tb:
+                checks["exact_div"] = (a.exact_div(b), _ref_div(ta, tb))
+                checks["exact_div of a product"] = ((a * b).exact_div(b), ta)
+            for op, (got, want) in checks.items():
+                if want is None:
+                    assert got is None, (trial, op)
+                    continue
+                assert got.terms == want, (trial, op)
+                _assert_int_canonical(got)
+
+    def test_exact_div_refuses_what_does_not_divide(self):
+        x, y = (MultiPoly.var(("x", "y"), v) for v in ("x", "y"))
+        one = MultiPoly.const(("x", "y"), 1)
+        assert (x * x + one).exact_div(x + one) is None
+        assert x.exact_div(x * y) is None
+        assert (x * y + one).exact_div(y.scale(Fraction(2, 3))) is None
+
+    def test_exact_div_strips_the_divisor_content(self):
+        x = MultiPoly.var(("x", "y"), "x")
+        one = MultiPoly.const(("x", "y"), 1)
+        # 2x + 2 has integer content 2, which does not divide 1 over Z
+        assert (x + one).exact_div(x.scale(2) + one.scale(2)) \
+            == MultiPoly.const(("x", "y"), Fraction(1, 2))
+        p = (x + one).scale(Fraction(3, 7))
+        q = (x + one).scale(Fraction(10, 21))
+        assert p.exact_div(q) == MultiPoly.const(("x", "y"), Fraction(9, 10))
+
+    def test_arithmetic_and_fraction_dicts_build_equal_polynomials(self):
+        rng = random.Random(21)
+        for trial in range(100):
+            names = self.NAMES[:rng.randint(2, 4)]
+            a, b = _random_poly(rng, names), _random_poly(rng, names)
+            got = a * b - a + b.scale(Fraction(5, 6))
+            want = MultiPoly(names, _ref_add(
+                _ref_add(_schoolbook_product(a, b), a.terms, -1),
+                {e: v * Fraction(5, 6) for e, v in b.terms.items()}))
+            assert got == want and hash(got) == hash(want), trial
+            _assert_int_canonical(got)
+            assert (a - a).denom == 1 and (a - a).is_zero
+
+    def test_floats_are_refused(self):
+        from helpers import poly_ring
+
+        p = MultiPoly.var(("x",), "x")
+        for build in (lambda: POLY.const(0.1), lambda: poly_ring("x").scalar(0.1),
+                      lambda: p.scale(0.5), lambda: MultiPoly.const(("x",), 0.5),
+                      lambda: MultiPoly(("x",), {(1,): 0.5})):
+            with pytest.raises(TypeError):
+                build()
 
 
 def _assert_reduced(q):
