@@ -13,16 +13,16 @@ that can represent them:
   products, exact division, the gcd) works on plain ints; ``terms`` is a
   Fraction view for rendering.  Term order is graded lexicographic on the
   declared variable order.
-* ``RatFunc`` is a reduced fraction of two MultiPolys with monic denominator.
-  Sums and products of reduced operands use Henrici's formulas, which take
-  gcds of the denominators and of the cross numerator/denominator pairs
-  instead of one gcd of the full unreduced product.
-* ``ExtElem`` represents an element of a separable algebraic extension as
-  one vector of polynomial coefficients of the generator's powers over one
-  common monic denominator, reduced modulo the minimal relation of the single
-  extension generator with polynomial arithmetic only.  Each operation
-  cancels with one content gcd against the denominator; the inverse is a
-  fraction-free solve of the multiplication matrix.
+* ``RatFunc`` and ``ExtElem`` share one quotient form: polynomial
+  numerators over one common monic denominator that shares no factor with
+  all of them at once.  A ``RatFunc`` has one numerator; an ``ExtElem`` has
+  one per power of the single extension generator, reduced modulo its
+  minimal relation with polynomial arithmetic only.  Both kinds share one
+  cancel step (a content gcd against the denominator, then a monic
+  rescale), Henrici's sum and the quotient rule.  The product is per kind:
+  cross gcds for a ``RatFunc``, reduction modulo the relation for an
+  ``ExtElem``, whose inverse is a fraction-free solve of its
+  multiplication matrix.
 
 Every reduction rests on ``poly_gcd``.  It runs the heuristic GCD (GCDHEU:
 evaluate the integer numerators at large integers, take an integer gcd,
@@ -48,7 +48,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-from operator import add, gt, mul, sub
+from operator import add, attrgetter, gt, mul, sub
 from typing import Union
 
 from .errors import (
@@ -291,7 +291,7 @@ class MultiPoly:
         return _poly(self.vars, nums, den * d)
 
     def inverse(self):
-        return _coprime_quotient(MultiPoly.const(self.vars, 1), self)
+        return RatFunc(self, MultiPoly.const(self.vars, 1)).inverse()
 
     def __pow__(self, n):
         if n < 0:
@@ -641,80 +641,151 @@ def _xi_adic(h, k, xi):
 
 
 # ---------------------------------------------------------------------------
-# Rational functions
+# Quotients: rational functions and algebraic extension elements
 # ---------------------------------------------------------------------------
 
-class RatFunc:
-    """Reduced fraction of polynomials with monic denominator.
+_terms_of = attrgetter("nums")  # a polynomial's terms: empty for zero
 
-    ``make`` reduces an arbitrary pair with one gcd.  Sums and products use
-    Henrici's formulas for reduced operands (Knuth, TAOCP vol. 2, 4.5.1):
-    they take gcds of the denominators and of the cross numerator and
-    denominator pairs, never of the full unreduced product.
+def _content_gcd(den, nums):
+    """gcd of ``den`` and every nonzero entry of ``nums``; ``den`` if none."""
+    g = den
+    # smallest entries first: a trivial gcd usually shows on them
+    for n in sorted(filter(_terms_of, nums), key=lambda n: len(n.nums)):
+        if g.is_const:
+            break
+        g = poly_gcd(g, n)
+    return g
+
+
+def _cancel(nums, den):
+    """The canonical ``(nums, den)`` of the quotient ``nums / den``: the
+    content gcd of the numerators cancelled against ``den``, which is then
+    scaled monic; zero gets the denominator one.  ``den`` is nonzero."""
+    if not any(map(_terms_of, nums)):
+        return nums, MultiPoly.const(den.vars, 1)
+    if not den.is_const:
+        g = _content_gcd(den, nums)
+        if not g.is_const:
+            nums = [n.exact_div(g) for n in nums]
+            den = den.exact_div(g)
+    return _monic_den(nums, den)
+
+
+def _monic_den(nums, den):
+    """``(nums, den)`` scaled so that ``den`` is monic."""
+    lc = den.lead_num()
+    if lc != den.denom:
+        nums = [n._scaled(den.denom, lc) for n in nums]
+        den = den.monic()
+    return nums, den
+
+
+class _Quotient:
+    """Polynomial numerators ``nums`` over one monic polynomial ``den``: one
+    numerator for a RatFunc, one per power of the generator for an ExtElem.
+
+    The form is canonical: ``den`` shares no factor with all of ``nums`` at
+    once, and zero has ``den`` one.  ``_with(nums, den)`` builds the same
+    kind from a canonical pair; ``_cancel`` makes any pair canonical.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("nums", "den")
+    ext = None  # an ExtElem's Extension; a RatFunc has none
+
+    @property
+    def is_zero(self):
+        return not any(map(_terms_of, self.nums))
+
+    def __eq__(self, other):
+        return (type(other) is type(self) and self.ext == other.ext
+                and self.den == other.den and self.nums == other.nums)
+
+    def __hash__(self):
+        return hash((self.nums, self.den))
+
+    def __add__(self, other):
+        # Henrici's sum for reduced operands (Knuth, TAOCP vol. 2, 4.5.1):
+        # gcds of the denominators and of the new numerators with their
+        # common factor, never of the full unreduced sum.  A factor divides
+        # a numerator vector when it divides every entry, and a denominator
+        # of one is the constant 1 (monic)
+        a, b = self.nums, self.den
+        c, d = other.nums, other.den
+        if b.is_const:
+            if d.is_const:
+                return self._with(list(map(add, a, c)), d)
+            return self._with([x * d + y for x, y in zip(a, c)], d)
+        if d.is_const:
+            return self._with([x + y * b for x, y in zip(a, c)], b)
+        g = poly_gcd(b, d)
+        if g.is_const:
+            return self._with([x * d + y * b for x, y in zip(a, c)], b * d)
+        b = b.exact_div(g)
+        dg = d.exact_div(g)
+        t = [x * dg + y * b for x, y in zip(a, c)]
+        # t = 0 only when b = d; then g2 = g and the denominator is 1
+        g2 = _content_gcd(g, t)
+        if not g2.is_const:
+            t = [x.exact_div(g2) for x in t]
+            d = d.exact_div(g2)
+        return self._with(t, b * d)
+
+    def __neg__(self):
+        return self._with([-n for n in self.nums], self.den)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, c):
+        """The product with a nonzero int or Fraction ``c``."""
+        return self._with([n.scale(c) for n in self.nums], self.den)
+
+    def partial(self, name):
+        """d/d(name) by the quotient rule, one cancel for all numerators."""
+        den = self.den
+        dden = den.partial(name)
+        return self._with(*_cancel([n.partial(name) * den - n * dden
+                                    for n in self.nums], den * den))
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.nums!r}, {self.den!r})"
+
+
+class RatFunc(_Quotient):
+    """Reduced fraction ``num / den`` of polynomials with monic denominator.
+
+    ``make`` reduces an arbitrary pair with one gcd.  The product cancels
+    the cross numerator and denominator pairs of reduced operands, never
+    the full unreduced product.
+    """
+
+    __slots__ = ()
 
     def __init__(self, num, den):
-        self.num = num
+        self.nums = (num,)
         self.den = den  # trusted: monic, coprime to num, nonzero
+
+    def _with(self, nums, den):
+        return RatFunc(nums[0], den)
 
     @classmethod
     def make(cls, num, den):
         if den.is_zero:
             raise DivisionByZero("zero denominator")
-        if num.is_zero:
-            return cls(num, MultiPoly.const(num.vars, 1))
-        g = poly_gcd(num, den)
-        if not g.is_const:
-            num = num.exact_div(g)
-            den = den.exact_div(g)
-        return _coprime_quotient(num, den)
+        (num,), den = _cancel((num,), den)
+        return cls(num, den)
 
     @property
-    def is_zero(self):
-        return self.num.is_zero
+    def num(self):
+        return self.nums[0]
 
     @property
     def is_poly(self):
         return self.den.is_const
 
-    def __eq__(self, other):
-        return (isinstance(other, RatFunc) and self.num == other.num
-                and self.den == other.den)
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def __add__(self, other):
-        # a denominator of one is the constant 1 (monic)
-        a, b = self.num, self.den
-        c, d = other.num, other.den
-        if b.is_const:
-            return RatFunc(a + c if d.is_const else a * d + c, d)
-        if d.is_const:
-            return RatFunc(a + c * b, b)
-        g = poly_gcd(b, d)
-        if g.is_const:
-            return RatFunc(a * d + c * b, b * d)
-        b = b.exact_div(g)
-        t = a * d.exact_div(g) + c * b
-        # t = 0 only when b = d; then g2 = g and the denominator is 1
-        g2 = poly_gcd(t, g)
-        if not g2.is_const:
-            t = t.exact_div(g2)
-            d = d.exact_div(g2)
-        return RatFunc(t, b * d)
-
-    def __neg__(self):
-        return RatFunc(-self.num, self.den)
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
-        a, b = self.num, self.den
-        c, d = other.num, other.den
+        (a,), b = self.nums, self.den
+        (c,), d = other.nums, other.den
         if a.is_zero:
             return self
         if c.is_zero:
@@ -731,30 +802,10 @@ class RatFunc:
                 b = b.exact_div(g2)
         return RatFunc(a * c, b * d)
 
-    def scale(self, c):
-        """The product with a nonzero int or Fraction ``c``."""
-        return RatFunc(self.num.scale(c), self.den)
-
     def inverse(self):
         if self.is_zero:
             raise DivisionByZero("inverse of zero")
-        return _coprime_quotient(self.den, self.num)
-
-    def partial(self, name):
-        num = self.num.partial(name) * self.den - self.num * self.den.partial(name)
-        return RatFunc.make(num, self.den * self.den)
-
-    def __repr__(self):
-        return f"RatFunc({self.num!r}, {self.den!r})"
-
-
-def _coprime_quotient(num, den):
-    """num/den for coprime num and den, scaled to a monic denominator."""
-    lc = den.lead_num()
-    if lc != den.denom:
-        num = num._scaled(den.denom, lc)
-        den = den.monic()
-    return RatFunc(num, den)
+        return self._with(*_monic_den((self.den,), self.num))
 
 
 # ---------------------------------------------------------------------------
@@ -781,17 +832,6 @@ def _vector_product(a, b):
             if not y.is_zero:
                 out[i + j] = out[i + j] + x * y
     return out
-
-
-def _content_gcd(den, nums):
-    """Monic gcd of ``den`` and every entry of ``nums``; ``den`` nonzero."""
-    g = den
-    # smallest entries first: a trivial gcd usually shows on them
-    for n in sorted((n for n in nums if n.nums), key=lambda n: len(n.nums)):
-        if g.is_const:
-            break
-        g = poly_gcd(g, n)
-    return g.monic()
 
 
 class Extension:
@@ -870,39 +910,29 @@ class Extension:
         return hash((self.gen, self.relation))
 
 
-class ExtElem:
+class ExtElem(_Quotient):
     """Element of the extension field, reduced modulo the minimal relation.
 
-    The element is ``sum_i nums[i] * gen**i / den``: ``nums`` holds exactly
-    deg(relation in the generator) polynomials over the base variables and
-    ``den`` is one monic polynomial.  The form is canonical: ``den`` shares
-    no factor with all of ``nums`` at once, and zero has ``den`` one.  Each
-    operation cancels with one content gcd against its denominator.
+    The element is ``sum_i nums[i] * gen**i / den`` in the canonical
+    quotient form of :class:`_Quotient`: ``nums`` holds exactly
+    deg(relation in the generator) polynomials over the base variables.
     ``ext`` is the context's shared :class:`Extension`.
     """
 
-    __slots__ = ("nums", "den", "ext")
+    __slots__ = ("ext",)
 
     def __init__(self, nums, den, ext):
         self.nums = tuple(nums)
         self.den = den  # trusted canonical; use ExtElem.make otherwise
         self.ext = ext
 
+    def _with(self, nums, den):
+        return ExtElem(nums, den, self.ext)
+
     @classmethod
     def make(cls, nums, den, ext):
         """``nums / den`` in canonical form; ``den`` nonzero."""
-        if not any(n.nums for n in nums):
-            return ext.zero_elem()
-        if not den.is_const:
-            g = _content_gcd(den, nums)
-            if not g.is_const:
-                nums = [n.exact_div(g) for n in nums]
-                den = den.exact_div(g)
-        lc = den.lead_num()
-        if lc != den.denom:
-            nums = [n._scaled(den.denom, lc) for n in nums]
-            den = den.monic()
-        return cls(nums, den, ext)
+        return cls(*_cancel(nums, den), ext)
 
     @property
     def gen(self):
@@ -913,48 +943,6 @@ class ExtElem:
         """Entry i is the reduced RatFunc coefficient of generator**i."""
         return tuple(RatFunc.make(n, self.den) for n in self.nums)
 
-    @property
-    def is_zero(self):
-        return not any(n.nums for n in self.nums)
-
-    def __eq__(self, other):
-        return (isinstance(other, ExtElem) and self.ext == other.ext
-                and self.nums == other.nums and self.den == other.den)
-
-    def __hash__(self):
-        return hash((self.nums, self.den, self.ext.gen))
-
-    def __add__(self, other):
-        # Henrici's sum (see RatFunc.__add__) on the numerator vectors: a
-        # factor divides a vector when it divides every entry
-        a, b = self.nums, self.den
-        c, d = other.nums, other.den
-        if b.is_const:
-            if d.is_const:
-                return ExtElem(map(add, a, c), d, self.ext)
-            return ExtElem([x * d + y for x, y in zip(a, c)], d, self.ext)
-        if d.is_const:
-            return ExtElem([x + y * b for x, y in zip(a, c)], b, self.ext)
-        g = poly_gcd(b, d)
-        if g.is_const:
-            return ExtElem([x * d + y * b for x, y in zip(a, c)], b * d,
-                           self.ext)
-        b = b.exact_div(g)
-        dg = d.exact_div(g)
-        t = [x * dg + y * b for x, y in zip(a, c)]
-        # t = 0 only when b = d; then g2 = g and the denominator is 1
-        g2 = _content_gcd(g, t)
-        if not g2.is_const:
-            t = [x.exact_div(g2) for x in t]
-            d = d.exact_div(g2)
-        return ExtElem(t, b * d, self.ext)
-
-    def __neg__(self):
-        return ExtElem([-n for n in self.nums], self.den, self.ext)
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
         if self.is_zero:
             return self
@@ -962,10 +950,6 @@ class ExtElem:
             return other
         return self.ext.reduce(_vector_product(self.nums, other.nums),
                                self.den * other.den)
-
-    def scale(self, c):
-        """The product with a nonzero int or Fraction ``c``."""
-        return ExtElem([n.scale(c) for n in self.nums], self.den, self.ext)
 
     def inverse(self):
         """``den * adj(M) e0 / det M`` for the matrix M of multiplication by
@@ -987,21 +971,15 @@ class ExtElem:
                              for v, k in zip(x, powers)], det, ext)
 
     def partial(self, name, gen_derivative):
-        """d/d(name), given the implicit derivative of the generator."""
-        ext, den = self.ext, self.den
-        dden = den.partial(name)
-        direct = ExtElem.make([n.partial(name) * den - n * dden
-                               for n in self.nums], den * den, ext)
-        # chain-rule part: (sum_i i * nums_i * y**(i-1)) / den * dy
+        """d/d(name), given the implicit derivative of the generator: the
+        quotient rule plus the chain-rule part
+        ``(sum_i i * nums_i * gen**(i-1)) / den * gen_derivative``."""
+        direct = super().partial(name)
         dnums = [n.scale(i) for i, n in enumerate(self.nums) if i]
-        if gen_derivative.is_zero or not any(n.nums for n in dnums):
+        if gen_derivative.is_zero or not any(map(_terms_of, dnums)):
             return direct
-        chain = ext.reduce(_vector_product(dnums, gen_derivative.nums),
-                           den * gen_derivative.den)
-        return direct + chain
-
-    def __repr__(self):
-        return f"ExtElem({self.nums!r}, {self.den!r}, gen={self.gen!r})"
+        # an unreduced factor, one entry short: only its product is kept
+        return direct + ExtElem(dnums, self.den, self.ext) * gen_derivative
 
 
 def _fraction_free_solve(rows):
@@ -1035,33 +1013,57 @@ def _fraction_free_solve(rows):
 # ---------------------------------------------------------------------------
 
 def _rational_roots_exist(coeffs):
-    """Whether an integer-coefficient univariate polynomial has a root in Q.
+    """Whether an integer polynomial of degree at most 3 has a root in Q.
 
-    ``coeffs`` is dense, constant term first.  Uses the rational root theorem
-    with divisor enumeration.
+    ``coeffs`` is dense, constant term first.  The test is exact and takes
+    time polynomial in bit size: a quadratic has a rational root exactly
+    when its discriminant is a square, a cubic ``f`` with leading
+    coefficient ``a`` when ``g(X) = a**2 f(X / a)`` has an integer root,
+    found by bisection where ``g`` is monotone.
     """
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     if len(coeffs) <= 1:
         return False
-    if coeffs[0] == 0:
+    if coeffs[0] == 0 or len(coeffs) == 2:
         return True
-    a0, ad = abs(coeffs[0]), abs(coeffs[-1])
+    if len(coeffs) == 3:
+        c, b, a = coeffs
+        disc = b * b - 4 * a * c
+        return disc >= 0 and isqrt(disc) ** 2 == disc
+    d, c, b, a = coeffs
+    c, d = a * c, a * a * d
 
-    def divisors(n):
-        out = set()
-        for d in range(1, isqrt(n) + 1):
-            if n % d == 0:
-                out.add(d)
-                out.add(n // d)
-        return out
+    def g(x):
+        return ((x + b) * x + c) * x + d
 
-    for p in divisors(a0):
-        for q in divisors(ad):
-            for root in (Fraction(p, q), Fraction(-p, q)):
-                if sum(c * root ** i for i, c in enumerate(coeffs)) == 0:
-                    return True
-    return False
+    # an integer root divides g(0) = d.  g' = 3X^2 + 2bX + c vanishes at
+    # (-b -+ sqrt(e)) / 3: lo1 and lo1 + 1 bracket the smaller root, lo2
+    # and lo2 + 1 the larger, so g is monotone on each stretch
+    bound = abs(d)
+    e = b * b - 3 * c
+    if e <= 0:
+        stretches = [(-bound, bound, 1)]
+    else:
+        s = isqrt(e)
+        lo1, lo2 = (-b - s - 1) // 3, (-b + s) // 3
+        stretches = [(-bound, lo1, 1), (lo1 + 1, lo2, -1),
+                     (lo2 + 1, bound, 1)]
+    return any(_monotone_root(g, lo, hi, sign) for lo, hi, sign in stretches)
+
+
+def _monotone_root(g, lo, hi, sign):
+    """Whether ``g``, monotone on the integers of ``[lo, hi]`` (increasing
+    for ``sign`` 1, decreasing for -1), has an integer root there."""
+    if lo > hi or sign * g(lo) > 0 or sign * g(hi) < 0:
+        return False
+    while lo < hi:  # the first integer where sign * g >= 0
+        mid = (lo + hi) // 2
+        if sign * g(mid) >= 0:
+            hi = mid
+        else:
+            lo = mid + 1
+    return g(lo) == 0
 
 
 _SPECIALIZE_SEEDS = (1, 2, 3, 5, 7, -1, -2, 11, 13, -5, 17, 19)
@@ -1088,7 +1090,7 @@ def relation_is_irreducible(relation, gen):
         e[:idx] + (0,) + e[idx + 1:]: c
         for e, c in relation.nums.items() if e[idx] == deg
     }, 1)
-    for j, seed in enumerate(_SPECIALIZE_SEEDS):
+    for seed in _SPECIALIZE_SEEDS:
         values = {v: seed + i for i, v in enumerate(others)}
         if others and lead.specialize(values).is_zero:
             continue
@@ -1489,12 +1491,13 @@ def _substitute(payload, constants, bindings, target):
             for i, name in enumerate(p.vars):
                 if any(e[i] for e in p.nums):
                     needed.add(name)
-        elif isinstance(p, RatFunc):
-            stack.extend((p.num, p.den))
-        elif isinstance(p, ExtElem):
-            needed.add(p.gen)
-            for c in p.coeffs:
-                stack.extend((c.num, c.den))
+        elif isinstance(p, _Quotient):
+            # nums and den involve the variables of the reduced coefficients
+            # and no others: den is the lcm of their denominators
+            if p.ext is not None:
+                needed.add(p.gen)
+            stack.extend(p.nums)
+            stack.append(p.den)
     for name in sorted(needed):
         if name in bindings:
             continue

@@ -259,20 +259,18 @@ def _matrix_inverse(ctx, rows):
     """
     field = _fraction_field(ctx)
     n = len(rows)
-    work = [[Scalar(field, v.val) for v in row] for row in rows]
-    identity = [[field.one() if i == j else field.zero() for j in range(n)]
-                for i in range(n)]
+    # the augmented rows [A | I]; elimination leaves [I | A^-1]
+    work = [[Scalar(field, v.val) for v in row]
+            + [field.one() if i == j else field.zero() for j in range(n)]
+            for i, row in enumerate(rows)]
     for col in range(n):
         pivot = next((r for r in range(col, n)
                       if not work[r][col].is_zero), None)
         if pivot is None:
             raise Degenerate("matrix is singular")
-        if pivot != col:
-            work[col], work[pivot] = work[pivot], work[col]
-            identity[col], identity[pivot] = identity[pivot], identity[col]
+        work[col], work[pivot] = work[pivot], work[col]
         inv = work[col][col].inverse()
         work[col] = [inv * v for v in work[col]]
-        identity[col] = [inv * v for v in identity[col]]
         for r in range(n):
             if r == col:
                 continue
@@ -280,9 +278,7 @@ def _matrix_inverse(ctx, rows):
             if factor.is_zero:
                 continue
             work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
-            identity[r] = [a - factor * b
-                           for a, b in zip(identity[r], identity[col])]
-    inverse = [[Scalar(ctx, v.val) for v in row] for row in identity]
+    inverse = [[Scalar(ctx, v.val) for v in row[n:]] for row in work]
     if ctx.kind == POLYNOMIAL:
         for row in inverse:
             for s in row:

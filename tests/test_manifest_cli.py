@@ -135,6 +135,19 @@ class TestRunCommand:
         assert report.results[0]["status"] == "fail"
         assert report.exit_code == 2
 
+    def test_huge_constant_relation_is_decided(self):
+        # the irreducibility test of the relation takes time polynomial in
+        # the bit size of its 31-digit constant term
+        raw = manifest_with(
+            algebra={"kind": "field", "generators": ["x", "y"],
+                     "relations": ["y^2 - x - 1" + "0" * 30],
+                     "transcendence_basis": ["x"]},
+            metric=[["1"]],
+            checks=[{"name": "dimension", "command": "dim", "expect": "1"}])
+        report = run_command(build_manifest(raw), "check")
+        assert report.results[0]["status"] == "pass"
+        assert report.exit_code == 0
+
     def test_degenerate_metric_reported_as_error(self):
         raw = manifest_with(metric=[["1", "1"], ["1", "1"]],
                             checks=[{"name": "c", "command": "curvature"}])

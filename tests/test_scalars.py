@@ -4,7 +4,7 @@ import json
 import operator
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given
@@ -778,6 +778,24 @@ class TestSubstitute:
             value.substitute({"x": self.t**2, "y": self.t})
         assert err.value.code == "target-division-by-zero"
 
+    def test_variable_only_in_common_denominator_needs_an_image(self):
+        # y / x stores the numerators (0, 1) over the denominator x: the
+        # scan must read the denominator to ask for x
+        sqrt = field_with_extension(("x",), "y", "y^2 - x")
+        with pytest.raises(IncompleteBindings) as err:
+            parse_scalar("y / x", sqrt).substitute({"y": self.t})
+        assert "'x'" in str(err.value)
+
+    def test_constant_only_in_denominator_maps_to_namesake(self):
+        sqrt = field_with_extension(("x",), "y", "y^2 - x", constants=("m",))
+        target = ScalarContext(FIELD, ("t",), ("m",))
+        t, m = target.var("t"), target.var("m")
+        value = parse_scalar("y / m", sqrt)
+        assert value.substitute({"x": t**2, "y": t}) == t / m
+        with pytest.raises(IncompleteBindings) as err:
+            value.substitute({"x": self.t**2, "y": self.t})
+        assert "'m'" in str(err.value)
+
 
 class TestCanonicalStorage:
     def test_polynomial_difference_demotes_to_rational(self):
@@ -854,6 +872,91 @@ class TestContextValidation:
     def test_duplicate_names_rejected(self):
         with pytest.raises(ValueError):
             ScalarContext(POLYNOMIAL, ("x", "x"))
+
+
+def _enumerated_rational_root(coeffs):
+    """The rational root theorem by divisor enumeration: the reference for
+    ``scalars._rational_roots_exist``, exponential in the bit size."""
+    while coeffs and coeffs[-1] == 0:
+        coeffs = coeffs[:-1]
+    if len(coeffs) <= 1:
+        return False
+    if coeffs[0] == 0:
+        return True
+
+    def divisors(n):
+        out = set()
+        for d in range(1, isqrt(n) + 1):
+            if n % d == 0:
+                out.add(d)
+                out.add(n // d)
+        return out
+
+    return any(sum(c * root ** i for i, c in enumerate(coeffs)) == 0
+               for p in divisors(abs(coeffs[0]))
+               for q in divisors(abs(coeffs[-1]))
+               for root in (Fraction(p, q), Fraction(-p, q)))
+
+
+def _int_product(f, g):
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return out
+
+
+BIG = 10**40 + 7  # 41 digits: divisor enumeration never finishes
+
+
+class TestRationalRoots:
+    @pytest.mark.parametrize("planted", [False, True])
+    def test_agrees_with_divisor_enumeration(self, planted):
+        rng = random.Random(11 + planted)
+        for trial in range(1000):
+            degree, bound = rng.choice([2, 3]), rng.choice([3, 12, 60])
+            if planted:
+                root = [-rng.randint(-bound, bound), rng.randint(1, bound)]
+                rest = [rng.randint(-bound, bound) for _ in range(degree)]
+                rest[-1] = rest[-1] or 1
+                coeffs = _int_product(root, rest)
+            else:
+                coeffs = [rng.randint(-bound, bound) for _ in range(degree + 1)]
+                coeffs[-1] = coeffs[-1] or -1
+            want = _enumerated_rational_root(coeffs)
+            assert planted <= want, (trial, coeffs)
+            assert scalars._rational_roots_exist(list(coeffs)) == want, (
+                trial, coeffs)
+
+    @pytest.mark.parametrize("coeffs, want", [
+        ([-BIG, 0, 1], False),
+        ([-BIG * BIG, 0, 1], True),
+        ([-BIG, 0, 0, 1], False),
+        ([-BIG ** 3, 0, 0, 1], True),
+        (_int_product([-BIG, 3], [BIG + 1, 5, 7]), True),
+        (_int_product([BIG, 1], [-BIG, 0, 1]), True),
+        ([BIG, -BIG, 2, 6], False),
+    ])
+    def test_huge_coefficients(self, coeffs, want):
+        assert scalars._rational_roots_exist(list(coeffs)) is want
+
+    @pytest.mark.parametrize("relation, reducible", [
+        (f"y^2 - x - {BIG}", False),
+        (f"y^2 - (x + {BIG})^2", True),
+        (f"y^3 - x - {BIG}", False),
+        (f"(y - x - {BIG}) * (y^2 + x)", True),
+        (f"{BIG} * y^3 + y - x", False),
+    ])
+    def test_huge_constant_relations_are_decided_fast(self, relation, reducible):
+        import time
+
+        started = time.monotonic()
+        if reducible:
+            with pytest.raises(ReducibleRelation):
+                field_with_extension(("x",), "y", relation)
+        else:
+            field_with_extension(("x",), "y", relation)
+        assert time.monotonic() - started < 1
 
 
 # ---------------------------------------------------------------------------
