@@ -106,6 +106,8 @@ class Algebraifold:
         """Apply a derivation to a scalar: sum_i v_i da/dx_i."""
         a = self.scalar(a)
         total = self.zero()
+        if a.is_constant_rational:  # every partial of a base rational is zero
+            return total
         for coeff, name in zip(v.coeffs, self.ctx.transcendentals):
             if not coeff.is_zero:
                 total = total + coeff * a.partial(name)

@@ -29,6 +29,13 @@ class NotDivisible(AfdError):
     code = "not-divisible"
 
 
+class ExponentOverflow(AfdError):
+    """An exponent or total degree reaches the packed-monomial limit 2**15."""
+
+    code = "exponent-overflow"
+    exit_code = 1
+
+
 class UnknownVariable(AfdError):
     code = "unknown-variable"
 

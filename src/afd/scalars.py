@@ -7,12 +7,23 @@ that can represent them:
 
 * ``Fraction`` (stdlib) holds elements of the rational base field.
 * ``MultiPoly`` is a sparse multivariate polynomial held as integer
-  numerators over one positive common denominator: ``nums`` maps exponent
-  tuples to nonzero ints, ``denom`` is an int, and ``gcd(denom, *nums)`` is
-  1.  Zero has no numerators and denominator 1.  Every kernel (sums,
-  products, exact division, the gcd) works on plain ints; ``terms`` is a
-  Fraction view for rendering.  Term order is graded lexicographic on the
+  numerators over one positive common denominator: ``nums`` maps packed
+  monomial keys to nonzero ints, ``denom`` is an int, and
+  ``gcd(denom, *nums.values())`` is 1.  Zero has no numerators and
+  denominator 1.  Every kernel (sums, products, exact division, the gcd)
+  works on plain ints; ``terms`` is a Fraction view keyed by exponent
+  tuples, for rendering.  Term order is graded lexicographic on the
   declared variable order.
+* A monomial key packs an exponent vector into one int (after Monagan and
+  Pearce, CASC 2007).  Over ``k`` variables each exponent has a 16-bit
+  field, variable ``i`` at bit ``16 * (k - 1 - i)``, and the total degree
+  has the field above them all.  A monomial product is then one int
+  addition, and int order is graded lexicographic order.  The top bit of
+  every field is a guard: exponents and total degrees stay below
+  ``2**15``, so a quotient key ``re - he`` is valid exactly when it is
+  nonnegative with no guard bit set (a borrow sets one).  A product whose
+  total degree would reach ``2**15`` raises ``ExponentOverflow``; no key
+  ever wraps.
 * ``RatFunc`` and ``ExtElem`` share one quotient form: polynomial
   numerators over one common monic denominator that shares no factor with
   all of them at once.  A ``RatFunc`` has one numerator; an ``ExtElem`` has
@@ -47,13 +58,15 @@ Everything here is immutable after construction and all operations are pure.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from math import gcd, isqrt, lcm
-from operator import add, attrgetter, gt, mul, sub
+from operator import add, attrgetter, mul, or_, sub
 from typing import Union
 
 from .errors import (
     ContextMismatch,
     DivisionByZero,
+    ExponentOverflow,
     IncompleteBindings,
     NotDivisible,
     NotSeparable,
@@ -71,8 +84,54 @@ ONE = Fraction(1)
 # Sparse multivariate polynomials
 # ---------------------------------------------------------------------------
 
-def _grlex_key(exps):
-    return (sum(exps), exps)
+# bits per exponent field of a packed monomial key; the top bit is a guard
+_W = 16
+_FIELD = (1 << _W) - 1
+# every exponent and total degree stays below this
+_LIMIT = 1 << (_W - 1)
+
+
+def _pack(exps, k):
+    """The key of a tuple of ``k`` nonnegative int exponents."""
+    if len(exps) != k:
+        raise ValueError(f"exponent tuple {exps!r} needs {k} entries")
+    key = 0
+    for x in exps:
+        if x < 0:
+            raise ValueError(f"negative exponent in {exps!r}")
+        key = key << _W | x
+    total = sum(exps)
+    if total >= _LIMIT:
+        raise ExponentOverflow(
+            f"total degree {total} reaches the limit 2**{_W - 1}")
+    return total << (_W * k) | key
+
+
+def _unpack(key, k):
+    """The exponent tuple of a key over ``k`` variables."""
+    return tuple(key >> s & _FIELD for s in range(_W * (k - 1), -1, -_W))
+
+
+def _var_field(k, idx):
+    """The shift of variable ``idx``'s field among ``k`` and its own key,
+    which adds one to that field and to the total."""
+    s = _W * (k - 1 - idx)
+    return s, 1 << (_W * k) | 1 << s
+
+
+def _guards(k):
+    """The guard bits of all ``k + 1`` fields of a key over ``k`` variables."""
+    return ((1 << (_W * (k + 1))) - 1) // _FIELD << (_W - 1)
+
+
+def _support(keys):
+    """The OR of the keys: a field is nonzero exactly where some key's is."""
+    return reduce(or_, keys, 0)
+
+
+def _used(poly):
+    """Per variable, nonzero exactly when the polynomial involves it."""
+    return _unpack(_support(poly.nums), len(poly.vars))
 
 
 def _rational(value):
@@ -110,25 +169,34 @@ class MultiPoly:
     """Sparse multivariate polynomial over Q, held as integer numerators over
     one common denominator.
 
-    ``nums`` maps exponent tuples (one entry per variable in ``vars``) to
-    nonzero ints and ``denom`` is a positive int (not ``den``, which names
-    the polynomial denominator of a RatFunc or ExtElem); the polynomial is
-    ``sum nums[e] * x**e / denom``.  The form is canonical:
-    ``gcd(denom, *nums.values()) == 1``, and zero is ``nums == {}`` with
-    ``denom == 1``, so ``==`` and ``hash`` compare ``(vars, nums, denom)``.
-    Every kernel works on plain ints.  ``MultiPoly(variables, terms)``
-    normalizes a dict of int or Fraction coefficients; ``terms`` is the
-    read-only Fraction view of the coefficients, for rendering.
+    ``nums`` maps packed monomial keys to nonzero ints and ``denom`` is a
+    positive int (not ``den``, which names the polynomial denominator of a
+    RatFunc or ExtElem); the polynomial is ``sum nums[e] * x**e / denom``.
+    Over ``k = len(vars)`` variables a key holds the exponent of variable
+    ``i`` in the 16-bit field at bit ``16 * (k - 1 - i)`` and the total
+    degree in the field at bit ``16 * k``, so a monomial product is a key
+    sum and the largest key leads in graded-lex order.  The top bit of each
+    field is a guard bit, clear in every valid key: exponents and total
+    degrees stay below ``2**15``, and a product that would reach it raises
+    ``ExponentOverflow``.  The constant monomial is key 0.
+
+    The form is canonical: ``gcd(denom, *nums.values()) == 1``, and zero is
+    ``nums == {}`` with ``denom == 1``, so ``==`` and ``hash`` compare
+    ``(vars, nums, denom)``.  Every kernel works on plain ints.
+    ``MultiPoly(variables, terms)`` normalizes a dict from exponent tuples to
+    int or Fraction coefficients; ``terms`` is the read-only view in that
+    form, with Fraction coefficients, for rendering.
     """
 
     __slots__ = ("vars", "nums", "denom")
 
     def __init__(self, variables, terms):
+        self.vars = tuple(variables)
+        k = len(self.vars)
         fracs = {e: _rational(c) for e, c in terms.items()}
-        fracs = {e: c for e, c in fracs.items() if c}
+        fracs = {_pack(e, k): c for e, c in fracs.items() if c}
         den = lcm(*[c.denominator for c in fracs.values()])
         # the lcm of reduced denominators is coprime to their numerators
-        self.vars = tuple(variables)
         self.nums = {e: c.numerator * (den // c.denominator)
                      for e, c in fracs.items()}
         self.denom = den
@@ -146,23 +214,22 @@ class MultiPoly:
         value = _rational(value)
         if not value:
             return _poly(tuple(variables), {}, 1)
-        return _poly(tuple(variables), {(0,) * len(variables): value.numerator},
-                     value.denominator)
+        return _poly(tuple(variables), {0: value.numerator}, value.denominator)
 
     @classmethod
     def var(cls, variables, name):
-        idx = variables.index(name)
-        exps = [0] * len(variables)
-        exps[idx] = 1
-        return _poly(tuple(variables), {tuple(exps): 1}, 1)
+        variables = tuple(variables)
+        _, key = _var_field(len(variables), variables.index(name))
+        return _poly(variables, {key: 1}, 1)
 
     # -- predicates and views
 
     @property
     def terms(self):
-        """The coefficients as a new dict of nonzero Fractions."""
-        d = self.denom
-        return {e: Fraction(c, d) for e, c in self.nums.items()}
+        """The coefficients as a new dict from exponent tuples to nonzero
+        Fractions."""
+        d, k = self.denom, len(self.vars)
+        return {_unpack(e, k): Fraction(c, d) for e, c in self.nums.items()}
 
     @property
     def is_zero(self):
@@ -171,32 +238,37 @@ class MultiPoly:
     @property
     def is_const(self):
         nums = self.nums
-        return not nums or (len(nums) == 1 and not any(next(iter(nums))))
+        return not nums or (len(nums) == 1 and 0 in nums)
 
     def const_value(self):
         if not self.nums:
             return ZERO
         return Fraction(next(iter(self.nums.values())), self.denom)
 
+    def _field(self, name):
+        return _var_field(len(self.vars), self.vars.index(name))
+
     def degree_in(self, name):
         if not self.nums:
             return -1
-        idx = self.vars.index(name)
-        return max(e[idx] for e in self.nums)
+        s, _ = self._field(name)
+        return max(e >> s & _FIELD for e in self.nums)
 
     def involves(self, name):
-        idx = self.vars.index(name)
-        return any(e[idx] for e in self.nums)
+        s, _ = self._field(name)
+        return bool(_support(self.nums) >> s & _FIELD)
 
     def lead(self):
-        """Graded-lex leading (exponent, coefficient) pair."""
-        e = max(self.nums, key=_grlex_key)
-        return e, Fraction(self.nums[e], self.denom)
+        """Graded-lex leading (exponent tuple, coefficient) pair."""
+        e = max(self.nums)
+        return _unpack(e, len(self.vars)), Fraction(self.nums[e], self.denom)
 
     def sorted_terms(self):
-        """Terms in descending graded-lex order, with Fraction coefficients."""
-        return sorted(self.terms.items(), key=lambda t: _grlex_key(t[0]),
-                      reverse=True)
+        """(exponent tuple, Fraction coefficient) pairs in descending
+        graded-lex order."""
+        d, k, nums = self.denom, len(self.vars), self.nums
+        return [(_unpack(e, k), Fraction(nums[e], d))
+                for e in sorted(nums, reverse=True)]
 
     # -- ring operations
 
@@ -249,11 +321,18 @@ class MultiPoly:
             return self._scaled(next(iter(b.values())), other.denom)
         if self.is_const:
             return other._scaled(next(iter(a.values())), self.denom)
+        # the leading keys carry the largest total degrees
+        t = _W * len(self.vars)
+        total = (max(a) >> t) + (max(b) >> t)
+        if total >= _LIMIT:
+            raise ExponentOverflow(
+                f"a product of total degree {total} reaches the limit"
+                f" 2**{_W - 1}")
         out = {}
         get = out.get
         for e1, c1 in a.items():
             for e2, c2 in b.items():
-                e = tuple(map(add, e1, e2))
+                e = e1 + e2
                 out[e] = get(e, 0) + c1 * c2
         return _reduced(self.vars, {e: n for e, n in out.items() if n},
                         self.denom * other.denom)
@@ -307,7 +386,7 @@ class MultiPoly:
 
     def lead_num(self):
         """The integer numerator of the graded-lex leading coefficient."""
-        return self.nums[max(self.nums, key=_grlex_key)]
+        return self.nums[max(self.nums)]
 
     def monic(self):
         """Scale so the graded-lex leading coefficient is one."""
@@ -328,7 +407,7 @@ class MultiPoly:
         c = gcd(*divisor.nums.values())
         prim = divisor.nums if c == 1 else {
             e: v // c for e, v in divisor.nums.items()}
-        quo = _int_quotient(self.nums, prim)
+        quo = _int_quotient(self.nums, prim, _guards(len(self.vars)))
         if quo is None:
             return None
         # self / divisor = quo * divisor.denom / (self.denom * c)
@@ -337,12 +416,12 @@ class MultiPoly:
         return _reduced(self.vars, quo, self.denom * c)
 
     def partial(self, name):
-        idx = self.vars.index(name)
+        s, unit = self._field(name)
         out = {}
         for e, c in self.nums.items():
-            k = e[idx]
+            k = e >> s & _FIELD
             if k:
-                out[e[:idx] + (k - 1,) + e[idx + 1:]] = c * k
+                out[e - unit] = c * k
         return _reduced(self.vars, out, self.denom)
 
     def specialize(self, values):
@@ -355,18 +434,20 @@ class MultiPoly:
         """
         keep = [i for i, v in enumerate(self.vars) if v not in values]
         den = self.denom
+        k = len(self.vars)
+        terms = [(_unpack(e, k), c) for e, c in self.nums.items()]
         subs = []
         for i, v in enumerate(self.vars):
-            if v in values and self.nums:
+            if v in values and terms:
                 x = _rational(values[v])
-                top = max(e[i] for e in self.nums)
+                top = max(e[i] for e, _ in terms)
                 den *= x.denominator ** top
                 subs.append((i, x.numerator, x.denominator, top))
         out = {}
-        for e, c in self.nums.items():
+        for e, c in terms:
             for i, n, d, top in subs:
                 c *= n ** e[i] * d ** (top - e[i])
-            e2 = tuple(e[i] for i in keep)
+            e2 = _pack([e[i] for i in keep], len(keep))
             s = out.get(e2, 0) + c
             if s:
                 out[e2] = s
@@ -378,16 +459,17 @@ class MultiPoly:
     def reordered(self, new_vars):
         """Re-express over a variable tuple containing all used variables."""
         pos = {v: i for i, v in enumerate(new_vars)}
-        for i, v in enumerate(self.vars):
-            if v not in pos and any(e[i] for e in self.nums):
+        for v, used in zip(self.vars, _used(self)):
+            if v not in pos and used:
                 raise UnknownVariable(f"variable '{v}' not present in target")
+        k, n = len(self.vars), len(new_vars)
         out = {}
         for e, c in self.nums.items():
-            e2 = [0] * len(new_vars)
-            for i, v in enumerate(self.vars):
-                if e[i]:
-                    e2[pos[v]] = e[i]
-            out[tuple(e2)] = c
+            e2 = [0] * n
+            for v, x in zip(self.vars, _unpack(e, k)):
+                if x:
+                    e2[pos[v]] = x
+            out[_pack(e2, n)] = c
         return _poly(tuple(new_vars), out, self.denom)
 
     def __repr__(self):
@@ -396,26 +478,30 @@ class MultiPoly:
         return f"MultiPoly({render_poly(self)!r})"
 
 
-def _int_quotient(f, h):
-    """``f / h`` for nonzero integer polynomials (exponent tuple -> int) if
-    ``h`` divides ``f`` over the integers, else None; stops at the first
-    quotient term that cannot occur."""
-    limit = tuple(map(sub, map(max, zip(*f)), map(max, zip(*h))))
+def _int_quotient(f, h, guard):
+    """``f / h`` for nonzero integer polynomials (key -> int) if ``h``
+    divides ``f`` over the integers, else None; stops at the first quotient
+    term that cannot occur.  ``guard`` holds the guard bits of the keys.
+
+    A quotient key ``re - he`` is valid exactly when it is nonnegative and
+    sets no guard bit.  A divisor whose leading key exceeds ``f``'s fails
+    the first step, so ``h`` need not be checked against the field limit.
+    """
     he = max(h)
     hc = h[he]
     rem = dict(f)
     quo = {}
     while rem:
         re = max(rem)
-        qe = tuple(map(sub, re, he))
-        if min(qe) < 0 or any(map(gt, qe, limit)):
+        qe = re - he
+        if qe < 0 or qe & guard:
             return None
         q, r = divmod(rem[re], hc)
         if r:
             return None
         quo[qe] = q
         for e2, c2 in h.items():
-            e = tuple(map(add, qe, e2))
+            e = qe + e2
             s = rem.get(e, 0) - q * c2
             if s:
                 rem[e] = s
@@ -430,15 +516,31 @@ def _int_quotient(f, h):
 # ---------------------------------------------------------------------------
 
 def _terms_mono(poly):
-    """The monomial gcd of the terms of a nonzero polynomial."""
-    return tuple(map(min, zip(*poly.nums)))
+    """The key of the monomial gcd of the terms of a nonzero polynomial."""
+    nums = poly.nums
+    if len(nums) == 1:
+        return next(iter(nums))
+    # the gcd divides the smallest term, so only its fields can be nonzero;
+    # it is 0 when the constant term is present
+    low = min(nums)
+    if not low:
+        return 0
+    k = len(poly.vars)
+    mono = total = 0
+    for s in range(0, _W * k, _W):
+        m = _FIELD << s
+        if low & m and all(map(m.__and__, nums)):
+            x = min(map(m.__and__, nums))
+            mono += x
+            total += x >> s
+    return total << (_W * k) | mono
 
 
 def _div_mono(poly, mono):
-    if not any(mono):
+    if not mono:
         return poly
-    return _poly(poly.vars, {tuple(map(sub, e, mono)): c
-                             for e, c in poly.nums.items()}, poly.denom)
+    return _poly(poly.vars, {e - mono: c for e, c in poly.nums.items()},
+                 poly.denom)
 
 
 def _scalar_multiple(a, b):
@@ -451,12 +553,18 @@ def _scalar_multiple(a, b):
     return all(c * rb == bn[e] * ra for e, c in an.items())
 
 
+def _shared_vars(a, b):
+    """Indices of the variables that both polynomials involve."""
+    return [i for i, (x, y) in enumerate(zip(_used(a), _used(b))) if x and y]
+
+
 def _univar_coeffs(poly, idx):
     """Split by the exponent of variable ``idx``: degree -> coefficient poly."""
+    s, unit = _var_field(len(poly.vars), idx)
     out = {}
     for e, c in poly.nums.items():
-        bucket = out.setdefault(e[idx], {})
-        bucket[e[:idx] + (0,) + e[idx + 1:]] = c
+        j = e >> s & _FIELD
+        out.setdefault(j, {})[e - j * unit] = c
     return {k: _reduced(poly.vars, t, poly.denom) for k, t in out.items()}
 
 
@@ -484,6 +592,7 @@ def _prem(f, g, idx):
     by_deg = _univar_coeffs(g, idx)
     m = max(by_deg)
     lg = by_deg[m]
+    _, unit = _var_field(len(f.vars), idx)
     r = f
     while not r.is_zero:
         r_by = _univar_coeffs(r, idx)
@@ -491,9 +600,7 @@ def _prem(f, g, idx):
         if n < m:
             break
         lr = r_by[n]
-        shift = [0] * len(f.vars)
-        shift[idx] = n - m
-        xk = _poly(f.vars, {tuple(shift): 1}, 1)
+        xk = _poly(f.vars, {(n - m) * unit: 1}, 1)
         q = lr.exact_div(lg)
         if q is not None:
             r = r - q * xk * g
@@ -516,7 +623,9 @@ def poly_gcd(a, b):
     if b.is_zero:
         return a.monic()
     ma, mb = _terms_mono(a), _terms_mono(b)
-    mono = tuple(map(min, ma, mb))
+    k = len(a.vars)
+    mono = (_pack(tuple(map(min, _unpack(ma, k), _unpack(mb, k))), k)
+            if ma and mb else 0)
     a = _div_mono(a, ma)
     b = _div_mono(b, mb)
     base = _poly(a.vars, {mono: 1}, 1)
@@ -524,27 +633,23 @@ def poly_gcd(a, b):
         return base
     if _scalar_multiple(a, b):
         return (base * a).monic()
-    if not any(any(e[i] for e in a.nums) and any(e[i] for e in b.nums)
-               for i in range(len(a.vars))):
+    if not _shared_vars(a, b):
         return base
     h = _heu_gcd(a.nums, b.nums)
     if h is None:
         return (base * _prs_poly_gcd(a, b)).monic()
     if len(h) == 1:
         return base  # monomial-free operands: a one-term gcd is constant
-    return _poly(a.vars, {tuple(map(add, e, mono)): c for e, c in h.items()},
-                 1).monic()
+    return _poly(a.vars, {e + mono: c for e, c in h.items()}, 1).monic()
 
 
 def _prs_poly_gcd(a, b):
     """gcd of two non-constant polynomials that share a variable, by
     recursive contents and a primitive remainder sequence; not normalized."""
-    shared = [i for i in range(len(a.vars))
-              if any(e[i] for e in a.nums) and any(e[i] for e in b.nums)]
     # eliminate the lowest-degree shared variable first: fewest remainder
     # steps, least coefficient swell
-    idx = min(shared, key=lambda i: min(a.degree_in(a.vars[i]),
-                                        b.degree_in(a.vars[i])))
+    idx = min(_shared_vars(a, b),
+              key=lambda i: min(a.degree_in(a.vars[i]), b.degree_in(a.vars[i])))
     ca, pa = _content_pp(a, idx)
     cb, pb = _content_pp(b, idx)
     cont = poly_gcd(ca, cb)
@@ -571,7 +676,7 @@ _HEU_TRIES = 6
 def _heu_gcd(f, g):
     """gcd over the integers of two nonzero integer polynomials, up to sign,
     by the heuristic GCD of Char, Geddes and Gonnet (1989); None when it
-    gives up.  ``f`` and ``g`` map exponent tuples to nonzero ints.
+    gives up.  ``f`` and ``g`` map keys to nonzero ints.
 
     The last variable either involves is evaluated at an integer xi, the
     gcd of the images is found recursively (an integer gcd once no variable
@@ -579,64 +684,70 @@ def _heu_gcd(f, g):
     ``xi >= 2 min(|f|, |g|) + 2`` on primitive ``f`` and ``g`` the primitive
     part of that expansion is the gcd exactly when it divides both
     (Geddes, Czapor and Labahn, Thm 7.7), so a candidate of 1 needs no
-    division; otherwise xi grows as in sympy's ``heugcd``.
+    division; otherwise xi grows as in sympy's ``heugcd``.  The fields come
+    from the OR of the keys: its lowest nonzero field is that variable's,
+    its highest the total degree's.
     """
     cf, cg = gcd(*f.values()), gcd(*g.values())
     c = gcd(cf, cg)
-    zero = (0,) * len(next(iter(f)))
-    if (len(f) == 1 and zero in f) or (len(g) == 1 and zero in g):
-        return {zero: c}
+    if (len(f) == 1 and 0 in f) or (len(g) == 1 and 0 in g):
+        return {0: c}
     if cf != 1:
         f = {e: v // cf for e, v in f.items()}
     if cg != 1:
         g = {e: v // cg for e, v in g.items()}
-    k = max(i for i, d in enumerate(map(max, zip(*f, *g))) if d)
+    support = _support(f) | _support(g)
+    t = (support.bit_length() - 1) // _W * _W
+    s = ((support & -support).bit_length() - 1) // _W * _W
+    unit = 1 << t | 1 << s
+    guard = _guards(t // _W)
     xi = 2 * min(max(map(abs, f.values())), max(map(abs, g.values()))) + 2
     for _ in range(_HEU_TRIES):
-        ff, gg = _int_evaluate(f, k, xi), _int_evaluate(g, k, xi)
+        ff, gg = _int_evaluate(f, s, unit, xi), _int_evaluate(g, s, unit, xi)
         if ff and gg:
             h = _heu_gcd(ff, gg)
             if h is None:
                 return None
-            h = _xi_adic(h, k, xi)
+            h = _xi_adic(h, unit, xi)
             ch = gcd(*h.values())
             h = {e: v // ch for e, v in h.items()}
-            if ((len(h) == 1 and zero in h)
-                    or (_int_quotient(f, h) is not None
-                        and _int_quotient(g, h) is not None)):
+            if ((len(h) == 1 and 0 in h)
+                    or (_int_quotient(f, h, guard) is not None
+                        and _int_quotient(g, h, guard) is not None)):
                 return {e: v * c for e, v in h.items()}
         xi = 73794 * xi * isqrt(isqrt(xi)) // 27011
     return None
 
 
-def _int_evaluate(f, k, xi):
-    """The integer polynomial ``f`` with variable ``k`` set to ``xi``."""
+def _int_evaluate(f, s, unit, xi):
+    """The integer polynomial ``f`` with the variable of the field at bit
+    ``s`` set to ``xi``; ``unit`` is that variable's key."""
     powers = [1]
     out = {}
     for e, c in f.items():
-        j = e[k]
+        j = e >> s & _FIELD
         while len(powers) <= j:
             powers.append(powers[-1] * xi)
-        key = e[:k] + (0,) + e[k + 1:]
+        key = e - j * unit
         out[key] = out.get(key, 0) + c * powers[j]
     return {e: c for e, c in out.items() if c}
 
 
-def _xi_adic(h, k, xi):
-    """Expand each integer coefficient of ``h`` in powers of variable ``k``
-    with symmetric base-xi digits (the inverse of evaluation at xi)."""
+def _xi_adic(h, unit, xi):
+    """Expand each integer coefficient of ``h`` in powers of the variable
+    with key ``unit``, by symmetric base-xi digits (the inverse of
+    evaluation at xi)."""
     half = xi // 2
     out = {}
     for e, c in h.items():
-        i = 0
         while c:
             r = c % xi
             if r > half:
                 r -= xi
             if r:
-                out[e[:k] + (i,) + e[k + 1:]] = r
+                out[e] = r
             c = (c - r) // xi
-            i += 1
+            e += unit
     return out
 
 
@@ -1085,18 +1196,19 @@ def relation_is_irreducible(relation, gen):
     if deg <= 1:
         return True
     others = [v for v in relation.vars if v != gen]
-    idx = relation.vars.index(gen)
+    s, unit = relation._field(gen)
     lead = _poly(relation.vars, {
-        e[:idx] + (0,) + e[idx + 1:]: c
-        for e, c in relation.nums.items() if e[idx] == deg
+        e - deg * unit: c
+        for e, c in relation.nums.items() if (e >> s & _FIELD) == deg
     }, 1)
     for seed in _SPECIALIZE_SEEDS:
         values = {v: seed + i for i, v in enumerate(others)}
         if others and lead.specialize(values).is_zero:
             continue
         int_coeffs = [0] * (deg + 1)
+        # the specialization is univariate: a key's low field is its degree
         for e, c in relation.specialize(values).nums.items():
-            int_coeffs[e[0]] = c
+            int_coeffs[e & _FIELD] = c
         if not _rational_roots_exist(int_coeffs):
             return True
         if not others:
@@ -1488,9 +1600,7 @@ def _substitute(payload, constants, bindings, target):
     while stack:
         p = stack.pop()
         if isinstance(p, MultiPoly):
-            for i, name in enumerate(p.vars):
-                if any(e[i] for e in p.nums):
-                    needed.add(name)
+            needed.update(name for name, used in zip(p.vars, _used(p)) if used)
         elif isinstance(p, _Quotient):
             # nums and den involve the variables of the reduced coefficients
             # and no others: den is the lcm of their denominators

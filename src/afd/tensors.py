@@ -7,7 +7,9 @@ plain scalars wrapped in an empty-or-singleton component table keyed by ().
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import product
+from operator import mul
 
 from .algebraifold import Derivation, OneForm, require_elements
 from .errors import (
@@ -87,7 +89,8 @@ class Tensor:
         return not self.comp
 
     def get(self, idx):
-        return self.comp.get(tuple(idx), self.algebraifold.zero())
+        value = self.comp.get(tuple(idx))
+        return self.algebraifold.zero() if value is None else value
 
     def as_scalar(self):
         if self.r or self.s:
@@ -169,20 +172,13 @@ class Tensor:
                 f" {self.s} derivations")
         require_elements(self.algebraifold, OneForm, *oneforms)
         require_elements(self.algebraifold, Derivation, *derivations)
+        # slot a pairs with the coefficients of the a-th argument
+        slots = [x.coeffs for x in (*oneforms, *derivations)]
         total = self.algebraifold.zero()
         for idx, value in self.comp.items():
-            term = value
-            for a, xi in enumerate(oneforms):
-                term = term * xi.coeffs[idx[a] - 1]
-                if term.is_zero:
-                    break
-            else:
-                for b, v in enumerate(derivations):
-                    term = term * v.coeffs[idx[self.r + b] - 1]
-                    if term.is_zero:
-                        break
-            if not term.is_zero:
-                total = total + term
+            factors = [c[i - 1] for c, i in zip(slots, idx)]
+            if all(factors):  # a zero coefficient kills the component
+                total = total + reduce(mul, factors, value)
         return total
 
 

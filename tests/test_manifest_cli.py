@@ -148,6 +148,17 @@ class TestRunCommand:
         assert report.results[0]["status"] == "pass"
         assert report.exit_code == 0
 
+    def test_schwarzschild_kerr_schild_in_4d_is_vacuum(self, repo_root):
+        # g = eta + (2m/r) k k with k = (1, x/r, y/r, z/r) over
+        # Q(m)(t,x,y,z)[r]/(r^2 - x^2 - y^2 - z^2): Ric = 0 exactly
+        manifest = load_manifest(
+            repo_root / "tests" / "fixtures" / "schwarzschild_ks.json")
+        report = run_command(manifest, "check")
+        dim, efe = report.results
+        assert dim["status"] == "pass" and dim["dimension"] == "4"
+        assert efe["status"] == "pass" and efe["residual"]["components"] == []
+        assert report.exit_code == 0
+
     def test_degenerate_metric_reported_as_error(self):
         raw = manifest_with(metric=[["1", "1"], ["1", "1"]],
                             checks=[{"name": "c", "command": "curvature"}])
@@ -384,6 +395,13 @@ class TestCli:
             path.write_bytes(content)
         assert main(["check", str(path)]) == 1
         assert capsys.readouterr().err.startswith(f"afd: [{code}]")
+
+    def test_exponent_past_the_limit_is_an_error(self, tmp_path, capsys):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest_with(
+            metric=[["x^40000", "0"], ["0", "1"]])), encoding="utf-8")
+        assert main(["check", str(path)]) in (1, 2)
+        assert capsys.readouterr().err.startswith("afd: [exponent-overflow]")
 
     def test_check_filter(self, repo_root):
         proc = self.run_cli(

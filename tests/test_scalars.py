@@ -14,6 +14,7 @@ from afd import scalars
 from afd.errors import (
     ContextMismatch,
     DivisionByZero,
+    ExponentOverflow,
     IncompleteBindings,
     NotDivisible,
     NotSeparable,
@@ -325,55 +326,81 @@ def _assert_int_canonical(poly):
         assert poly.denom == 1
 
 
+def _check_kernels(rng, names, a, b, trial):
+    """Every integer kernel on ``a`` and ``b`` against its Fraction-dict
+    reference, and term order against tuple exponents sorted by
+    ``(sum(e), e)``."""
+    n = len(names)
+    ta, tb = a.terms, b.terms
+    c = Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 6, 35)))
+    idx = rng.randrange(n)
+    values = {v: Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+              for v in rng.sample(names, rng.randint(1, max(n - 1, 1)))}
+    order = tuple(reversed(names)) + ("t",)
+    checks = {
+        "+": (a + b, _ref_add(ta, tb)),
+        "-": (a - b, _ref_add(ta, tb, -1)),
+        "*": (a * b, _schoolbook_product(a, b)),
+        "scale": (a.scale(c), {e: v * c for e, v in ta.items() if c}),
+        "partial": (a.partial(names[idx]), _ref_partial(ta, idx)),
+        "specialize": (a.specialize(values),
+                       _ref_specialize(ta, values, names)),
+        "reordered": (a.reordered(order),
+                      {tuple(reversed(e)) + (0,): v
+                       for e, v in ta.items()}),
+    }
+    if ta:
+        lead = ta[_ref_lead(ta)]
+        checks["monic"] = (a.monic(),
+                           {e: v / lead for e, v in ta.items()})
+    if tb:
+        checks["exact_div"] = (a.exact_div(b), _ref_div(ta, tb))
+        checks["exact_div of a product"] = ((a * b).exact_div(b), ta)
+    for op, (got, want) in checks.items():
+        if want is None:
+            assert got is None, (trial, op)
+            continue
+        assert got.terms == want, (trial, op)
+        _assert_int_canonical(got)
+        want_order = sorted(want, key=lambda e: (sum(e), e), reverse=True)
+        assert [e for e, _ in got.sorted_terms()] == want_order, (trial, op)
+        if want:
+            assert got.lead() == (want_order[0], want[want_order[0]]), \
+                (trial, op)
+
+
 class TestIntegerKernels:
     """Every integer kernel of MultiPoly against Fraction-dict arithmetic on
-    random polynomials in 2-4 variables."""
+    random polynomials."""
 
     NAMES = ("w", "x", "y", "z")
 
     def test_kernels_match_fraction_reference(self):
+        # 2-4 variables of low degree
         rng = random.Random(9)
         for trial in range(300):
             n = rng.randint(2, 4)
             names = self.NAMES[:n]
             a, b = _random_poly(rng, names), _random_poly(rng, names)
-            ta, tb = a.terms, b.terms
-            c = Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 6, 35)))
-            idx = rng.randrange(n)
-            values = {v: Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-                      for v in rng.sample(names, rng.randint(1, n - 1))}
-            order = tuple(reversed(names)) + ("t",)
-            checks = {
-                "+": (a + b, _ref_add(ta, tb)),
-                "-": (a - b, _ref_add(ta, tb, -1)),
-                "*": (a * b, _schoolbook_product(a, b)),
-                "scale": (a.scale(c), {e: v * c for e, v in ta.items() if c}),
-                "partial": (a.partial(names[idx]), _ref_partial(ta, idx)),
-                "specialize": (a.specialize(values),
-                               _ref_specialize(ta, values, names)),
-                "reordered": (a.reordered(order),
-                              {tuple(reversed(e)) + (0,): v
-                               for e, v in ta.items()}),
-            }
-            if ta:
-                lead = ta[_ref_lead(ta)]
-                checks["monic"] = (a.monic(),
-                                   {e: v / lead for e, v in ta.items()})
-            if tb:
-                checks["exact_div"] = (a.exact_div(b), _ref_div(ta, tb))
-                checks["exact_div of a product"] = ((a * b).exact_div(b), ta)
-            for op, (got, want) in checks.items():
-                if want is None:
-                    assert got is None, (trial, op)
-                    continue
-                assert got.terms == want, (trial, op)
-                _assert_int_canonical(got)
+            _check_kernels(rng, names, a, b, trial)
+
+    def test_kernels_match_fraction_reference_on_wide_keys(self):
+        # 1-9 variables with exponents up to 60: nine variables and the
+        # total degree make a key of 160 bits
+        rng = random.Random(10)
+        for trial in range(200):
+            names = tuple("abcdefghi"[:rng.randint(1, 9)])
+            a = _random_poly(rng, names, max_terms=4, max_deg=60)
+            b = _random_poly(rng, names, max_terms=4, max_deg=60)
+            _check_kernels(rng, names, a, b, trial)
 
     def test_exact_div_refuses_what_does_not_divide(self):
         x, y = (MultiPoly.var(("x", "y"), v) for v in ("x", "y"))
         one = MultiPoly.const(("x", "y"), 1)
         assert (x * x + one).exact_div(x + one) is None
         assert x.exact_div(x * y) is None
+        # the total degree fits but the exponent of y would go negative
+        assert (x * x * x).exact_div(x * y) is None
         assert (x * y + one).exact_div(y.scale(Fraction(2, 3))) is None
 
     def test_exact_div_strips_the_divisor_content(self):
@@ -408,6 +435,45 @@ class TestIntegerKernels:
                       lambda: MultiPoly(("x",), {(1,): 0.5})):
             with pytest.raises(TypeError):
                 build()
+
+
+class TestPackedKeys:
+    """Exponent vectors are packed into one int per monomial, with a guard
+    bit on top of every 16-bit field."""
+
+    VARS = ("x", "y", "z")
+
+    def test_a_borrow_from_any_field_refuses_the_division(self):
+        x, y, z = (MultiPoly.var(self.VARS, v) for v in self.VARS)
+        # y borrows from x, z from y, and the totals fit every time
+        assert (x * x * z).exact_div(y) is None
+        assert (y * y).exact_div(z) is None
+        assert (x ** 3 * z).exact_div(y * z * z) is None
+        assert (x * x * z).exact_div(x * z) == x
+
+    def test_exponent_limit(self):
+        x, y = (MultiPoly.var(self.VARS, v) for v in ("x", "y"))
+        top = x ** 32767
+        assert top.degree_in("x") == 32767 and top.lead()[0] == (32767, 0, 0)
+        assert (x ** 16000 * y ** 16000).lead()[0] == (16000, 16000, 0)
+        with pytest.raises(ExponentOverflow) as err:
+            top * x
+        assert err.value.code == "exponent-overflow"
+        # each field fits on its own, the total degree does not
+        with pytest.raises(ExponentOverflow):
+            x ** 20000 * y ** 20000
+        assert MultiPoly(self.VARS, {(16383, 16384, 0): 1}).lead()[0] \
+            == (16383, 16384, 0)
+        for exps in ((32768, 0, 0), (16384, 16384, 0)):
+            with pytest.raises(ExponentOverflow):
+                MultiPoly(self.VARS, {exps: 1})
+        with pytest.raises(ExponentOverflow):
+            POLY.var("x") ** 40000
+
+    def test_malformed_exponent_tuples_are_refused(self):
+        for exps in ((1, 2), (1, 0, -1)):
+            with pytest.raises(ValueError):
+                MultiPoly(self.VARS, {exps: 1})
 
 
 def _assert_reduced(q):
@@ -586,6 +652,28 @@ class TestPolyGcd:
             assert d == scalars._prs_poly_gcd(ga, gb).monic()
             assert d.exact_div(g.monic()) is not None
 
+    def test_heuristic_matches_prs_reference_in_8_to_9_variables(
+            self, monkeypatch):
+        # the heuristic evaluates the last involved variable, found from the
+        # OR of the keys, and its keys pass 128 bits
+        rng = random.Random(12)
+        pairs = []
+        while len(pairs) < 40:
+            variables = tuple("abcdefghi"[:rng.randint(8, 9)])
+            g = _random_poly(rng, variables, max_terms=3, max_deg=2)
+            a = _random_poly(rng, variables, max_terms=3, max_deg=2)
+            b = _random_poly(rng, variables, max_terms=3, max_deg=2)
+            if g.is_const or a.is_zero or b.is_zero:
+                continue
+            pairs.append((g, g * a, g * b))
+        with monkeypatch.context() as m:
+            m.setattr(scalars, "_prs_poly_gcd", _no_fallback)
+            got = [poly_gcd(ga, gb) for _, ga, gb in pairs]
+        monkeypatch.setattr(scalars, "_heu_gcd", lambda f, g: None)
+        for (g, ga, gb), d in zip(pairs, got):
+            assert d == scalars._prs_poly_gcd(ga, gb).monic()
+            assert d.exact_div(g.monic()) is not None
+
     def test_sympy_oracle(self):
         sympy = pytest.importorskip("sympy")
         rng = random.Random(9)
@@ -630,8 +718,9 @@ class TestPolyGcdFallback(TestPolyGcd):
     def _heuristic_gives_up(self, monkeypatch):
         monkeypatch.setattr(scalars, "_heu_gcd", lambda f, g: None)
 
-    # compares the heuristic with this very path
+    # compare the heuristic with this very path
     test_heuristic_matches_prs_reference = None
+    test_heuristic_matches_prs_reference_in_8_to_9_variables = None
 
 
 class TestKerrGcd:
