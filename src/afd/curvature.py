@@ -5,6 +5,16 @@ connection: a rank-(1, 2) tensor Gamma with components Gamma^k_{ij}, where k
 is the contravariant slot, i the direction slot and j the argument slot.
 The standard connection has Gamma = 0 and differentiates coefficient vectors
 componentwise.
+
+The curvature R(u, v) = [nabla_u, nabla_v] - nabla_[u, v] is pure algebra on
+the Christoffel symbols, so it is computed over one common denominator
+instead of cancelling a gcd after every product and sum: every Gamma becomes
+polynomial numerators over D, the lcm of the Christoffel denominators, and
+every derivative d_a Gamma numerators over D**2 E, where E is the lcm of the
+denominators of the extension generator's implicit derivatives.  Each
+component's numerator is a polynomial sum of products, made canonical by one
+reduction modulo the relation and one cancel.  Over a polynomial ring D and
+E are one and no factor is multiplied in.
 """
 
 from __future__ import annotations
@@ -15,6 +25,7 @@ from functools import cached_property
 
 from .algebraifold import Derivation, require_elements
 from .errors import DescriptorMismatch, NonConstantCoupling
+from .scalars import SharedDenominator, _add_product, _add_vector
 from .tensors import Tensor, accumulate, derive_tensor
 
 
@@ -99,30 +110,72 @@ def torsion(connection):
 def curvature_tensor(connection):
     """R(u, v)w on the coordinate basis, as a rank-(1, 3) tensor.
 
-    Components indexed (l; i, j, k): the coefficient of u_l in R(u_i, u_j)u_k.
+    Components indexed (l; i, j, k): the coefficient of u_l in R(u_i, u_j)u_k,
+
+        R^l_{ijk} = d_i Gamma^l_{jk} - d_j Gamma^l_{ik}
+            + sum_m (Gamma^l_{im} Gamma^m_{jk} - Gamma^l_{jm} Gamma^m_{ik}).
+
+    Every Gamma is lifted to polynomial numerators over D, the lcm of the
+    Christoffel denominators, and every derivative d_a Gamma to numerators
+    over D**2 E, where E is the lcm of the denominators of the extension
+    generator's derivatives (one without an extension); each is computed
+    once per distinct Gamma value and direction.  A component's numerator
+    is then built from polynomial products and sums only, and made
+    canonical by one reduction and cancel.
     """
     A = connection.algebraifold
     n = A.n
     names = A.ctx.transcendentals
-    gamma = connection.gamma
+    comp = connection.gamma.comp
+    frame = SharedDenominator(A.ctx, comp.values())
+    # one numerator vector per distinct value: a symmetric Gamma^k_{ij} and
+    # Gamma^k_{ji} share theirs, and their derivatives
+    slots, vecs = {}, []
+    for value in comp.values():
+        if value not in slots:
+            slots[value] = len(vecs)
+            vecs.append(frame.lift(value))
+    slot = {idx: slots[value] for idx, value in comp.items()}
+    gamma = {idx: vecs[s] for idx, s in slot.items()}
+    partials = {}
+
+    def partial(a, idx):
+        """Numerators of d_a Gamma^idx over D**2 E; None for a zero Gamma."""
+        s = slot.get(idx)
+        if s is None:
+            return None
+        key = (s, a)
+        if key not in partials:
+            partials[key] = frame.partial(vecs[s], names[a - 1])
+        return partials[key]
+
     out = {}
     for l in range(1, n + 1):
         for k in range(1, n + 1):
             for i in range(1, n + 1):
                 for j in range(1, i):
                     # antisymmetric in (i, j); fill both orders from one value
-                    value = gamma.get((l, j, k)).partial(names[i - 1]) \
-                        - gamma.get((l, i, k)).partial(names[j - 1])
+                    acc = []
                     for m in range(1, n + 1):
-                        g_jk = gamma.get((m, j, k))
-                        if not g_jk.is_zero:
-                            value = value + gamma.get((l, i, m)) * g_jk
-                        g_ik = gamma.get((m, i, k))
-                        if not g_ik.is_zero:
-                            value = value - gamma.get((l, j, m)) * g_ik
-                    if not value.is_zero:
-                        out[(l, i, j, k)] = value
-                        out[(l, j, i, k)] = -value
+                        a, b = gamma.get((l, i, m)), gamma.get((m, j, k))
+                        if a and b:
+                            _add_product(acc, a, b)
+                        a, b = gamma.get((l, j, m)), gamma.get((m, i, k))
+                        if a and b:
+                            _add_product(acc, a, b, -1)
+                    acc = frame.widen(acc)
+                    d = partial(i, (l, j, k))
+                    if d:
+                        _add_vector(acc, d)
+                    d = partial(j, (l, i, k))
+                    if d:
+                        _add_vector(acc, d, -1)
+                    if any(p.nums for p in acc):
+                        # the numerator may still vanish modulo the relation
+                        value = frame.make(acc)
+                        if not value.is_zero:
+                            out[(l, i, j, k)] = value
+                            out[(l, j, i, k)] = -value
     return Tensor(A, 1, 3, out)
 
 

@@ -932,17 +932,36 @@ def _vector_in_gen(poly, gen, base_vars):
             for k in range(max(by_power, default=0) + 1)]
 
 
+def _grow(acc, size, variables):
+    """Pad the polynomial vector ``acc`` with zeros to at least ``size``."""
+    if len(acc) < size:
+        acc.extend([MultiPoly.zero(variables)] * (size - len(acc)))
+
+
+def _add_product(acc, a, b, sign=1):
+    """``acc += sign * a * b`` in place, for polynomial vectors in the
+    generator (constant term first), unreduced; returns ``acc``."""
+    _grow(acc, len(a) + len(b) - 1, a[0].vars)
+    for i, x in enumerate(a):
+        if x.nums:
+            for j, y in enumerate(b):
+                if y.nums:
+                    acc[i + j] = acc[i + j]._combine(x * y, sign)
+    return acc
+
+
+def _add_vector(acc, v, sign=1):
+    """``acc += sign * v`` in place for polynomial vectors; returns ``acc``."""
+    _grow(acc, len(v), v[0].vars)
+    for i, x in enumerate(v):
+        if x.nums:
+            acc[i] = acc[i]._combine(x, sign)
+    return acc
+
+
 def _vector_product(a, b):
     """Product of two polynomial vectors in the generator, unreduced."""
-    zero = MultiPoly.zero(a[0].vars)
-    out = [zero] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x.is_zero:
-            continue
-        for j, y in enumerate(b):
-            if not y.is_zero:
-                out[i + j] = out[i + j] + x * y
-    return out
+    return _add_product([], a, b)
 
 
 class Extension:
@@ -999,7 +1018,7 @@ class Extension:
         """The element ``vec / den``: ``vec`` a polynomial vector in the
         generator of any length, ``den`` a nonzero polynomial."""
         nums, k = self.pseudo_remainder(vec)
-        return ExtElem.make(nums, den * self.lead ** k, self)
+        return ExtElem.make(nums, den * self.lead ** k if k else den, self)
 
     def lift(self, value):
         """The RatFunc ``value`` as an element of the extension."""
@@ -1091,6 +1110,126 @@ class ExtElem(_Quotient):
             return direct
         # an unreduced factor, one entry short: only its product is kept
         return direct + ExtElem(dnums, self.den, self.ext) * gen_derivative
+
+
+# ---------------------------------------------------------------------------
+# Numerators over one shared denominator
+# ---------------------------------------------------------------------------
+
+def _lcm_cofactors(dens, one):
+    """The monic lcm L of the monic polynomials ``dens`` (``one`` if there
+    are none) and a dict from each distinct entry to ``L / entry``, None
+    where that is one; one gcd per distinct non-constant entry."""
+    distinct = dict.fromkeys(dens)
+    lcm_ = one
+    for d in distinct:
+        if d.is_const:
+            continue
+        if lcm_.is_const:
+            lcm_ = d
+        else:
+            g = poly_gcd(lcm_, d)
+            lcm_ = lcm_ * (d if g.is_const else d.exact_div(g))
+    return lcm_, {d: None if d == lcm_ else lcm_ if d.is_const
+                  else lcm_.exact_div(d) for d in distinct}
+
+
+class SharedDenominator:
+    """Scalars of one context as polynomial numerator vectors over one
+    shared denominator, so that sums of their products and first partial
+    derivatives need no gcd before one cancel at the end.
+
+    A numerator vector holds one polynomial per power of the extension
+    generator, constant term first, or one polynomial without an extension;
+    vectors may be longer than the relation's degree until ``make`` reduces
+    them.  ``den`` is D, the monic lcm of the denominators of the given
+    scalars, found with one gcd per distinct denominator, and ``lift`` gives
+    a scalar's numerators over D.  ``partial`` gives the numerators of a
+    partial derivative of ``vec / D`` over ``outer = D**2 * E``, by the
+    quotient rule plus the chain rule through the generator; E,
+    ``ext_den``, is the lcm of the denominators of the generator's implicit
+    derivatives (one without an extension).  ``widen`` takes numerators
+    over ``D**2``, such as a product of two lifts, to numerators over
+    ``outer``.  ``make`` is the canonical Scalar ``vec / outer``: one
+    reduction modulo the relation and one cancel.  A factor D or E of one
+    is never multiplied in.
+    """
+
+    __slots__ = ("ctx", "den", "ext_den", "outer", "_cofactors", "_dden",
+                 "_chain")
+
+    def __init__(self, ctx, scalars):
+        self.ctx = ctx
+        one = MultiPoly.const(ctx.all_vars, 1)
+        D, self._cofactors = _lcm_cofactors(
+            [s.val.den for s in scalars if isinstance(s.val, _Quotient)], one)
+        self.den = D
+        self._dden = ({} if D.is_const else
+                      {name: D.partial(name) for name in ctx.transcendentals})
+        # per transcendental, the numerators over E of the generator's
+        # derivative, times D: the chain-rule factor of ``partial``
+        self._chain = {}
+        E = one
+        ext = ctx.extension
+        if ext is not None:
+            derivs = {}
+            for name in ctx.transcendentals:
+                d = _gen_derivative(ctx, name)
+                if not d.is_zero:
+                    derivs[name] = d
+            E, cofactors = _lcm_cofactors([d.den for d in derivs.values()],
+                                          one)
+            for name, d in derivs.items():
+                c = cofactors[d.den]
+                nums = d.nums if c is None else [n * c for n in d.nums]
+                self._chain[name] = (nums if D.is_const
+                                     else [n * D for n in nums])
+        self.ext_den = E
+        outer = D if D.is_const else D * D
+        self.outer = outer if E.is_const else outer * E
+
+    def lift(self, scalar):
+        """The numerator vector of ``scalar`` over ``den``."""
+        v, D = scalar.val, self.den
+        if type(v) is Fraction:
+            v = MultiPoly.const(self.ctx.all_vars, v)
+        if type(v) is MultiPoly:
+            return [v if D.is_const else v * D]
+        c = self._cofactors[v.den]
+        return list(v.nums) if c is None else [n * c for n in v.nums]
+
+    def partial(self, vec, name):
+        """Numerators over ``outer`` of d/d(name) of ``vec / den``."""
+        out = [n.partial(name) for n in vec]
+        D = self.den
+        if not D.is_const:
+            dD = self._dden[name]
+            out = ([p * D - n * dD for p, n in zip(out, vec)] if dD.nums
+                   else [p * D for p in out])
+        out = self.widen(out)
+        chain = self._chain.get(name)
+        if chain is not None and len(vec) > 1:
+            # the derivative of vec in the generator, times D * d(gen)
+            dvec = [n._scaled(i, 1) for i, n in enumerate(vec) if i]
+            if any(map(_terms_of, dvec)):
+                _add_product(out, dvec, chain)
+        return out
+
+    def widen(self, vec):
+        """Numerators over ``den**2`` as numerators over ``outer``."""
+        E = self.ext_den
+        return vec if E.is_const else [p * E for p in vec]
+
+    def make(self, vec):
+        """The canonical Scalar ``vec / outer``."""
+        ctx = self.ctx
+        ext = ctx.extension
+        if ext is not None:
+            return Scalar.make(ctx, ext.reduce(vec, self.outer))
+        (num,) = vec
+        if self.outer.is_const:
+            return Scalar.make(ctx, num)
+        return Scalar.make(ctx, RatFunc.make(num, self.outer))
 
 
 def _fraction_free_solve(rows):
@@ -1633,19 +1772,17 @@ def _subst_payload(payload, bindings, target):
                     term = term * bindings[name] ** e[i]
             total = total + term
         return total
-    if isinstance(payload, RatFunc):
-        num = _subst_payload(payload.num, bindings, target)
-        den = _subst_payload(payload.den, bindings, target)
-        if den.is_zero:
-            raise TargetDivisionByZero("a denominator maps to zero")
-        try:
-            return num / den
-        except NotDivisible:
-            raise TargetDivisionByZero(
-                "a denominator image is not invertible in the target")
-    total = target.zero()
-    y = bindings[payload.gen]
-    for i, c in enumerate(payload.coeffs):
-        if not c.is_zero:
-            total = total + _subst_payload(c, bindings, target) * y ** i
-    return total
+    # a quotient: sum_i phi(nums_i) * phi(gen)**i over phi(den), one division
+    num = target.zero()
+    for i, n in enumerate(payload.nums):
+        if n.nums:
+            image = _subst_payload(n, bindings, target)
+            num = num + (image * bindings[payload.gen] ** i if i else image)
+    den = _subst_payload(payload.den, bindings, target)
+    if den.is_zero:
+        raise TargetDivisionByZero("a denominator maps to zero")
+    try:
+        return num / den
+    except NotDivisible:
+        raise TargetDivisionByZero(
+            "a denominator image is not invertible in the target")

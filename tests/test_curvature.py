@@ -21,14 +21,17 @@ from afd.curvature import (
     torsion,
 )
 from afd.errors import NonConstantCoupling
-from afd.scalars import FIELD
+from afd.scalars import FIELD, ExtElem, MultiPoly, RatFunc
 from afd.tensors import Tensor, kronecker, metric_inverse
 
 from helpers import (
+    function_field,
     poly_ring,
     random_derivation,
+    random_field_scalar,
     random_invertible_metric,
     random_poly_scalar,
+    random_scalar,
 )
 
 P2 = poly_ring("x", "y")
@@ -438,3 +441,156 @@ class TestCurvatureIdentities:
                             assert cyclic.is_zero
             assert torsion(C).is_zero
         assert n_threes > 0
+
+
+def reference_curvature_tensor(connection):
+    """The per-component Scalar loop that curvature_tensor replaced: every
+    sum and product of scalars cancels its own gcd."""
+    A = connection.algebraifold
+    n = A.n
+    names = A.ctx.transcendentals
+    gamma = connection.gamma
+    out = {}
+    for l in range(1, n + 1):
+        for k in range(1, n + 1):
+            for i in range(1, n + 1):
+                for j in range(1, i):
+                    # antisymmetric in (i, j); fill both orders from one value
+                    value = gamma.get((l, j, k)).partial(names[i - 1]) \
+                        - gamma.get((l, i, k)).partial(names[j - 1])
+                    for m in range(1, n + 1):
+                        g_jk = gamma.get((m, j, k))
+                        if not g_jk.is_zero:
+                            value = value + gamma.get((l, i, m)) * g_jk
+                        g_ik = gamma.get((m, i, k))
+                        if not g_ik.is_zero:
+                            value = value - gamma.get((l, j, m)) * g_ik
+                    if not value.is_zero:
+                        out[(l, i, j, k)] = value
+                        out[(l, j, i, k)] = -value
+    return Tensor(A, 1, 3, out)
+
+
+def rational_metric(rng, A):
+    """g = P^T D P with P unit upper-triangular over rational functions: a
+    constant determinant, rational entries."""
+    n = A.n
+    P = [[A.one() if i == j else A.zero() for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            P[i][j] = random_field_scalar(rng, A.ctx, max_terms=2, max_deg=1)
+    D = [A.scalar(rng.choice([-2, -1, 1, 2])) for _ in range(n)]
+    return Tensor.make(A, 0, 2, {
+        (i + 1, j + 1): sum((P[k][i] * D[k] * P[k][j] for k in range(n)),
+                            A.zero())
+        for i in range(n) for j in range(n)})
+
+
+class TestCurvatureOverSharedDenominator:
+    """curvature_tensor against the per-component Scalar loop it replaced."""
+
+    @staticmethod
+    def assert_matches_reference(connection):
+        R = curvature_tensor(connection)
+        assert R == reference_curvature_tensor(connection)
+        assert not any(value.is_zero for value in R.comp.values())
+        return R
+
+    def test_random_polynomial_metrics(self):
+        rng = random.Random(1201)
+        for _ in range(4):
+            A = poly_ring("x", "y", "z")
+            m = metric_inverse(A, random_invertible_metric(rng, A))
+            self.assert_matches_reference(levi_civita(A, m))
+
+    @pytest.mark.parametrize("names", [("x", "y"), ("x", "y", "z")])
+    def test_random_rational_metrics(self, names):
+        rng = random.Random(1202)
+        dens = set()
+        for _ in range(2):
+            A = function_field(*names)
+            C = levi_civita(A, metric_inverse(A, rational_metric(rng, A)))
+            dens.update(v.val.den for v in C.gamma.comp.values()
+                        if type(v.val) is RatFunc)
+            self.assert_matches_reference(C)
+        assert dens
+
+    def test_random_connections_without_symmetry(self):
+        # any connection, over the elliptic extension: Gamma^k_{ij} and
+        # Gamma^k_{ji} differ, and scalars sit at every tower level
+        from afd import field_with_extension
+
+        rng = random.Random(1203)
+        ctx = field_with_extension(("x", "z"), "y", "y^2 - x^3 - 1")
+        A = Algebraifold.build(ctx)
+        for _ in range(3):
+            gamma = Tensor.make(A, 1, 2, {
+                (k, i, j): random_scalar(rng, ctx)
+                for k in (1, 2) for i in (1, 2) for j in (1, 2)})
+            self.assert_matches_reference(Connection(A, gamma))
+
+    @pytest.mark.parametrize("path, nonzero", [
+        ("perfbench/ks_extension.json", None),
+        ("tests/fixtures/schwarzschild_ks.json", 156)])
+    def test_kerr_schild_manifests(self, repo_root, path, nonzero):
+        from afd.manifest import load_manifest
+
+        manifest = load_manifest(repo_root / path)
+        A = manifest.algebraifold
+        C = levi_civita(A, metric_inverse(A, manifest.metric_tensor()))
+        R = self.assert_matches_reference(C)
+        assert R.comp
+        if nonzero is not None:
+            assert len(R.comp) == nonzero
+            assert ricci(A, R).is_zero
+
+    def test_cuspidal_friedmann(self):
+        from afd import field_with_extension
+
+        ctx = field_with_extension(("t", "x", "y", "z"), "a", "a^3 - t^2")
+        A = Algebraifold.build(ctx)
+        a = ctx.var("a")
+        g = Tensor.make(A, 0, 2, {
+            (1, 1): A.one(),
+            (2, 2): -(a**2), (3, 3): -(a**2), (4, 4): -(a**2)})
+        R = self.assert_matches_reference(levi_civita(A, metric_inverse(A, g)))
+        assert R.comp
+
+    def test_gamma_with_denominator_one_is_scaled(self):
+        # D = x^2 - z: the polynomial Gamma (den 1, a MultiPoly payload) and
+        # the extension Gamma with den 1 must still be lifted over D
+        from afd import field_with_extension
+
+        ctx = field_with_extension(("x", "z"), "y", "y^2 - x^3 - 1")
+        A = Algebraifold.build(ctx)
+        x, y, z = ctx.var("x"), ctx.var("y"), ctx.var("z")
+        gamma = Tensor.make(A, 1, 2, {
+            (1, 1, 1): x * z, (1, 2, 1): z + y, (2, 1, 2): x,
+            (2, 2, 2): y / (x**2 - z), (1, 2, 2): 1 / (x**2 - z)})
+        assert type(gamma.get((1, 1, 1)).val) is MultiPoly
+        assert type(gamma.get((1, 2, 1)).val) is ExtElem
+        assert gamma.get((1, 2, 1)).val.den.is_const
+        R = self.assert_matches_reference(Connection(A, gamma))
+        assert R.comp
+        # the same over the function field without an extension
+        F = function_field("x", "z")
+        u, w = F.ctx.var("x"), F.ctx.var("z")
+        gamma = Tensor.make(F, 1, 2, {
+            (1, 1, 1): u * w, (2, 1, 2): u + 1, (1, 2, 2): 1 / (u**2 - w)})
+        assert self.assert_matches_reference(Connection(F, gamma)).comp
+
+    def test_numerator_vanishing_modulo_the_relation_is_dropped(self):
+        # over Q(x, z)[y]/(y^2 - x) with Gamma^1_{12} = Gamma^1_{21} = y and
+        # Gamma^1_{22} = x^2/2, R^1_{212} = y^2 - x: its numerator is
+        # nonzero before the reduction and zero after it
+        from afd import field_with_extension
+
+        ctx = field_with_extension(("x", "z"), "y", "y^2 - x")
+        A = Algebraifold.build(ctx)
+        x, y = ctx.var("x"), ctx.var("y")
+        gamma = Tensor.make(A, 1, 2, {
+            (1, 1, 2): y, (1, 2, 1): y, (1, 2, 2): x**2 / 2})
+        C = Connection(A, gamma)
+        assert reference_curvature_tensor(C).get((1, 2, 1, 2)).is_zero
+        R = self.assert_matches_reference(C)
+        assert (1, 2, 1, 2) not in R.comp and (1, 1, 2, 2) not in R.comp

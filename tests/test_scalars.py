@@ -867,6 +867,23 @@ class TestSubstitute:
             value.substitute({"x": self.t**2, "y": self.t})
         assert err.value.code == "target-division-by-zero"
 
+    def test_extension_element_maps_through_one_division(self, monkeypatch):
+        # (z - y)/(z - 1) has the coefficient z/(z - 1), which alone leaves
+        # Q[t] under z -> t; the whole numerator maps to t - t = 0, and the
+        # map never reduces a coefficient on its own
+        def refuse(self):
+            raise AssertionError("substitution read ExtElem.coeffs")
+
+        monkeypatch.setattr(ExtElem, "coeffs", property(refuse))
+        ctx = field_with_extension(("x", "z"), "y", "y^2 - x")
+        images = {"x": self.t**2, "z": self.t, "y": self.t}
+        assert parse_scalar("(z - y) / (z - 1)", ctx).substitute(images) == 0
+        value = parse_scalar("(x + y*z) / z", ctx).substitute(images)
+        assert value == 2 * self.t
+        with pytest.raises(TargetDivisionByZero) as err:
+            parse_scalar("(z + y) / (z^2 - x)", ctx).substitute(images)
+        assert err.value.code == "target-division-by-zero"
+
     def test_variable_only_in_common_denominator_needs_an_image(self):
         # y / x stores the numerators (0, 1) over the denominator x: the
         # scan must read the denominator to ask for x
