@@ -188,14 +188,19 @@ def levi_civita(algebraifold, metric):
     n = A.n
     names = A.ctx.transcendentals
     half = A.scalar(Fraction(1, 2))
+    # dg[a, b, c] = d_a g_{bc}, each distinct entry differentiated once
+    dg = {}
+    for a in range(1, n + 1):
+        for b in range(1, n + 1):
+            for c in range(1, b + 1):
+                dg[a, b, c] = dg[a, c, b] = \
+                    metric.entry(b, c).partial(names[a - 1])
     # c[(i, j, l)] = (1/2)(d_j g_{il} + d_i g_{jl} - d_l g_{ij}), symmetric in i, j
     lowered = {}
     for i in range(1, n + 1):
         for j in range(1, i + 1):
             for l in range(1, n + 1):
-                value = metric.entry(i, l).partial(names[j - 1]) \
-                    + metric.entry(j, l).partial(names[i - 1]) \
-                    - metric.entry(i, j).partial(names[l - 1])
+                value = dg[j, i, l] + dg[i, j, l] - dg[l, i, j]
                 if not value.is_zero:
                     lowered[(i, j, l)] = half * value
     comp = {}

@@ -1757,28 +1757,32 @@ def _substitute(payload, constants, bindings, target):
             bindings[name] = target.var(name)
         else:
             raise IncompleteBindings(f"no image given for '{name}'")
-    return _subst_payload(payload, bindings, target)
+    return _subst_payload(payload, bindings, target, {})
 
 
-def _subst_payload(payload, bindings, target):
+def _subst_payload(payload, bindings, target, powers):
+    # powers[name, e] = bindings[name] ** e, shared by every term
     if isinstance(payload, Fraction):
         return Scalar.make(target, payload)
     if isinstance(payload, MultiPoly):
         total = target.zero()
         for e, c in payload.terms.items():
             term = target.const(c)
-            for i, name in enumerate(payload.vars):
-                if e[i]:
-                    term = term * bindings[name] ** e[i]
+            for name, k in zip(payload.vars, e):
+                if k:
+                    p = powers.get((name, k))
+                    if p is None:
+                        p = powers[name, k] = bindings[name] ** k
+                    term = term * p
             total = total + term
         return total
     # a quotient: sum_i phi(nums_i) * phi(gen)**i over phi(den), one division
     num = target.zero()
     for i, n in enumerate(payload.nums):
         if n.nums:
-            image = _subst_payload(n, bindings, target)
+            image = _subst_payload(n, bindings, target, powers)
             num = num + (image * bindings[payload.gen] ** i if i else image)
-    den = _subst_payload(payload.den, bindings, target)
+    den = _subst_payload(payload.den, bindings, target, powers)
     if den.is_zero:
         raise TargetDivisionByZero("a denominator maps to zero")
     try:

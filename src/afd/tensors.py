@@ -20,13 +20,6 @@ from .errors import (
     NotSymmetric,
     SlotOutOfRange,
 )
-from .scalars import (
-    FIELD,
-    POLYNOMIAL,
-    Scalar,
-    ScalarContext,
-    _require_in_polynomial_ring,
-)
 
 
 def accumulate(comp, idx, value):
@@ -238,51 +231,53 @@ def lie_derivative(algebraifold, u, T):
 # Metrics
 # ---------------------------------------------------------------------------
 
-def _fraction_field(ctx):
-    if ctx.kind == FIELD:
-        return ctx
-    return ScalarContext(FIELD, ctx.transcendentals, ctx.constants,
-                         ctx.extensions)
-
-
 def _matrix_inverse(ctx, rows):
-    """Exact Gauss-Jordan inverse of a Scalar matrix, computed over the
-    fraction field of the context and returned as Scalars of the context.
+    """Exact inverse of a symmetric Scalar matrix by Cramer's rule,
+    adj(A) / det(A), in ring arithmetic and one inverse of det(A).
 
-    Raises Degenerate when the determinant vanishes, and in a polynomial
-    context NotInvertibleInAlgebra when an entry of the inverse lies only in
-    the fraction field.
+    Every minor is a Laplace expansion along its first row, memoized by its
+    row and column subsets.  Raises Degenerate when the determinant
+    vanishes, and in a polynomial context NotInvertibleInAlgebra when it is
+    not a unit of the ring.
     """
-    field = _fraction_field(ctx)
+    minors = {}
+
+    def minor(rs, cs):
+        if len(rs) == 1:
+            return rows[rs[0]][cs[0]]
+        key = (rs, cs)
+        value = minors.get(key)
+        if value is None:
+            value = ctx.zero()
+            row = rows[rs[0]]
+            for k, c in enumerate(cs):
+                a = row[c]
+                if a.is_zero:
+                    continue
+                sub = minor(rs[1:], cs[:k] + cs[k + 1:])
+                if not sub.is_zero:
+                    value = value - a * sub if k & 1 else value + a * sub
+            minors[key] = value
+        return value
+
     n = len(rows)
-    # the augmented rows [A | I]; elimination leaves [I | A^-1]
-    work = [[Scalar(field, v.val) for v in row]
-            + [field.one() if i == j else field.zero() for j in range(n)]
-            for i, row in enumerate(rows)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n)
-                      if not work[r][col].is_zero), None)
-        if pivot is None:
-            raise Degenerate("matrix is singular")
-        work[col], work[pivot] = work[pivot], work[col]
-        inv = work[col][col].inverse()
-        work[col] = [inv * v for v in work[col]]
-        for r in range(n):
-            if r == col:
-                continue
-            factor = work[r][col]
-            if factor.is_zero:
-                continue
-            work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
-    inverse = [[Scalar(ctx, v.val) for v in row[n:]] for row in work]
-    if ctx.kind == POLYNOMIAL:
-        for row in inverse:
-            for s in row:
-                try:
-                    _require_in_polynomial_ring(s)
-                except NotDivisible:
-                    raise NotInvertibleInAlgebra(
-                        "inverse exists only in the fraction field") from None
+    full = tuple(range(n))
+    det = minor(full, full)
+    if det.is_zero:
+        raise Degenerate("matrix is singular")
+    try:
+        inv = det.inverse()
+    except NotDivisible:
+        raise NotInvertibleInAlgebra(
+            "inverse exists only in the fraction field") from None
+    if n == 1:
+        return [[inv]]
+    inverse = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            cof = minor(full[:i] + full[i + 1:], full[:j] + full[j + 1:])
+            inverse[i][j] = inverse[j][i] = -(inv * cof) if (i + j) & 1 \
+                else inv * cof
     return inverse
 
 
@@ -313,8 +308,9 @@ class Metric:
 def metric_inverse(algebraifold, g):
     """Build the Metric for a symmetric rank-(0, 2) tensor.
 
-    The inverse is computed over the fraction field; in polynomial contexts
-    every entry is verified to lie in the polynomial ring.
+    The inverse is the adjugate times the inverse of the determinant, which
+    must be a unit: nonzero, and in a polynomial context free of the
+    coordinates.
     """
     if g.rank != (0, 2):
         raise ArityMismatch("a metric is a rank-(0, 2) tensor")

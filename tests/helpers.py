@@ -83,18 +83,20 @@ def random_derivation(rng, algebraifold, max_deg=1):
         for _ in range(algebraifold.n)))
 
 
-def random_invertible_metric(rng, algebraifold):
-    """g = P^T D P with P unit upper-triangular (degree <= 1 entries).
+def random_invertible_metric(rng, algebraifold, entry=random_poly_scalar):
+    """g = P^T D P with P unit upper-triangular, its entries drawn by
+    ``entry`` (random_poly_scalar or random_field_scalar) with at most two
+    terms of degree <= 1.
 
     The determinant is the constant product of the D entries, so the inverse
-    is again a polynomial matrix; entries have degree <= 2.
+    of a polynomial g is again a polynomial matrix; entries have degree <= 2.
     """
     A = algebraifold
     n = A.n
     P = [[A.one() if i == j else A.zero() for j in range(n)] for i in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            P[i][j] = random_poly_scalar(rng, A.ctx, max_terms=2, max_deg=1)
+            P[i][j] = entry(rng, A.ctx, max_terms=2, max_deg=1)
     D = [A.scalar(rng.choice([-2, -1, 1, 2])) for _ in range(n)]
     entries = {}
     for i in range(n):

@@ -21,7 +21,7 @@ from afd.curvature import (
     torsion,
 )
 from afd.errors import NonConstantCoupling
-from afd.scalars import FIELD, ExtElem, MultiPoly, RatFunc
+from afd.scalars import FIELD, ExtElem, MultiPoly, RatFunc, Scalar
 from afd.tensors import Tensor, kronecker, metric_inverse
 
 from helpers import (
@@ -197,6 +197,21 @@ class TestLeviCivita:
             w = random_derivation(rng, P2)
             assert POLY_METRIC.pair(C.apply(u, v), w) \
                 == koszul_rhs(P2, POLY_METRIC, u, v, w)
+
+    def test_differentiates_each_metric_entry_once(self, monkeypatch):
+        # 3 directions times the 6 entries g_{bc}, c <= b, of a 3D metric
+        A = poly_ring("x", "y", "z")
+        m = metric_inverse(A, random_invertible_metric(random.Random(61), A))
+        partial = Scalar.partial
+        calls = []
+
+        def counted(self, name):
+            calls.append(name)
+            return partial(self, name)
+
+        monkeypatch.setattr(Scalar, "partial", counted)
+        levi_civita(A, m)
+        assert len(calls) == 18
 
     def test_uniqueness_witness(self):
         # perturbing Gamma by a nonzero symmetric tensor breaks metric
@@ -471,21 +486,6 @@ def reference_curvature_tensor(connection):
     return Tensor(A, 1, 3, out)
 
 
-def rational_metric(rng, A):
-    """g = P^T D P with P unit upper-triangular over rational functions: a
-    constant determinant, rational entries."""
-    n = A.n
-    P = [[A.one() if i == j else A.zero() for j in range(n)] for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            P[i][j] = random_field_scalar(rng, A.ctx, max_terms=2, max_deg=1)
-    D = [A.scalar(rng.choice([-2, -1, 1, 2])) for _ in range(n)]
-    return Tensor.make(A, 0, 2, {
-        (i + 1, j + 1): sum((P[k][i] * D[k] * P[k][j] for k in range(n)),
-                            A.zero())
-        for i in range(n) for j in range(n)})
-
-
 class TestCurvatureOverSharedDenominator:
     """curvature_tensor against the per-component Scalar loop it replaced."""
 
@@ -509,7 +509,8 @@ class TestCurvatureOverSharedDenominator:
         dens = set()
         for _ in range(2):
             A = function_field(*names)
-            C = levi_civita(A, metric_inverse(A, rational_metric(rng, A)))
+            C = levi_civita(A, metric_inverse(
+                A, random_invertible_metric(rng, A, random_field_scalar)))
             dens.update(v.val.den for v in C.gamma.comp.values()
                         if type(v.val) is RatFunc)
             self.assert_matches_reference(C)

@@ -4,12 +4,22 @@ import random
 
 import pytest
 
+from afd import field_with_extension
+from afd.algebraifold import Algebraifold
 from afd.errors import (
     ArityMismatch,
     Degenerate,
+    NotDivisible,
     NotInvertibleInAlgebra,
     NotSymmetric,
     SlotOutOfRange,
+)
+from afd.scalars import (
+    FIELD,
+    POLYNOMIAL,
+    Scalar,
+    ScalarContext,
+    _require_in_polynomial_ring,
 )
 from afd.tensors import (
     Tensor,
@@ -22,10 +32,13 @@ from afd.tensors import (
 
 from helpers import (
     elliptic_field,
+    function_field,
     poly_ring,
     random_derivation,
+    random_field_scalar,
     random_invertible_metric,
     random_poly_scalar,
+    random_scalar,
 )
 
 P2 = poly_ring("x", "y")
@@ -232,6 +245,187 @@ class TestMetricInverse:
             # invert the inverse: swap roles by viewing g_inv as a metric
             back = metric_inverse(P2, Tensor.make(P2, 0, 2, dict(m.g_inv.comp)))
             assert back.g_inv.comp == g.comp
+
+
+def _fraction_field(ctx):
+    if ctx.kind == FIELD:
+        return ctx
+    return ScalarContext(FIELD, ctx.transcendentals, ctx.constants,
+                         ctx.extensions)
+
+
+def reference_matrix_inverse(ctx, rows):
+    """Exact Gauss-Jordan inverse of a Scalar matrix, computed over the
+    fraction field of the context and returned as Scalars of the context.
+
+    Raises Degenerate when the determinant vanishes, and in a polynomial
+    context NotInvertibleInAlgebra when an entry of the inverse lies only in
+    the fraction field.
+    """
+    field = _fraction_field(ctx)
+    n = len(rows)
+    # the augmented rows [A | I]; elimination leaves [I | A^-1]
+    work = [[Scalar(field, v.val) for v in row]
+            + [field.one() if i == j else field.zero() for j in range(n)]
+            for i, row in enumerate(rows)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n)
+                      if not work[r][col].is_zero), None)
+        if pivot is None:
+            raise Degenerate("matrix is singular")
+        work[col], work[pivot] = work[pivot], work[col]
+        inv = work[col][col].inverse()
+        work[col] = [inv * v for v in work[col]]
+        for r in range(n):
+            if r == col:
+                continue
+            factor = work[r][col]
+            if factor.is_zero:
+                continue
+            work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
+    inverse = [[Scalar(ctx, v.val) for v in row[n:]] for row in work]
+    if ctx.kind == POLYNOMIAL:
+        for row in inverse:
+            for s in row:
+                try:
+                    _require_in_polynomial_ring(s)
+                except NotDivisible:
+                    raise NotInvertibleInAlgebra(
+                        "inverse exists only in the fraction field") from None
+    return inverse
+
+
+def random_symmetric_metric(rng, A, entry=random_scalar):
+    """A symmetric matrix of random entries: its determinant is in general
+    no constant, and in a polynomial context no unit."""
+    entries = {}
+    for i in range(1, A.n + 1):
+        for j in range(i, A.n + 1):
+            entries[(i, j)] = entries[(j, i)] = entry(rng, A.ctx)
+    return Tensor.make(A, 0, 2, entries)
+
+
+def inverse_or_error(algebraifold, g, invert):
+    """The inverse entries of g by ``invert``, or the error it raised."""
+    n = algebraifold.n
+    rows = [[g.get((i, j)) for j in range(1, n + 1)] for i in range(1, n + 1)]
+    try:
+        return invert(algebraifold.ctx, rows)
+    except (Degenerate, NotInvertibleInAlgebra) as exc:
+        return type(exc)
+
+
+POLY_M = poly_ring("x", "y", constants=("m",))
+M = POLY_M.ctx.var("m")
+
+
+class TestInverseAgainstGaussJordan:
+    """metric_inverse against the Gauss-Jordan elimination it replaced."""
+
+    @staticmethod
+    def assert_matches_reference(A, g):
+        expected = inverse_or_error(A, g, reference_matrix_inverse)
+        if isinstance(expected, type):
+            with pytest.raises(expected):
+                metric_inverse(A, g)
+            return expected
+        n = A.n
+        m = metric_inverse(A, g)
+        assert m.g_inv == Tensor.make(A, 2, 0, {
+            (i + 1, j + 1): expected[i][j]
+            for i in range(n) for j in range(n)})
+        return None
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_polynomial_contexts(self, n):
+        rng = random.Random(1300 + n)
+        A = poly_ring(*[f"x{i}" for i in range(1, n + 1)], constants=("m",))
+        outcomes = set()
+        for _ in range(4):
+            assert self.assert_matches_reference(
+                A, random_invertible_metric(rng, A)) is None
+            outcomes.add(self.assert_matches_reference(
+                A, random_symmetric_metric(rng, A, lambda rng, ctx:
+                                           random_poly_scalar(rng, ctx, 2, 1))))
+        assert NotInvertibleInAlgebra in outcomes
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_rational_function_contexts(self, n):
+        rng = random.Random(1310 + n)
+        A = function_field(*[f"x{i}" for i in range(1, n + 1)])
+        outcomes = set()
+        for _ in range(2):
+            assert self.assert_matches_reference(A, random_invertible_metric(
+                rng, A, random_field_scalar)) is None
+            outcomes.add(self.assert_matches_reference(
+                A, random_symmetric_metric(rng, A)))
+        assert None in outcomes
+
+    @pytest.mark.parametrize("ctx", [
+        elliptic_field().ctx,
+        field_with_extension(("x", "z"), "y", "y^2 - x^3 - 1"),
+        field_with_extension(("t", "x", "y"), "r", "r^2 - x^2 - y^2",
+                             constants=("m",))],
+        ids=["elliptic", "elliptic-2d", "kerr-schild-3d"])
+    def test_extension_contexts(self, ctx):
+        rng = random.Random(1320)
+        A = Algebraifold.build(ctx)
+        outcomes = {self.assert_matches_reference(
+            A, random_symmetric_metric(rng, A)) for _ in range(3)}
+        assert None in outcomes
+
+    def test_kerr_schild_manifests(self, repo_root):
+        from afd.manifest import load_manifest
+
+        for path in ("perfbench/ks_extension.json",
+                     "tests/fixtures/schwarzschild_ks.json"):
+            manifest = load_manifest(repo_root / path)
+            assert self.assert_matches_reference(
+                manifest.algebraifold, manifest.metric_tensor()) is None
+
+    def test_constant_unit_of_polynomial_ring(self):
+        # m is a unit of Q(m)[x, y]: diag(m, 1) inverts to diag(1/m, 1)
+        g = Tensor.make(POLY_M, 0, 2, {(1, 1): M, (2, 2): 1})
+        assert self.assert_matches_reference(POLY_M, g) is None
+        assert metric_inverse(POLY_M, g).g_inv == Tensor.make(
+            POLY_M, 2, 0, {(1, 1): POLY_M.one() / M, (2, 2): 1})
+
+    def test_determinant_not_a_unit(self):
+        # det = m - x^2 involves a coordinate
+        g = Tensor.make(POLY_M, 0, 2, {
+            (1, 1): M, (1, 2): "x", (2, 1): "x", (2, 2): 1})
+        assert self.assert_matches_reference(POLY_M, g) \
+            is NotInvertibleInAlgebra
+
+    @pytest.mark.parametrize("A, entries", [
+        (POLY_M, {(1, 1): "x", (1, 2): "x*y", (2, 1): "x*y",
+                  (2, 2): "x*y^2"}),
+        (poly_ring("x", "y", "z"), {(1, 1): 1, (1, 3): "x", (3, 1): "x",
+                                    (3, 3): "x^2", (2, 2): "y"}),
+        (function_field("x", "y"), {(1, 1): "1/x", (1, 2): 1, (2, 1): 1,
+                                    (2, 2): "x"}),
+        (elliptic_field(), {}),
+        (Algebraifold.build(field_with_extension(
+            ("x", "z"), "y", "y^2 - x^3 - 1")),
+         {(1, 1): "y", (1, 2): "x^3 + 1", (2, 1): "x^3 + 1",
+          (2, 2): "x^3*y + y"})])
+    def test_singular_stays_degenerate(self, A, entries):
+        g = Tensor.make(A, 0, 2, entries)
+        assert self.assert_matches_reference(A, g) is Degenerate
+
+    def test_kerr_inverse(self, repo_root):
+        # Kerr-Schild Kerr over Q(m, a)(t, x, y, z)[r], r quartic
+        from afd.manifest import load_manifest
+
+        manifest = load_manifest(repo_root / "tests/fixtures/kerr.json")
+        A = manifest.algebraifold
+        m = metric_inverse(A, manifest.metric_tensor())
+        for i in range(1, 5):
+            for k in range(1, 5):
+                total = A.zero()
+                for j in range(1, 5):
+                    total = total + m.entry(i, j) * m.inv_entry(j, k)
+                assert total == (A.one() if i == k else A.zero())
 
 
 class TestMusical:
