@@ -133,8 +133,9 @@ def build_manifest(raw):
                               "algebra.generators")
     relations = _string_list(algebra_raw.get("relations", []),
                              "algebra.relations")
-    basis = _string_list(algebra_raw.get("transcendence_basis", generators),
-                         "algebra.transcendence_basis")
+    basis = _string_list(
+        algebra_raw.get("transcendence_basis", list(generators)),
+        "algebra.transcendence_basis")
     _require(len(generators) >= 1, "algebra must declare generators")
     _require(all(b in generators for b in basis),
              "transcendence_basis must be a subset of generators")

@@ -22,8 +22,9 @@ that can represent them:
   every field is a guard: exponents and total degrees stay below
   ``2**15``, so a quotient key ``re - he`` is valid exactly when it is
   nonnegative with no guard bit set (a borrow sets one).  A product whose
-  total degree would reach ``2**15`` raises ``ExponentOverflow``; no key
-  ever wraps.
+  total degree would reach ``2**15`` raises ``ExponentOverflow``, and so
+  does a power of a polynomial or a rational function before it is built;
+  no key ever wraps.
 * ``RatFunc`` and ``ExtElem`` share one quotient form: polynomial
   numerators over one common monic denominator that shares no factor with
   all of them at once.  A ``RatFunc`` has one numerator; an ``ExtElem`` has
@@ -32,8 +33,12 @@ that can represent them:
   cancel step (a content gcd against the denominator, then a monic
   rescale), Henrici's sum and the quotient rule.  The product is per kind:
   cross gcds for a ``RatFunc``, reduction modulo the relation for an
-  ``ExtElem``, whose inverse is a fraction-free solve of its
-  multiplication matrix.
+  ``ExtElem``.  An ``ExtElem`` is inverted by Cramer's rule on its
+  multiplication matrix: the cofactors of one row over the determinant.
+* ``_laplace_minors`` is the one determinant kernel, division-free over any
+  commutative ring: each minor is a Laplace expansion along its first row,
+  memoized by its row and column subsets.  It gives the ``ExtElem``
+  inverse here and the adjugate metric inverse in ``tensors``.
 
 Every reduction rests on ``poly_gcd``.  It runs the heuristic GCD (GCDHEU:
 evaluate the integer numerators at large integers, take an integer gcd,
@@ -61,7 +66,6 @@ from fractions import Fraction
 from functools import reduce
 from math import gcd, isqrt, lcm
 from operator import add, attrgetter, mul, or_, sub
-from typing import Union
 
 from .errors import (
     ContextMismatch,
@@ -132,6 +136,19 @@ def _support(keys):
 def _used(poly):
     """Per variable, nonzero exactly when the polynomial involves it."""
     return _unpack(_support(poly.nums), len(poly.vars))
+
+
+def _require_power_fits(n, value):
+    """Raise ExponentOverflow before the ``n``-th power of a MultiPoly, or of
+    a RatFunc's numerator and denominator, is built with a total degree that
+    reaches the limit: over Q, ``deg p**n = n * deg p``."""
+    for p in (value,) if type(value) is MultiPoly else (value.num, value.den):
+        if p.nums:
+            total = n * (max(p.nums) >> _W * len(p.vars))
+            if total >= _LIMIT:
+                raise ExponentOverflow(
+                    f"a power of total degree {total} reaches the limit"
+                    f" 2**{_W - 1}")
 
 
 def _rational(value):
@@ -375,6 +392,7 @@ class MultiPoly:
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative power of a polynomial")
+        _require_power_fits(n, self)
         result = MultiPoly.const(self.vars, 1)
         base = self
         while n:
@@ -959,9 +977,34 @@ def _add_vector(acc, v, sign=1):
     return acc
 
 
-def _vector_product(a, b):
-    """Product of two polynomial vectors in the generator, unreduced."""
-    return _add_product([], a, b)
+def _laplace_minors(rows, zero, one):
+    """The minors of a square matrix over a commutative ring, as a function
+    of their row and column index tuples.
+
+    Each minor is a Laplace expansion along its first row, memoized by its
+    row and column subsets, so a determinant shares its subminors with the
+    cofactors.  The entries, ``zero`` and ``one`` are ring elements with
+    ``+``, ``-``, ``*`` and ``is_zero`` (Scalars or MultiPolys); the empty
+    minor is ``one``.  No division runs.
+    """
+    memo = {((), ()): one}
+
+    def minor(rs, cs):
+        key = (rs, cs)
+        value = memo.get(key)
+        if value is None:
+            value, row, rest = zero, rows[rs[0]], rs[1:]
+            for k, c in enumerate(cs):
+                a = row[c]
+                if a.is_zero:
+                    continue
+                sub = minor(rest, cs[:k] + cs[k + 1:])
+                if not sub.is_zero:
+                    value = value - a * sub if k & 1 else value + a * sub
+            memo[key] = value
+        return value
+
+    return minor
 
 
 class Extension:
@@ -1078,12 +1121,13 @@ class ExtElem(_Quotient):
             return self
         if other.is_zero:
             return other
-        return self.ext.reduce(_vector_product(self.nums, other.nums),
+        return self.ext.reduce(_add_product([], self.nums, other.nums),
                                self.den * other.den)
 
     def inverse(self):
         """``den * adj(M) e0 / det M`` for the matrix M of multiplication by
-        the numerator, by fraction-free Gauss-Jordan elimination."""
+        the numerator: the signed cofactors of M's first row over its
+        determinant, from one Laplace expansion."""
         if self.is_zero:
             raise DivisionByZero("inverse of zero")
         ext = self.ext
@@ -1094,11 +1138,18 @@ class ExtElem(_Quotient):
             col, k = ext.pseudo_remainder([zero] + cols[-1])
             cols.append(col)
             powers.append(powers[-1] + k)
-        rhs = [MultiPoly.const(ext.base_vars, 1)] + [zero] * (ext.degree - 1)
-        det, x = _fraction_free_solve(
-            [[col[i] for col in cols] + [rhs[i]] for i in range(ext.degree)])
-        return ExtElem.make([self.den * ext.lead ** k * v
-                             for v, k in zip(x, powers)], det, ext)
+        full = tuple(range(ext.degree))
+        minor = _laplace_minors([[col[i] for col in cols] for i in full],
+                                zero, MultiPoly.const(ext.base_vars, 1))
+        det = minor(full, full)
+        if det.is_zero:
+            raise DivisionByZero(
+                "element shares a factor with the minimal relation")
+        nums = []
+        for j, k in zip(full, powers):
+            cof = minor(full[1:], full[:j] + full[j + 1:])
+            nums.append(self.den * ext.lead ** k * (-cof if j & 1 else cof))
+        return ExtElem.make(nums, det, ext)
 
     def partial(self, name, gen_derivative):
         """d/d(name), given the implicit derivative of the generator: the
@@ -1230,32 +1281,6 @@ class SharedDenominator:
         if self.outer.is_const:
             return Scalar.make(ctx, num)
         return Scalar.make(ctx, RatFunc.make(num, self.outer))
-
-
-def _fraction_free_solve(rows):
-    """Solve a square system given as augmented rows, by fraction-free
-    (Bareiss) Gauss-Jordan elimination over polynomials.
-
-    Returns ``(det, x)`` with the solution ``x[i] / det``; ``det`` is the
-    system's determinant up to sign, and every division is exact.
-    """
-    n = len(rows)
-    prev = MultiPoly.const(rows[0][0].vars, 1)
-    for k in range(n):
-        p = next((i for i in range(k, n) if rows[i][k].nums), None)
-        if p is None:
-            raise DivisionByZero(
-                "element shares a factor with the minimal relation")
-        rows[k], rows[p] = rows[p], rows[k]
-        pivot, pivot_row = rows[k][k], rows[k]
-        for i, row in enumerate(rows):
-            if i == k:
-                continue
-            f = row[k]
-            for j in range(k + 1, n + 1):
-                row[j] = (pivot * row[j] - f * pivot_row[j]).exact_div(prev)
-        prev = pivot
-    return prev, [row[n] for row in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -1477,9 +1502,6 @@ def validate_relation_separable(relation, gen):
 # Scalars
 # ---------------------------------------------------------------------------
 
-Payload = Union[Fraction, MultiPoly, RatFunc, ExtElem]
-
-
 # tower level of each payload type; payloads are never subclass instances
 _LEVEL = {Fraction: 0, MultiPoly: 1, RatFunc: 2, ExtElem: 3}
 
@@ -1621,6 +1643,11 @@ class Scalar:
             raise TypeError("scalar exponents must be integers")
         if n < 0:
             return self.ctx.one() / (self ** (-n))
+        v = self.val
+        # the powers of a reduced quotient stay reduced; reduction changes
+        # an ExtElem's degrees, so only its products check
+        if type(v) is MultiPoly or type(v) is RatFunc:
+            _require_power_fits(n, v)
         result = self.ctx.one()
         base = self
         while n:

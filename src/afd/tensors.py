@@ -20,6 +20,7 @@ from .errors import (
     NotSymmetric,
     SlotOutOfRange,
 )
+from .scalars import _laplace_minors
 
 
 def accumulate(comp, idx, value):
@@ -235,31 +236,11 @@ def _matrix_inverse(ctx, rows):
     """Exact inverse of a symmetric Scalar matrix by Cramer's rule,
     adj(A) / det(A), in ring arithmetic and one inverse of det(A).
 
-    Every minor is a Laplace expansion along its first row, memoized by its
-    row and column subsets.  Raises Degenerate when the determinant
-    vanishes, and in a polynomial context NotInvertibleInAlgebra when it is
-    not a unit of the ring.
+    The determinant and the cofactors share one memoized Laplace expansion.
+    Raises Degenerate when the determinant vanishes, and in a polynomial
+    context NotInvertibleInAlgebra when it is not a unit of the ring.
     """
-    minors = {}
-
-    def minor(rs, cs):
-        if len(rs) == 1:
-            return rows[rs[0]][cs[0]]
-        key = (rs, cs)
-        value = minors.get(key)
-        if value is None:
-            value = ctx.zero()
-            row = rows[rs[0]]
-            for k, c in enumerate(cs):
-                a = row[c]
-                if a.is_zero:
-                    continue
-                sub = minor(rs[1:], cs[:k] + cs[k + 1:])
-                if not sub.is_zero:
-                    value = value - a * sub if k & 1 else value + a * sub
-            minors[key] = value
-        return value
-
+    minor = _laplace_minors(rows, ctx.zero(), ctx.one())
     n = len(rows)
     full = tuple(range(n))
     det = minor(full, full)
@@ -270,8 +251,6 @@ def _matrix_inverse(ctx, rows):
     except NotDivisible:
         raise NotInvertibleInAlgebra(
             "inverse exists only in the fraction field") from None
-    if n == 1:
-        return [[inv]]
     inverse = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):

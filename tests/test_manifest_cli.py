@@ -90,6 +90,17 @@ class TestLoadManifest:
             build_manifest(raw)
         assert err.value.exit_code == 2
 
+    def test_transcendence_basis_defaults_to_the_generators(self):
+        algebra = {"kind": "polynomial", "generators": ["x", "y"]}
+        manifest = build_manifest(manifest_with(algebra=algebra))
+        assert manifest.algebra.transcendence_basis == ("x", "y")
+        # with every generator transcendental, a relation has no generator
+        with pytest.raises(ManifestValidationError) as err:
+            build_manifest(manifest_with(
+                algebra=dict(algebra, relations=["y^2 - x"])))
+        assert "one relation is required per algebraic generator" \
+            in str(err.value)
+
     def test_extension_tower_is_a_usage_error(self):
         from afd.errors import UnsupportedTower
 
@@ -341,10 +352,10 @@ class TestConcurrency:
 
 
 class TestCli:
-    def run_cli(self, *args):
+    def run_cli(self, *args, timeout=None):
         return subprocess.run(
             [sys.executable, "-m", "afd.cli", *args],
-            capture_output=True, text=True)
+            capture_output=True, text=True, timeout=timeout)
 
     def test_check_exit_zero(self, repo_root):
         proc = self.run_cli("check",
@@ -402,6 +413,14 @@ class TestCli:
             metric=[["x^40000", "0"], ["0", "1"]])), encoding="utf-8")
         assert main(["check", str(path)]) in (1, 2)
         assert capsys.readouterr().err.startswith("afd: [exponent-overflow]")
+
+    def test_power_past_the_limit_exits_one_at_once(self, tmp_path):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest_with(
+            metric=[["(x+y+1)^40000", "0"], ["0", "1"]])), encoding="utf-8")
+        proc = self.run_cli("check", str(path), timeout=60)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("afd: [exponent-overflow]")
 
     def test_check_filter(self, repo_root):
         proc = self.run_cli(

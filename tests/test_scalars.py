@@ -469,6 +469,22 @@ class TestPackedKeys:
                 MultiPoly(self.VARS, {exps: 1})
         with pytest.raises(ExponentOverflow):
             POLY.var("x") ** 40000
+        # the power bound is exact: total degree 2 * 16383 fits, 2 * 16384
+        # does not
+        field = ScalarContext(FIELD, ("x", "y"))
+        fx, fy = field.var("x"), field.var("y")
+        for value in (X * Y, (X * Y).val, fx * fy, 1 / (fx * fy)):
+            assert value ** 16383 == (value ** 127) ** 129
+            with pytest.raises(ExponentOverflow):
+                value ** 16384
+        # squaring would build (x+y+1)**16384, about 1.3e8 terms, before a
+        # product trips the limit; deg p**n = n * deg p refuses it at once
+        for value in (X + Y + 1, (X + Y + 1).val, fx + fy + 1, 1 / (fx + 1)):
+            with pytest.raises(ExponentOverflow):
+                value ** 40000
+        for value in (fx + fy + 1, 1 / (fx + 1)):
+            with pytest.raises(ExponentOverflow):
+                value ** -40000
 
     def test_malformed_exponent_tuples_are_refused(self):
         for exps in ((1, 2), (1, 0, -1)):
@@ -1263,7 +1279,21 @@ NON_MONIC_RELATIONS = [
     (("x", "z"), "y", "(x+1)*y^2 - z*y - x", ("1", "x", "z + 1", "x*z - 1")),
     (("x",), "w", "x*w^3 + w + x", ("1", "x", "x + 1", "x^2 - 2")),
     (("x",), "w", "w^4 - x^3 - x - 1", ("1", "x", "x - 1")),
+    # degree 1: the multiplication matrix is 1x1 and its cofactor the empty
+    # minor
+    (("x",), "y", "x*y - 1", ("1", "x", "x + 1")),
+    (("x",), "w", "x*w^6 - w - x - 1", ("1", "x", "x + 1")),
 ]
+
+
+def _polynomials(ctx, texts):
+    """The texts parsed in ``ctx`` as polynomials over all its variables."""
+    out = []
+    for t in texts:
+        v = parse_scalar(t, ctx).val
+        out.append(MultiPoly.const(ctx.all_vars, v)
+                   if type(v) is Fraction else v)
+    return out
 
 
 class TestCommonDenominator:
@@ -1292,11 +1322,7 @@ class TestCommonDenominator:
         names, gen, text, den_texts = case
         ctx = field_with_extension(names, gen, text)
         ref = DenseExtension(ctx)
-        dens = []
-        for t in den_texts:
-            v = parse_scalar(t, ctx).val
-            dens.append(MultiPoly.const(ctx.all_vars, v)
-                        if type(v) is Fraction else v)
+        dens = _polynomials(ctx, den_texts)
         rng = random.Random(7)
         for trial in range(10):
             a = self._random_elem(rng, ctx, dens)
@@ -1339,3 +1365,92 @@ class TestCommonDenominator:
         assert not ctx.irreducibility_verified
         with pytest.raises(DivisionByZero):
             (ctx.var("w") - 1).inverse()
+
+
+# ---------------------------------------------------------------------------
+# The extension inverse against the Bareiss elimination it replaced
+# ---------------------------------------------------------------------------
+
+def reference_fraction_free_solve(rows):
+    """Solve a square system given as augmented rows, by fraction-free
+    (Bareiss) Gauss-Jordan elimination over polynomials.
+
+    Returns ``(det, x)`` with the solution ``x[i] / det``; ``det`` is the
+    system's determinant up to sign, and every division is exact.
+    """
+    n = len(rows)
+    prev = MultiPoly.const(rows[0][0].vars, 1)
+    for k in range(n):
+        p = next((i for i in range(k, n) if rows[i][k].nums), None)
+        if p is None:
+            raise DivisionByZero(
+                "element shares a factor with the minimal relation")
+        rows[k], rows[p] = rows[p], rows[k]
+        pivot, pivot_row = rows[k][k], rows[k]
+        for i, row in enumerate(rows):
+            if i == k:
+                continue
+            f = row[k]
+            for j in range(k + 1, n + 1):
+                row[j] = (pivot * row[j] - f * pivot_row[j]).exact_div(prev)
+        prev = pivot
+    return prev, [row[n] for row in rows]
+
+
+def reference_ext_inverse(self):
+    """``den * adj(M) e0 / det M`` for the matrix M of multiplication by
+    the numerator, by fraction-free Gauss-Jordan elimination."""
+    if self.is_zero:
+        raise DivisionByZero("inverse of zero")
+    ext = self.ext
+    # column j is lead**powers[j] * (nums * gen**j mod relation)
+    cols, powers = [list(self.nums)], [0]
+    zero = MultiPoly.zero(ext.base_vars)
+    for _ in range(1, ext.degree):
+        col, k = ext.pseudo_remainder([zero] + cols[-1])
+        cols.append(col)
+        powers.append(powers[-1] + k)
+    rhs = [MultiPoly.const(ext.base_vars, 1)] + [zero] * (ext.degree - 1)
+    det, x = reference_fraction_free_solve(
+        [[col[i] for col in cols] + [rhs[i]] for i in range(ext.degree)])
+    return ExtElem.make([self.den * ext.lead ** k * v
+                         for v, k in zip(x, powers)], det, ext)
+
+
+# relations of degree 6 and 8 in two transcendentals, for the inverse alone
+HIGH_DEGREE_RELATIONS = [
+    (("x", "y"), "w", "x*w^6 + y*w^2 - x - y", ("1", "x", "y + 1")),
+    (("x", "y"), "w", "y*w^8 - x*w^5 + w - 1", ("1", "x")),
+]
+
+
+class TestInverseAgainstBareiss:
+    """ExtElem.inverse, the cofactors of one row of the multiplication
+    matrix over its determinant from one Laplace expansion, against the
+    fraction-free Gauss-Jordan solve it replaced, kept above verbatim."""
+
+    @pytest.mark.parametrize(
+        "case", NON_MONIC_RELATIONS + HIGH_DEGREE_RELATIONS,
+        ids=[r[2] for r in NON_MONIC_RELATIONS + HIGH_DEGREE_RELATIONS])
+    def test_matches_reference(self, case):
+        names, gen, text, den_texts = case
+        ctx = field_with_extension(names, gen, text)
+        dens = _polynomials(ctx, den_texts)
+        rng = random.Random(1400)
+        for _ in range(6):
+            elem = TestCommonDenominator._random_elem(rng, ctx, dens)
+            if elem.is_zero:
+                continue
+            got = elem.inverse()
+            assert got == reference_ext_inverse(elem), (text, elem)
+            _assert_canonical_elem(got)
+            assert Scalar.make(ctx, got * elem) == 1
+
+    def test_zero_divisor_raises_like_the_reference(self):
+        ctx = field_with_extension(("x",), "w", "w^4 - 1")
+        elem = (ctx.var("w") - 1).val
+        for invert in (ExtElem.inverse, reference_ext_inverse):
+            with pytest.raises(DivisionByZero) as err:
+                invert(elem)
+            assert str(err.value) == \
+                "element shares a factor with the minimal relation"
