@@ -40,9 +40,9 @@ def _tokenize(text):
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             tokens.append(("int", text[i:j], i))
             i = j
@@ -94,6 +94,14 @@ class _Parser:
         self.depth -= 1
         return value
 
+    def integer(self):
+        _, text, where = self.advance()
+        try:
+            return int(text)
+        except ValueError:  # past the interpreter's digit limit
+            raise ExprSyntaxError(
+                f"integer of {len(text)} digits is too long", where) from None
+
     def expr(self):
         value = self.term()
         while self.peek()[0] in ("+", "-"):
@@ -124,15 +132,14 @@ class _Parser:
                 self.advance()
             if self.peek()[0] != "int":
                 self.fail(expected=("integer",))
-            n = int(self.advance()[1])
+            n = self.integer()
             value = value ** (-n if negative else n)
         return value
 
     def base(self):
         kind, text, where = self.peek()
         if kind == "int":
-            self.advance()
-            return self.ctx.const(int(text))
+            return self.ctx.const(self.integer())
         if kind == "ident":
             self.advance()
             try:

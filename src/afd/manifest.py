@@ -3,8 +3,9 @@
 A manifest is a UTF-8 JSON document declaring the coordinate algebra, an
 optional metric and stress-energy tensor, coupling constants, named curves
 and a list of checks to run.  Loading parses and context-validates every
-expression eagerly; mathematical computations (metric inversion, curve
-validation) happen when a check runs.
+expression eagerly, the expected dimension of a ``dim`` check included;
+mathematical computations (metric inversion, curve validation) happen when
+a check runs.
 """
 
 from __future__ import annotations
@@ -232,16 +233,18 @@ def _validate_checks(value, ctx, n, curves, has_metric):
                    if k not in ("name", "command")}
         expect = options.get("expect")
         if command in ("efe", "geodesic", "lie", "bracket"):
-            _require(expect is None or expect in _EXPECTABLE,
+            _require(expect is None
+                     or (isinstance(expect, str) and expect in _EXPECTABLE),
                      f"check '{name}': expect must be 'zero' or 'nonzero'")
-        elif command == "dim":
-            _require(expect is None or isinstance(expect, str),
+        elif command == "dim" and expect is not None:
+            _require(isinstance(expect, str),
                      f"check '{name}': expect must be an expression string")
+            parse_scalar(expect, ctx)
         if command in ("christoffel", "curvature", "efe", "geodesic", "lie"):
             _require(has_metric, f"check '{name}': manifest declares no metric")
         if command in ("geodesic", "pullback"):
             curve = options.get("curve")
-            _require(curve in curves,
+            _require(isinstance(curve, str) and curve in curves,
                      f"check '{name}': unknown curve {curve!r}")
         if command == "lie":
             _vector_option(options, "vector", name, n, ctx)

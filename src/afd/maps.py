@@ -3,7 +3,9 @@
 A homomorphism is stored as a generator-image table and validated eagerly:
 every minimal relation must map to zero, and the explicit pullback formula is
 checked against the differentials of all generators before the map is
-accepted.  Curves are homomorphisms into a line (polynomial Q[t], or its
+accepted.  It maps every scalar, the relations included, through one
+``scalars.Substitution``, so the Christoffel symbols mapped along a curve
+share one table of image powers.  Curves are homomorphisms into a line (polynomial Q[t], or its
 rational diagnostic variant for field-type sources), and the geodesic
 residual transports a connection along the curve and differentiates the
 curve's own velocity.
@@ -33,19 +35,21 @@ from .scalars import (
     RatFunc,
     Scalar,
     ScalarContext,
-    _substitute,
+    Substitution,
 )
 
 
 class AlgebraifoldHom:
     """A validated homomorphism given by images of the source generators."""
 
-    __slots__ = ("source", "target", "images")
+    __slots__ = ("source", "target", "images", "substitution")
 
     def __init__(self, source, target, images):
         self.source = source
         self.target = target
         self.images = dict(images)
+        self.substitution = Substitution(source.ctx.constants, self.images,
+                                         target.ctx)
 
     @classmethod
     def build(cls, source, target, images):
@@ -60,18 +64,13 @@ class AlgebraifoldHom:
                     f"target context lacks base constant '{name}'")
         hom = cls(source, target, images)
         for gen, rel in source.ctx.extensions:
-            residual = hom._evaluate_relation(rel)
+            residual = hom.substitution(rel)
             if not residual.is_zero:
                 from .expr import render_scalar
 
                 raise RelationNotPreserved(gen, render_scalar(residual))
         hom._verify_pullback()
         return hom
-
-    def _evaluate_relation(self, rel):
-        """The image of a relation, base constants mapping to their namesakes."""
-        return _substitute(rel, self.source.ctx.constants, dict(self.images),
-                           self.target.ctx)
 
     def _verify_pullback(self):
         """Check the explicit pullback against d(image) on every generator."""
@@ -101,7 +100,7 @@ class AlgebraifoldHom:
 
     def apply(self, a):
         """The image of a scalar under the homomorphism."""
-        return self.source.scalar(a).substitute(self.images)
+        return self.substitution(self.source.scalar(a).val)
 
     def pullback(self, xi):
         """Pull a source one-form back to the target.

@@ -46,6 +46,15 @@ interpolate back and certify by the integer exact division that
 ``exact_div`` also uses); a primitive polynomial remainder sequence runs
 only when the heuristic gives up.
 
+Polynomials are evaluated by two kernels, one per kind of image.
+``Substitution`` maps any payload to ``Scalar`` images in a target context:
+it binds each name when a payload first uses it and keeps ``image ** k``
+per ``(name, k)`` for as long as it lives, so a homomorphism that maps many
+payloads through one substitution raises each image to each power once.
+``_int_evaluate`` sets one variable of the integer numerators to an
+integer; GCDHEU evaluates with it, and so does the irreducibility test of
+a relation, one variable at a time.
+
 A ``ScalarContext`` declares base parameter constants (adjoined to the
 coefficient field), the ordered transcendental variables, and at most one
 algebraic extension.  ``Scalar`` wraps a payload together with its context
@@ -441,38 +450,6 @@ class MultiPoly:
             if k:
                 out[e - unit] = c * k
         return _reduced(self.vars, out, self.denom)
-
-    def specialize(self, values):
-        """Substitute ints or Fractions for a subset of variables.
-
-        ``values`` maps variable names to values; the result lives over the
-        remaining variables (in their original order).  A value ``n/d`` of a
-        variable of top degree ``top`` turns ``x**k`` into
-        ``n**k * d**(top - k)`` over ``d**top``.
-        """
-        keep = [i for i, v in enumerate(self.vars) if v not in values]
-        den = self.denom
-        k = len(self.vars)
-        terms = [(_unpack(e, k), c) for e, c in self.nums.items()]
-        subs = []
-        for i, v in enumerate(self.vars):
-            if v in values and terms:
-                x = _rational(values[v])
-                top = max(e[i] for e, _ in terms)
-                den *= x.denominator ** top
-                subs.append((i, x.numerator, x.denominator, top))
-        out = {}
-        for e, c in terms:
-            for i, n, d, top in subs:
-                c *= n ** e[i] * d ** (top - e[i])
-            e2 = _pack([e[i] for i in keep], len(keep))
-            s = out.get(e2, 0) + c
-            if s:
-                out[e2] = s
-            else:
-                out.pop(e2, None)
-        new_vars = tuple(self.vars[i] for i in keep)
-        return _reduced(new_vars, out, den)
 
     def reordered(self, new_vars):
         """Re-express over a variable tuple containing all used variables."""
@@ -1359,20 +1336,17 @@ def relation_is_irreducible(relation, gen):
     deg = relation.degree_in(gen)
     if deg <= 1:
         return True
-    others = [v for v in relation.vars if v != gen]
-    s, unit = relation._field(gen)
-    lead = _poly(relation.vars, {
-        e - deg * unit: c
-        for e, c in relation.nums.items() if (e >> s & _FIELD) == deg
-    }, 1)
+    s, _ = relation._field(gen)
+    others = [relation._field(v) for v in relation.vars if v != gen]
     for seed in _SPECIALIZE_SEEDS:
-        values = {v: seed + i for i, v in enumerate(others)}
-        if others and lead.specialize(values).is_zero:
-            continue
+        f = relation.nums
+        for i, (vs, unit) in enumerate(others):
+            f = _int_evaluate(f, vs, unit, seed + i)
         int_coeffs = [0] * (deg + 1)
-        # the specialization is univariate: a key's low field is its degree
-        for e, c in relation.specialize(values).nums.items():
-            int_coeffs[e & _FIELD] = c
+        for e, c in f.items():
+            int_coeffs[e >> s & _FIELD] = c
+        if not int_coeffs[deg]:
+            continue  # the seed zeroes the leading coefficient
         if not _rational_roots_exist(int_coeffs):
             return True
         if not others:
@@ -1691,8 +1665,7 @@ class Scalar:
                 raise ContextMismatch("binding images live in different contexts")
         if target is None:
             target = self.ctx
-        return _substitute(self.val, self.ctx.constants, dict(bindings),
-                           target)
+        return Substitution(self.ctx.constants, bindings, target)(self.val)
 
 
 def _demote(payload):
@@ -1757,63 +1730,63 @@ def _poly_in_gen_to_elem(ctx, poly):
                       MultiPoly.const(ctx.all_vars, 1))
 
 
-def _substitute(payload, constants, bindings, target):
-    """The image of a payload under ``bindings``; each base constant among
-    ``constants`` that it needs and ``bindings`` lacks maps to its namesake
-    in ``target``."""
-    needed = set()
-    stack = [payload]
-    while stack:
-        p = stack.pop()
-        if isinstance(p, MultiPoly):
-            needed.update(name for name, used in zip(p.vars, _used(p)) if used)
-        elif isinstance(p, _Quotient):
-            # nums and den involve the variables of the reduced coefficients
-            # and no others: den is the lcm of their denominators
-            if p.ext is not None:
-                needed.add(p.gen)
-            stack.extend(p.nums)
-            stack.append(p.den)
-    for name in sorted(needed):
-        if name in bindings:
-            continue
-        if name in constants:
-            if name not in target.constants:
-                raise IncompleteBindings(
-                    f"target context lacks base constant '{name}'")
-            bindings[name] = target.var(name)
-        else:
-            raise IncompleteBindings(f"no image given for '{name}'")
-    return _subst_payload(payload, bindings, target, {})
+class Substitution:
+    """The ring homomorphism of payloads into the context ``target`` that
+    sends each generator named in ``bindings`` to its image there.
 
+    A base constant among ``constants`` without an image maps to its
+    namesake in ``target``.  Names are bound when a payload first uses them,
+    and ``image ** k`` is computed once per ``(name, k)`` for the life of
+    the substitution, so every payload mapped through one shares the powers.
+    """
 
-def _subst_payload(payload, bindings, target, powers):
-    # powers[name, e] = bindings[name] ** e, shared by every term
-    if isinstance(payload, Fraction):
-        return Scalar.make(target, payload)
-    if isinstance(payload, MultiPoly):
-        total = target.zero()
-        for e, c in payload.terms.items():
-            term = target.const(c)
-            for name, k in zip(payload.vars, e):
-                if k:
-                    p = powers.get((name, k))
-                    if p is None:
-                        p = powers[name, k] = bindings[name] ** k
-                    term = term * p
-            total = total + term
-        return total
-    # a quotient: sum_i phi(nums_i) * phi(gen)**i over phi(den), one division
-    num = target.zero()
-    for i, n in enumerate(payload.nums):
-        if n.nums:
-            image = _subst_payload(n, bindings, target, powers)
-            num = num + (image * bindings[payload.gen] ** i if i else image)
-    den = _subst_payload(payload.den, bindings, target, powers)
-    if den.is_zero:
-        raise TargetDivisionByZero("a denominator maps to zero")
-    try:
-        return num / den
-    except NotDivisible:
-        raise TargetDivisionByZero(
-            "a denominator image is not invertible in the target")
+    __slots__ = ("constants", "bindings", "target", "powers")
+
+    def __init__(self, constants, bindings, target):
+        self.constants = constants
+        self.bindings = dict(bindings)
+        self.target = target
+        self.powers = {}
+
+    def power(self, name, k):
+        p = self.powers.get((name, k))
+        if p is None:
+            image = self.bindings.get(name)
+            if image is None:
+                if name not in self.constants:
+                    raise IncompleteBindings(f"no image given for '{name}'")
+                if name not in self.target.constants:
+                    raise IncompleteBindings(
+                        f"target context lacks base constant '{name}'")
+                image = self.bindings[name] = self.target.var(name)
+            p = self.powers[name, k] = image ** k
+        return p
+
+    def __call__(self, payload):
+        target = self.target
+        if isinstance(payload, Fraction):
+            return Scalar.make(target, payload)
+        if isinstance(payload, MultiPoly):
+            total = target.zero()
+            for e, c in payload.terms.items():
+                term = target.const(c)
+                for name, k in zip(payload.vars, e):
+                    if k:
+                        term = term * self.power(name, k)
+                total = total + term
+            return total
+        # a quotient: sum_i phi(nums_i) * phi(gen)**i over phi(den), one
+        # division
+        num = target.zero()
+        for i, n in enumerate(payload.nums):
+            if n.nums:
+                image = self(n)
+                num = num + (image * self.power(payload.gen, i) if i else image)
+        den = self(payload.den)
+        if den.is_zero:
+            raise TargetDivisionByZero("a denominator maps to zero")
+        try:
+            return num / den
+        except NotDivisible:
+            raise TargetDivisionByZero(
+                "a denominator image is not invertible in the target")

@@ -1,6 +1,7 @@
 """Expression grammar: parsing, canonical rendering, round trips."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -76,6 +77,26 @@ class TestParse:
         assert err.value.position == depth
         with pytest.raises(ExprSyntaxError):
             parse_scalar("-(" * depth + "x" + ")" * depth, POLY)
+
+    @pytest.mark.parametrize("text, position", [("\u00b2", 0), ("x^\u00b2", 2)])
+    def test_digit_that_is_not_decimal(self, text, position):
+        # a superscript two is a digit to str.isdigit but not to int()
+        with pytest.raises(ExprSyntaxError) as err:
+            parse_scalar(text, POLY)
+        assert err.value.position == position
+        # decimal digits of other scripts are integers, as int() reads them
+        assert parse_scalar("x^\u0663", POLY) == POLY.var("x") ** 3
+
+    def test_integer_past_the_digit_limit(self):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not limit:
+            pytest.skip("this interpreter converts integers of any length")
+        digits = "9" * (limit + 1)
+        for text, position in ((digits, 0), ("x^" + digits, 2)):
+            with pytest.raises(ExprSyntaxError) as err:
+                parse_scalar(text, POLY)
+            assert err.value.position == position
+        assert parse_scalar("9" * limit, POLY) == POLY.const(10**limit - 1)
 
 
 class TestRender:

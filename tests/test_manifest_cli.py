@@ -5,10 +5,17 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from afd.cli import main
-from afd.errors import ManifestParseError, ManifestValidationError
-from afd.manifest import build_manifest, load_manifest
+from afd.errors import (
+    AfdError,
+    ExprSyntaxError,
+    ManifestParseError,
+    ManifestValidationError,
+    UnknownIdentifier,
+)
+from afd.manifest import COMMANDS, build_manifest, load_manifest
 from afd.report import emit_report, run_command, tensor_payload
 from afd.tensors import Tensor
 
@@ -69,6 +76,29 @@ class TestLoadManifest:
         with pytest.raises(ManifestValidationError):
             build_manifest(raw)
 
+    @pytest.mark.parametrize("bad", [[], {}, ["zero"]])
+    @pytest.mark.parametrize("command, key", [
+        ("efe", "expect"), ("geodesic", "expect"), ("lie", "expect"),
+        ("bracket", "expect"), ("geodesic", "curve"), ("pullback", "curve"),
+    ])
+    def test_unhashable_option_is_a_validation_error(self, command, key, bad):
+        check = {"name": "c", "command": command, "curve": "line",
+                 "vector": ["1", "0"], "u": ["1", "0"], "v": ["0", "1"],
+                 "one_form": ["1", "0"], key: bad}
+        raw = manifest_with(curves={"line": {"x": "t", "y": "0"}},
+                            checks=[check])
+        with pytest.raises(ManifestValidationError) as err:
+            build_manifest(raw)
+        assert "check 'c': " in str(err.value)
+
+    @pytest.mark.parametrize("expect, error", [
+        ("3 +", ExprSyntaxError), ("q", UnknownIdentifier)])
+    def test_dim_expectation_is_parsed_at_load(self, expect, error):
+        raw = manifest_with(
+            checks=[{"name": "d", "command": "dim", "expect": expect}])
+        with pytest.raises(error):
+            build_manifest(raw)
+
     def test_curve_must_cover_generators(self):
         raw = manifest_with(curves={"c": {"x": "t"}})
         with pytest.raises(ManifestValidationError):
@@ -116,6 +146,40 @@ class TestLoadManifest:
         with pytest.raises(UnsupportedTower) as err:
             build_manifest(raw)
         assert err.value.exit_code == 1
+
+
+# JSON values for the options of a check: scalars, expression-like strings
+# and command names, nested in lists and objects
+_WORDS = st.sampled_from(
+    ("zero", "nonzero", "line", "x", "1", "x + y", "3 +", "q", "")
+    + COMMANDS)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=6) | _WORDS,
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=6)
+_CHECK_KEYS = ("name", "command", "expect", "curve", "vector", "u", "v",
+               "one_form")
+
+
+class TestCheckFuzz:
+    """Whatever JSON a check object holds, loading raises only AfdError."""
+
+    @given(st.fixed_dictionaries({}, optional={k: _JSON for k in _CHECK_KEYS}))
+    @example({"name": "d", "command": "efe", "expect": ["zero"]})
+    @example({"name": "d", "command": "lie", "expect": {}})
+    @example({"name": "d", "command": "geodesic", "curve": []})
+    @example({"name": "d", "command": "pullback", "curve": {"line": 1}})
+    @example({"name": "d", "command": "bracket", "u": ["\u00b2", "0"]})
+    @example({"name": "d", "command": "dim", "expect": "\u00b2"})
+    def test_only_afd_errors_escape(self, check):
+        raw = manifest_with(curves={"line": {"x": "t", "y": "0"}},
+                            checks=[check])
+        try:
+            manifest = build_manifest(raw)
+        except AfdError:
+            return
+        assert [c.name for c in manifest.checks] == [check["name"]]
 
 
 class TestRunCommand:
@@ -188,6 +252,44 @@ class TestRunCommand:
         manifest = load_manifest(repo_root / "manifests" / "minkowski.json")
         with pytest.raises(ManifestValidationError):
             run_command(manifest, "bracket")
+
+    @pytest.mark.parametrize("command, key, status", [
+        ("christoffel", "christoffel", "info"),
+        ("curvature", "riemann", "info"),
+        ("efe", "residual", "pass"),  # the default efe check expects zero
+    ])
+    def test_default_check_per_metric_command(self, command, key, status):
+        # a manifest with no check of the command gets one of that name
+        report = run_command(build_manifest(manifest_with()), command)
+        (result,) = report.results
+        assert (result["name"], result["command"]) == (command, command)
+        assert key in result and result["status"] == status
+
+    def test_default_geodesic_check_per_curve_in_sorted_order(self):
+        raw = manifest_with(curves={"b": {"x": "t", "y": "t"},
+                                    "a": {"x": "t^2", "y": "0"}})
+        report = run_command(build_manifest(raw), "geodesic")
+        assert [(r["name"], r["curve"], r["status"])
+                for r in report.results] == [
+            ("geodesic:a", "a", "info"), ("geodesic:b", "b", "info")]
+        assert [r["residual"] for r in report.results] == [
+            ["2", "0"], ["0", "0"]]
+
+    @pytest.mark.parametrize("command", ["christoffel", "curvature", "efe"])
+    def test_default_metric_check_needs_a_metric(self, command):
+        manifest = build_manifest(manifest_with(metric=None))
+        with pytest.raises(ManifestValidationError) as err:
+            run_command(manifest, command)
+        assert "manifest declares no metric" in str(err.value)
+
+    @pytest.mark.parametrize("overrides", [
+        {"metric": None, "curves": {"a": {"x": "t", "y": "t"}}}, {}])
+    def test_default_geodesic_check_needs_a_metric_and_a_curve(self,
+                                                               overrides):
+        manifest = build_manifest(manifest_with(**overrides))
+        with pytest.raises(ManifestValidationError) as err:
+            run_command(manifest, "geodesic")
+        assert "need a metric and at least one curve" in str(err.value)
 
     def test_quartic_extension_warning_propagates(self):
         raw = manifest_with(
@@ -312,6 +414,22 @@ class TestEmitReport:
         assert "dimension: 2" in text
         assert text.startswith("afd ")
 
+    def test_text_format_of_tensors_and_lists(self):
+        # det g = 1; along x = y = t the residual is Gamma^k_ij v^i v^j
+        raw = manifest_with(
+            metric=[["1", "x"], ["x", "1 + x^2"]],
+            curves={"a": {"x": "t", "y": "t"}},
+            checks=[{"name": "gamma", "command": "christoffel"},
+                    {"name": "path", "command": "geodesic", "curve": "a"}])
+        text = emit_report(run_command(build_manifest(raw), "check"), "text")
+        lines = text.splitlines()
+        assert ("  christoffel: rank (1,2): [1,1,1] = -1 * x; "
+                "[1,1,2] = -1 * x^2; [1,2,1] = -1 * x^2; "
+                "[1,2,2] = -1 * x^3 - x; [2,1,1] = 1; [2,1,2] = x; "
+                "[2,2,1] = x; [2,2,2] = x^2") in lines
+        assert ("  residual: (-1 * t^3 - 2 * t^2 - 2 * t, "
+                "t^2 + 2 * t + 1)") in lines
+
 
 class TestGoldenReports:
     def test_all_bundled_manifests_match_goldens(self, repo_root):
@@ -421,6 +539,24 @@ class TestCli:
         proc = self.run_cli("check", str(path), timeout=60)
         assert proc.returncode == 1
         assert proc.stderr.startswith("afd: [exponent-overflow]")
+
+    @pytest.mark.parametrize("check, code", [
+        ({"name": "d", "command": "efe", "expect": ["zero"]},
+         "manifest-validation-error"),
+        ({"name": "d", "command": "geodesic", "curve": {}},
+         "manifest-validation-error"),
+        ({"name": "d", "command": "dim", "expect": "3 +"}, "syntax-error"),
+        ({"name": "d", "command": "dim", "expect": "q"},
+         "unknown-identifier"),
+    ], ids=["list-expect", "object-curve", "dim-syntax", "dim-identifier"])
+    def test_bad_check_option_exits_one(self, tmp_path, check, code):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest_with(checks=[check])),
+                        encoding="utf-8")
+        proc = self.run_cli("check", str(path))
+        assert proc.returncode == 1
+        assert proc.stderr.startswith(f"afd: [{code}]")
+        assert "Traceback" not in proc.stderr
 
     def test_check_filter(self, repo_root):
         proc = self.run_cli(

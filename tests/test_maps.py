@@ -79,6 +79,26 @@ class TestBuildHom:
         # chain rule through the algebraic generator survives the map
         assert resolve.apply(a.partial("t")) == 2 / (3 * s)
 
+    def test_each_image_power_is_computed_once(self, monkeypatch):
+        # the homomorphism keeps image ** k per (generator, k): mapping many
+        # values, as a geodesic maps every Christoffel symbol, raises each
+        # image to each power once
+        from afd.scalars import Scalar
+
+        hom = AlgebraifoldHom.build(P2, LA, {"x": "t^2 + 1", "y": "t - 2"})
+        x, y = P2.ctx.var("x"), P2.ctx.var("y")
+        values = [x**2 * y + x * y**3, y**3 - x**2, x * y + x**2 * y**3]
+        powers = []
+        pow_ = Scalar.__pow__
+        monkeypatch.setattr(Scalar, "__pow__", lambda self, n: (
+            powers.append((self, n)), pow_(self, n))[1])
+        images = [hom.apply(v) for v in values * 3]
+        assert len(powers) == len(set(powers)) == 4  # x, x^2, y, y^3
+        tx, ty = T**2 + 1, T - 2
+        assert images[:3] == [tx**2 * ty + tx * ty**3, ty**3 - tx**2,
+                              tx * ty + tx**2 * ty**3]
+        assert images[3:] == images[:3] * 2
+
 
 class TestPullback:
     def test_dx(self):

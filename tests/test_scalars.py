@@ -307,14 +307,24 @@ def _ref_partial(a, idx):
 
 
 def _ref_specialize(a, values, variables):
+    """``a`` with ``values`` substituted; each substituted exponent is 0."""
     out = {}
     for e, c in a.items():
         for k, v in zip(e, variables):
             if v in values:
                 c *= values[v] ** k
-        kept = tuple(k for k, v in zip(e, variables) if v not in values)
+        kept = tuple(0 if v in values else k for k, v in zip(e, variables))
         out = _ref_add(out, {kept: c})
     return out
+
+
+def _int_specialize(a, values):
+    """``a`` with ``values`` substituted by ``_int_evaluate``, one variable
+    at a time on the integer numerators."""
+    nums = a.nums
+    for v, x in values.items():
+        nums = scalars._int_evaluate(nums, *a._field(v), x)
+    return scalars._reduced(a.vars, nums, a.denom)
 
 
 def _assert_int_canonical(poly):
@@ -334,7 +344,7 @@ def _check_kernels(rng, names, a, b, trial):
     ta, tb = a.terms, b.terms
     c = Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 6, 35)))
     idx = rng.randrange(n)
-    values = {v: Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+    values = {v: rng.randint(-3, 3)
               for v in rng.sample(names, rng.randint(1, max(n - 1, 1)))}
     order = tuple(reversed(names)) + ("t",)
     checks = {
@@ -343,8 +353,8 @@ def _check_kernels(rng, names, a, b, trial):
         "*": (a * b, _schoolbook_product(a, b)),
         "scale": (a.scale(c), {e: v * c for e, v in ta.items() if c}),
         "partial": (a.partial(names[idx]), _ref_partial(ta, idx)),
-        "specialize": (a.specialize(values),
-                       _ref_specialize(ta, values, names)),
+        "_int_evaluate": (_int_specialize(a, values),
+                          _ref_specialize(ta, values, names)),
         "reordered": (a.reordered(order),
                       {tuple(reversed(e)) + (0,): v
                        for e, v in ta.items()}),
@@ -873,6 +883,23 @@ class TestSubstitute:
         with pytest.raises(IncompleteBindings):
             (X + Y).substitute({"x": self.t})
 
+    def test_images_from_two_contexts(self):
+        other = ScalarContext(POLYNOMIAL, ("s",))
+        with pytest.raises(ContextMismatch):
+            (X + Y).substitute({"x": self.t, "y": other.var("s")})
+
+    def test_empty_bindings_map_into_the_source_context(self):
+        # no image fixes no target: constants stay, base constants map to
+        # themselves, and a variable without an image is refused
+        value = POLY.const(Fraction(3, 2)).substitute({})
+        assert value == POLY.const(Fraction(3, 2)) and value.ctx == POLY
+        with_m = ScalarContext(POLYNOMIAL, ("x",), ("m",))
+        m = with_m.var("m")
+        assert (m**2 + 1).substitute({}) == m**2 + 1
+        with pytest.raises(IncompleteBindings) as err:
+            X.substitute({})
+        assert "'x'" in str(err.value)
+
     @pytest.mark.parametrize("text", ["y / x", "1 / x"])
     def test_denominator_not_invertible_in_target(self, text):
         # x -> t^2 maps 1/x outside Q[t], both alone and as the coefficient
@@ -964,6 +991,22 @@ class TestContextValidation:
             field_with_extension(("x",), "y", "y^2 - 1/4")
         ctx = field_with_extension(("x",), "y", "y^2 - 1/2")
         assert ctx.var("y") ** 2 == ctx.const(Fraction(1, 2))
+
+    def test_seed_zeroing_the_leading_coefficient_is_skipped(self):
+        # the first seed x = 1 kills the leading coefficient x - 1; the
+        # next, x = 2, leaves y^2 - 2 with no rational root
+        ctx = field_with_extension(("x",), "y", "(x - 1)*y^2 - x")
+        y = ctx.var("y")
+        assert (ctx.var("x") - 1) * y**2 == ctx.var("x")
+        # at x = 1 this one drops to -(y^2 + 2), which has no rational root
+        with pytest.raises(ReducibleRelation):
+            field_with_extension(("x",), "y", "((x - 1)*y - 1)*(y^2 + 2)")
+
+    def test_relation_over_the_rationals_alone(self):
+        with pytest.raises(ReducibleRelation):
+            field_with_extension((), "y", "y^2 - 4")
+        ctx = field_with_extension((), "y", "y^2 - 2")
+        assert ctx.var("y") ** 2 == ctx.const(2)
 
     def test_quartic_accepted_with_warning_flag(self):
         ctx = field_with_extension(("x",), "w", "w^4 - x^3 - x - 1")
