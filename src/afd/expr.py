@@ -17,9 +17,10 @@ with an explicit coefficient (``-1 * x^2``) so that parse(render(s)) == s.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from .errors import ExprSyntaxError, UnknownIdentifier, UnknownVariable
-from .scalars import FIELD, MultiPoly, RatFunc, ScalarContext
+from .scalars import FIELD, MultiPoly, RatFunc, ScalarContext, _unpack
 
 # ---------------------------------------------------------------------------
 # Tokenizer
@@ -172,10 +173,11 @@ def parse_scalar(text, ctx):
 # Renderer
 # ---------------------------------------------------------------------------
 
-def _render_fraction(f):
-    if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
+def _fraction(n, d):
+    """The text of ``n / d`` for ints ``n >= 0`` and ``d > 0``, reduced by
+    one gcd."""
+    g = gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
 
 
 def _monomial_factors(exps, variables):
@@ -188,103 +190,128 @@ def _monomial_factors(exps, variables):
     return out
 
 
-def _render_term(coeff, exps, variables, leading):
-    """One monomial term; ``coeff`` is signed only when leading."""
-    factors = _monomial_factors(exps, variables)
-    if not factors:
-        return _render_fraction(coeff)
-    if leading and coeff < 0:
-        pieces = [_render_fraction(coeff)] + factors
-    elif coeff == 1:
-        pieces = factors
+def _poly_pieces(poly):
+    """One ``(negative, unsigned text)`` piece per term, in descending
+    graded-lex order, read from the integer numerators."""
+    nums, d, names = poly.nums, poly.denom, poly.vars
+    k = len(names)
+    pieces = []
+    for e in sorted(nums, reverse=True):
+        c = nums[e]
+        coeff = _fraction(abs(c), d)
+        factors = _monomial_factors(_unpack(e, k), names)
+        if factors and coeff == "1":
+            coeff = " * ".join(factors)
+        elif factors:
+            coeff = " * ".join([coeff, *factors])
+        pieces.append((c < 0, coeff))
+    return pieces
+
+
+def _join(parts, flip=False):
+    """The text of ``(pieces, parenthesize, tail)``, with every sign flipped
+    when ``flip``.  A leading negative term keeps an explicit coefficient,
+    never ``-y^2``, so that it parses back."""
+    pieces, parenthesize, tail = parts
+    if not pieces:
+        return "0"
+    out = []
+    for negative, body in pieces:
+        negative ^= flip
+        if out:
+            out.append(" - " if negative else " + ")
+            out.append(body)
+        elif negative:
+            out.append(f"-{body}" if body[0].isdigit() else f"-1 * {body}")
+        else:
+            out.append(body)
+    text = "".join(out)
+    return f"({text}){tail}" if parenthesize else text + tail
+
+
+def _sign_free(v):
+    """``(v or -v, whether negated)``: the one of a payload and its negation
+    whose first nonzero numerator has a positive graded-lex leading
+    coefficient."""
+    if type(v) is Fraction:
+        negative = v < 0
     else:
-        pieces = [_render_fraction(coeff)] + factors
-    return " * ".join(pieces)
+        nums = (v,) if type(v) is MultiPoly else v.nums
+        lead = next((n for n in nums if n.nums), None)
+        negative = lead is not None and lead.lead_num() < 0
+    return (-v if negative else v), negative
+
+
+class Renderer:
+    """Canonical text of Scalars, each distinct payload rendered once.
+
+    A payload is kept as sign-free parts ``(pieces, parenthesize, tail)``,
+    one ``(negative, unsigned text)`` piece per term, under whichever of it
+    and its negation :func:`_sign_free` picks.  A payload equal to one
+    rendered before, or to its negation, reuses those parts with the signs
+    flipped as needed, and so do the denominators and the coefficients of
+    extension elements.
+    """
+
+    def __init__(self):
+        self._parts = {}
+
+    def __call__(self, s):
+        return self.text(s.val)
+
+    def text(self, v):
+        """The text of a payload: a Fraction, MultiPoly, RatFunc or ExtElem."""
+        v, negated = _sign_free(v)
+        return _join(self._parts_of(v), negated)
+
+    def _parts_of(self, v):
+        parts = self._parts.get(v)
+        if parts is None:
+            parts = self._parts[v] = self._render(v)
+        return parts
+
+    def _render(self, v):
+        if type(v) is Fraction:
+            return [(False, str(v))] if v else [], False, ""
+        if type(v) is MultiPoly:
+            return _poly_pieces(v), False, ""
+        if type(v) is RatFunc:
+            pieces = _poly_pieces(v.num)
+            tail = "" if v.is_poly else f" / {self._den_string(v.den)}"
+            return pieces, len(pieces) > 1, tail
+        return self._ext_pieces(v), False, ""
+
+    def _den_string(self, den):
+        parts = self._parts_of(den)  # den is monic, so it is sign-free
+        (_, body), *rest = parts[0]
+        if not rest and " * " not in body:
+            return body  # a single variable power needs no parentheses
+        return f"({_join(parts)})"
+
+    def _ext_pieces(self, elem):
+        gen = elem.gen
+        pieces = []
+        coeffs = elem.coeffs  # a view that reduces every coefficient: read once
+        for i in range(len(coeffs) - 1, -1, -1):
+            if coeffs[i].is_zero:
+                continue
+            c, negative = _sign_free(coeffs[i])
+            body = _join(self._parts_of(c))
+            if i:
+                gen_part = gen if i == 1 else f"{gen}^{i}"
+                body = gen_part if body == "1" else f"{body} * {gen_part}"
+            pieces.append((negative, body))
+        return pieces
 
 
 def render_poly(poly):
-    if poly.is_zero:
-        return "0"
-    parts = []
-    for k, (exps, coeff) in enumerate(poly.sorted_terms()):
-        if k == 0:
-            parts.append(_render_term(coeff, exps, poly.vars, leading=True))
-        else:
-            parts.append(" + " if coeff > 0 else " - ")
-            parts.append(_render_term(abs(coeff), exps, poly.vars, leading=False))
-    return "".join(parts)
-
-
-def _den_string(den):
-    """Denominator rendering: a single variable power needs no parentheses."""
-    if len(den.nums) == 1:
-        exps, coeff = next(iter(den.terms.items()))
-        factors = _monomial_factors(exps, den.vars)
-        if coeff == 1 and len(factors) == 1:
-            return factors[0]
-    return f"({render_poly(den)})"
-
-
-def render_ratfunc(rf):
-    """Render a RatFunc so that appending ``* y^k`` keeps the value intact."""
-    if rf.num.is_zero:
-        return "0"
-    num = render_poly(rf.num)
-    if len(rf.num.nums) > 1:
-        num = f"({num})"
-    if rf.is_poly:
-        return num
-    return f"{num} / {_den_string(rf.den)}"
-
-
-def _rf_is_one(rf):
-    return rf.den.is_const and rf.num.is_const and rf.num.const_value() == 1
-
-
-def render_ext(elem):
-    gen = elem.gen
-    pieces = []
-    coeffs = elem.coeffs  # a view that reduces every coefficient: read once
-    for i in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[i]
-        if c.is_zero:
-            continue
-        _, lead_coeff = c.num.lead()
-        negative = lead_coeff < 0
-        abs_c = RatFunc(-c.num, c.den) if negative else c
-        if i == 0:
-            body = render_ratfunc(abs_c)
-        else:
-            gen_part = gen if i == 1 else f"{gen}^{i}"
-            if _rf_is_one(abs_c):
-                body = gen_part
-            else:
-                body = f"{render_ratfunc(abs_c)} * {gen_part}"
-        if not pieces:
-            if negative:
-                # keep the leading minus parseable: never "-y^2"
-                pieces.append(f"-{body}" if body[0].isdigit()
-                              else f"-1 * {body}")
-            else:
-                pieces.append(body)
-        else:
-            pieces.append(" - " if negative else " + ")
-            pieces.append(body)
-    if not pieces:
-        return "0"
-    return "".join(pieces)
+    """Canonical text of a MultiPoly."""
+    return Renderer().text(poly)
 
 
 def render_scalar(s):
     """Deterministic canonical text for a Scalar."""
-    v = s.val
-    if isinstance(v, Fraction):
-        return _render_fraction(v)
-    if isinstance(v, MultiPoly):
-        return render_poly(v)
-    if isinstance(v, RatFunc):
-        return render_ratfunc(v)
-    return render_ext(v)
+    return Renderer()(s)
 
 
 # ---------------------------------------------------------------------------

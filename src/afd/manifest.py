@@ -177,6 +177,9 @@ def build_manifest(raw):
         for gen in ctx.generators:
             _require(gen in table,
                      f"curve '{name}' misses an image for generator '{gen}'")
+        for gen in sorted(table):
+            _require(gen in ctx.generators,
+                     f"curve '{name}' maps '{gen}', which is no generator")
         for text in table.values():
             parse_scalar(text, line.algebraifold.ctx)
         curves[name] = dict(table)

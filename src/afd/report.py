@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from . import __version__
 from .curvature import Geometry, levi_civita  # noqa: F401  callers import it here
 from .errors import AfdError, ManifestValidationError
-from .expr import parse_scalar, render_scalar
+from .expr import Renderer, parse_scalar
 from .manifest import COMMANDS, CheckSpec
 from .maps import geodesic_residual
 from .tensors import lie_derivative, metric_inverse
@@ -92,12 +92,13 @@ def _text_value(value):
     return str(value)
 
 
-def tensor_payload(tensor):
-    """Sparse canonical serialization: sorted index -> rendered expression."""
+def tensor_payload(tensor, render):
+    """Sparse canonical serialization: sorted index -> ``render`` of the
+    value."""
     return {
         "rank": [tensor.r, tensor.s],
         "components": [
-            {"index": list(idx), "value": render_scalar(value)}
+            {"index": list(idx), "value": render(value)}
             for idx, value in tensor.sorted_components()
         ],
     }
@@ -109,12 +110,17 @@ def tensor_payload(tensor):
 
 class _Runtime:
     """Caches expensive objects across the checks of one run; a build that
-    raises caches nothing, so each check that needs it records the error."""
+    raises caches nothing, so each check that needs it records the error.
+
+    Every value the run reports goes through one ``render``, so each
+    distinct value up to sign is rendered once per run.
+    """
 
     def __init__(self, manifest):
         self.manifest = manifest
         self._geometry = None
         self._homs = {}
+        self.render = Renderer()
 
     @property
     def algebraifold(self):
@@ -145,31 +151,32 @@ def _run_check(runtime, spec):
     manifest = runtime.manifest
     A = runtime.algebraifold
     ctx = A.ctx
+    render = runtime.render
     result = {"name": spec.name, "command": spec.command}
     options = spec.options
 
     if spec.command == "dim":
-        value = render_scalar(A.dimension())
+        value = render(A.dimension())
         result["dimension"] = value
         expect = options.get("expect")
         if expect is None:
             result["status"] = "info"
         else:
-            expected = render_scalar(parse_scalar(expect, ctx))
+            expected = render(parse_scalar(expect, ctx))
             result["expected"] = expected
             result["status"] = "pass" if value == expected else "fail"
 
     elif spec.command == "christoffel":
         result["christoffel"] = tensor_payload(
-            runtime.geometry().connection.gamma)
+            runtime.geometry().connection.gamma, render)
         result["status"] = "info"
 
     elif spec.command == "curvature":
         geometry = runtime.geometry()
-        result["riemann"] = tensor_payload(geometry.riemann)
-        result["ricci"] = tensor_payload(geometry.ricci)
-        result["ricci_scalar"] = render_scalar(geometry.scalar)
-        result["einstein"] = tensor_payload(geometry.einstein)
+        result["riemann"] = tensor_payload(geometry.riemann, render)
+        result["ricci"] = tensor_payload(geometry.ricci, render)
+        result["ricci_scalar"] = render(geometry.scalar)
+        result["einstein"] = tensor_payload(geometry.einstein, render)
         result["status"] = "info"
 
     elif spec.command == "efe":
@@ -177,9 +184,9 @@ def _run_check(runtime, spec):
         kappa = parse_scalar(manifest.kappa_text, ctx)
         residual = runtime.geometry().efe_residual(lam, kappa,
                                                    manifest.stress_tensor())
-        result["lambda"] = render_scalar(lam)
-        result["kappa"] = render_scalar(kappa)
-        result["residual"] = tensor_payload(residual)
+        result["lambda"] = render(lam)
+        result["kappa"] = render(kappa)
+        result["residual"] = tensor_payload(residual, render)
         result["status"] = _expect_status(options.get("expect", "zero"),
                                           residual.is_zero)
 
@@ -189,7 +196,7 @@ def _run_check(runtime, spec):
         residual = geodesic_residual(manifest.line, hom,
                                      runtime.geometry().connection)
         result["curve"] = curve
-        result["residual"] = [render_scalar(c) for c in residual.coeffs]
+        result["residual"] = [render(c) for c in residual.coeffs]
         result["status"] = _expect_status(options.get("expect"),
                                           residual.is_zero)
 
@@ -197,7 +204,7 @@ def _run_check(runtime, spec):
         vector = A.derivation(*options["vector"])
         derivative = lie_derivative(A, vector, runtime.geometry().metric.g)
         result["vector"] = list(options["vector"])
-        result["metric_derivative"] = tensor_payload(derivative)
+        result["metric_derivative"] = tensor_payload(derivative, render)
         result["status"] = _expect_status(options.get("expect"),
                                           derivative.is_zero)
 
@@ -207,7 +214,7 @@ def _run_check(runtime, spec):
         w = A.bracket(u, v)
         result["u"] = list(options["u"])
         result["v"] = list(options["v"])
-        result["bracket"] = [render_scalar(c) for c in w.coeffs]
+        result["bracket"] = [render(c) for c in w.coeffs]
         result["status"] = _expect_status(options.get("expect"), w.is_zero)
 
     elif spec.command == "pullback":
@@ -217,7 +224,7 @@ def _run_check(runtime, spec):
         pulled = hom.pullback(xi)
         result["curve"] = curve
         result["one_form"] = list(options["one_form"])
-        result["pulled"] = [render_scalar(c) for c in pulled.coeffs]
+        result["pulled"] = [render(c) for c in pulled.coeffs]
         result["status"] = "info"
 
     else:  # pragma: no cover - guarded by manifest validation

@@ -21,7 +21,8 @@ from afd.curvature import (
     torsion,
 )
 from afd.errors import NonConstantCoupling
-from afd.scalars import FIELD, ExtElem, MultiPoly, RatFunc, Scalar
+from afd.scalars import (
+    FIELD, ExtElem, MultiPoly, RatFunc, Scalar, _laplace_minors)
 from afd.tensors import Tensor, kronecker, metric_inverse
 
 from helpers import (
@@ -595,3 +596,64 @@ class TestCurvatureOverSharedDenominator:
         assert reference_curvature_tensor(C).get((1, 2, 1, 2)).is_zero
         R = self.assert_matches_reference(C)
         assert (1, 2, 1, 2) not in R.comp and (1, 1, 2, 2) not in R.comp
+
+
+class TestJacobiFormula:
+    """The trace of the Levi-Civita connection against Jacobi's formula,
+    sum_i Gamma^i_{ij} = d_j(det g) / (2 det g), with det g from its own
+    Laplace expansion; checked as 2 det g * trace = d_j(det g), which also
+    holds in a polynomial ring."""
+
+    @staticmethod
+    def traces(A, g):
+        n = A.n
+        rows = [[g.get((i, j)) for j in range(1, n + 1)]
+                for i in range(1, n + 1)]
+        full = tuple(range(n))
+        det = _laplace_minors(rows, A.zero(), A.one())(full, full)
+        assert not det.is_zero
+        gamma = levi_civita(A, metric_inverse(A, g)).gamma
+        traces = []
+        for j, name in enumerate(A.ctx.transcendentals, start=1):
+            trace = A.zero()
+            for i in range(1, n + 1):
+                trace = trace + gamma.get((i, i, j))
+            assert trace * (2 * det) == det.partial(name)
+            traces.append(trace)
+        return traces
+
+    @pytest.mark.parametrize("name", [
+        "elliptic_field", "euclidean", "friedmann", "kerr_family",
+        "minkowski", "poly_metric"])
+    def test_bundled_manifests(self, repo_root, name):
+        from afd.manifest import load_manifest
+
+        manifest = load_manifest(repo_root / "manifests" / f"{name}.json")
+        self.traces(manifest.algebraifold, manifest.metric_tensor())
+
+    @pytest.mark.parametrize("path", [
+        "perfbench/ks_extension.json", "tests/fixtures/schwarzschild_ks.json"])
+    def test_kerr_schild_trace_vanishes(self, repo_root, path):
+        from afd.manifest import load_manifest
+
+        manifest = load_manifest(repo_root / path)
+        traces = self.traces(manifest.algebraifold, manifest.metric_tensor())
+        assert all(trace.is_zero for trace in traces)
+
+    @pytest.mark.parametrize("names", [("x", "y"), ("x", "y", "z")])
+    def test_random_metrics(self, names):
+        rng = random.Random(1601)
+        n = len(names)
+        ring, field = poly_ring(*names), function_field(*names)
+        nonzero = 0
+        for _ in range(3):
+            self.traces(ring, random_invertible_metric(rng, ring))
+            # a generic symmetric matrix: det g is no constant
+            entries = {}
+            for i in range(1, n + 1):
+                for j in range(i, n + 1):
+                    entries[(i, j)] = entries[(j, i)] = random_poly_scalar(
+                        rng, field.ctx, max_terms=2, max_deg=1)
+            g = Tensor.make(field, 0, 2, entries)
+            nonzero += sum(not t.is_zero for t in self.traces(field, g))
+        assert nonzero

@@ -15,6 +15,7 @@ from afd.errors import (
     ManifestValidationError,
     UnknownIdentifier,
 )
+from afd.expr import render_scalar
 from afd.manifest import COMMANDS, build_manifest, load_manifest
 from afd.report import emit_report, run_command, tensor_payload
 from afd.tensors import Tensor
@@ -102,6 +103,11 @@ class TestLoadManifest:
     def test_curve_must_cover_generators(self):
         raw = manifest_with(curves={"c": {"x": "t"}})
         with pytest.raises(ManifestValidationError):
+            build_manifest(raw)
+
+    def test_curve_maps_only_generators(self):
+        raw = manifest_with(curves={"c": {"x": "t", "y": "t", "w": "t^2"}})
+        with pytest.raises(ManifestValidationError, match="'w'"):
             build_manifest(raw)
 
     def test_degenerate_relation_is_a_math_error(self):
@@ -379,7 +385,7 @@ class TestSharedGeometry:
 class TestEmitReport:
     def test_zero_tensor_payload(self):
         A = poly_ring("x", "y")
-        payload = tensor_payload(Tensor.zero(A, 1, 2))
+        payload = tensor_payload(Tensor.zero(A, 1, 2), render_scalar)
         assert payload == {"rank": [1, 2], "components": []}
 
     def test_dimension_payload(self):
@@ -556,6 +562,19 @@ class TestCli:
         proc = self.run_cli("check", str(path))
         assert proc.returncode == 1
         assert proc.stderr.startswith(f"afd: [{code}]")
+        assert "Traceback" not in proc.stderr
+
+    def test_curve_image_for_a_misspelt_generator_exits_one(
+            self, repo_root, tmp_path):
+        raw = json.loads((repo_root / "manifests" / "euclidean.json")
+                         .read_text(encoding="utf-8"))
+        raw["curves"]["line"]["zz_typo"] = "t"
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        proc = self.run_cli("check", str(path))
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("afd: [manifest-validation-error]")
+        assert "zz_typo" in proc.stderr
         assert "Traceback" not in proc.stderr
 
     def test_check_filter(self, repo_root):
