@@ -4,6 +4,10 @@
 Usage:
     python scripts/run_manifests.py            # verify byte-identical goldens
     python scripts/run_manifests.py --update   # regenerate golden files
+
+A manifest that fails to load prints ``LOAD ERROR`` and the rest still run;
+the exit status is 1 if any manifest failed to load, mismatched its golden
+or reported a failure.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
+from afd.errors import AfdError  # noqa: E402
 from afd.manifest import load_manifest  # noqa: E402
 from afd.report import emit_report, run_command  # noqa: E402
 
@@ -31,7 +36,12 @@ def main():
     GOLDEN_DIR.mkdir(exist_ok=True)
     failures = 0
     for path in sorted(MANIFEST_DIR.glob("*.json")):
-        manifest = load_manifest(path)
+        try:
+            manifest = load_manifest(path)
+        except AfdError as exc:
+            print(f"LOAD ERROR {path.name}: [{exc.code}] {exc}")
+            failures += 1
+            continue
         report = run_command(manifest, "check")
         text = emit_report(report, "json")
         golden = GOLDEN_DIR / f"{path.stem}.check.json"

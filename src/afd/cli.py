@@ -55,7 +55,12 @@ def main(argv=None):
         print(f"afd: [{exc.code}] {exc}", file=sys.stderr)
         return exc.exit_code
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        try:
+            Path(args.out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            print(f"afd: cannot write {args.out}: {exc.strerror}",
+                  file=sys.stderr)
+            return 1
     else:
         sys.stdout.write(text)
     return report.exit_code

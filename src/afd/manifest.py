@@ -2,10 +2,10 @@
 
 A manifest is a UTF-8 JSON document declaring the coordinate algebra, an
 optional metric and stress-energy tensor, coupling constants, named curves
-and a list of checks to run.  Loading parses and context-validates every
-expression eagerly, the expected dimension of a ``dim`` check included;
-mathematical computations (metric inversion, curve validation) happen when
-a check runs.
+and a list of checks to run.  Loading refuses unknown keys, parses every
+expression once, the options of each check included, and keeps the parsed
+values; mathematical computations (metric inversion, curve validation)
+happen when a check runs.
 """
 
 from __future__ import annotations
@@ -21,10 +21,24 @@ from .maps import AlgebraifoldHom, FormalLine
 from .scalars import FIELD, POLYNOMIAL, ScalarContext
 from .tensors import Tensor
 
-COMMANDS = ("check", "dim", "christoffel", "curvature", "efe", "geodesic",
-            "lie", "bracket", "pullback")
+# every check command with the kind of value each of its options takes:
+# "expr" an expression, "verdict" 'zero' or 'nonzero', "curve" the name of a
+# declared curve, "derivation" and "one_form" one expression per coordinate;
+# an "expr" or "verdict" option may be left out, every other one is required
+OPTIONS = {"dim": {"expect": "expr"}, "christoffel": {}, "curvature": {},
+           "efe": {"expect": "verdict"},
+           "geodesic": {"curve": "curve", "expect": "verdict"},
+           "lie": {"vector": "derivation", "expect": "verdict"},
+           "bracket": {"u": "derivation", "v": "derivation",
+                       "expect": "verdict"},
+           "pullback": {"curve": "curve", "one_form": "one_form"}}
+OPTIONAL = ("expr", "verdict")
+NEEDS_METRIC = ("christoffel", "curvature", "efe", "geodesic", "lie")
+COMMANDS = ("check", *OPTIONS)
 
-_EXPECTABLE = {"zero", "nonzero"}
+_KEYS = ("base_constants", "algebra", "metric", "lambda", "kappa",
+         "stress_energy", "curves", "checks")
+_ALGEBRA_KEYS = ("kind", "generators", "relations", "transcendence_basis")
 
 
 @dataclass(frozen=True)
@@ -39,7 +53,8 @@ class AlgebraSpec:
 class CheckSpec:
     name: str
     command: str
-    options: dict = field(default_factory=dict)
+    options: dict = field(default_factory=dict)  # raw JSON, echoed in reports
+    args: dict = field(default_factory=dict)     # option key -> parsed value
 
 
 @dataclass
@@ -48,11 +63,11 @@ class Manifest:
 
     base_constants: tuple
     algebra: AlgebraSpec
-    metric_exprs: tuple          # tuple of row tuples of strings, or ()
-    lambda_text: str
-    kappa_text: str
-    stress_energy_exprs: tuple   # tuple of row tuples of strings, or ()
-    curves: dict                 # name -> {generator: expression string}
+    metric: object               # rank-(0, 2) Tensor, or None
+    lam: object                  # Scalar
+    kappa: object                # Scalar
+    stress_energy: object        # rank-(0, 2) Tensor, or None
+    curves: dict                 # name -> {generator: Scalar of the line}
     checks: tuple                # CheckSpecs in declaration order
     raw: dict                    # parsed JSON, echoed into reports
     algebraifold: Algebraifold
@@ -62,35 +77,20 @@ class Manifest:
     def n(self):
         return self.algebraifold.n
 
-    def metric_tensor(self):
-        if not self.metric_exprs:
-            raise ManifestValidationError("manifest declares no metric")
-        return _tensor_from_rows(self.algebraifold, self.metric_exprs)
-
-    def stress_tensor(self):
-        if not self.stress_energy_exprs:
-            return None
-        return _tensor_from_rows(self.algebraifold, self.stress_energy_exprs)
-
     def curve_hom(self, name):
         """Build the validated homomorphism for a named curve."""
-        images = {gen: parse_scalar(text, self.line.algebraifold.ctx)
-                  for gen, text in self.curves[name].items()}
         return AlgebraifoldHom.build(self.algebraifold, self.line.algebraifold,
-                                     images)
-
-
-def _tensor_from_rows(algebraifold, rows):
-    entries = {}
-    for i, row in enumerate(rows, start=1):
-        for j, text in enumerate(row, start=1):
-            entries[(i, j)] = parse_scalar(text, algebraifold.ctx)
-    return Tensor.make(algebraifold, 0, 2, entries)
+                                     self.curves[name])
 
 
 def _require(condition, message):
     if not condition:
         raise ManifestValidationError(message)
+
+
+def _known_keys(table, allowed, what):
+    for key in table:
+        _require(key in allowed, f"{what} {key!r}")
 
 
 def _string_list(value, what):
@@ -99,13 +99,27 @@ def _string_list(value, what):
     return tuple(value)
 
 
+def _expr(value, what, ctx):
+    _require(isinstance(value, str), f"{what} must be an expression string")
+    return parse_scalar(value, ctx)
+
+
+def _exprs(value, what, A):
+    _require(isinstance(value, list) and len(value) == A.n
+             and all(isinstance(x, str) for x in value),
+             f"{what} must be a list of {A.n} expression strings")
+    return [parse_scalar(text, A.ctx) for text in value]
+
+
 def load_manifest(path):
     """Load, parse and context-validate a manifest file."""
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except IsADirectoryError:
-        raise ManifestParseError(f"{path.name}: is a directory") from None
+    except FileNotFoundError:
+        raise
+    except OSError as exc:  # a directory, no read permission, ...
+        raise ManifestParseError(f"{path.name}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
         raise ManifestParseError(
             f"{path.name}: not valid UTF-8 at byte {exc.start}") from None
@@ -121,12 +135,15 @@ def load_manifest(path):
 
 
 def build_manifest(raw):
-    """Validate a parsed JSON object and bind it to engine objects."""
+    """Validate a parsed JSON object and bind it to engine objects, parsing
+    each expression once."""
     _require(isinstance(raw, dict), "manifest must be a JSON object")
+    _known_keys(raw, _KEYS, "manifest has an unknown key")
     constants = _string_list(raw.get("base_constants", []), "base_constants")
 
     algebra_raw = raw.get("algebra")
     _require(isinstance(algebra_raw, dict), "manifest must declare an algebra")
+    _known_keys(algebra_raw, _ALGEBRA_KEYS, "algebra has an unknown key")
     kind = algebra_raw.get("kind")
     _require(kind in ("polynomial", "field"),
              "algebra.kind must be 'polynomial' or 'field'")
@@ -138,6 +155,11 @@ def build_manifest(raw):
         algebra_raw.get("transcendence_basis", list(generators)),
         "algebra.transcendence_basis")
     _require(len(generators) >= 1, "algebra must declare generators")
+    _require(len({*constants, *generators}) == len(constants) + len(generators)
+             and len(set(basis)) == len(basis),
+             "base constants and generators need pairwise distinct names")
+    _require("t" not in constants,
+             "base constant 't' clashes with the parameter t of curves")
     _require(all(b in generators for b in basis),
              "transcendence_basis must be a subset of generators")
     ext_gens = tuple(g for g in generators if g not in basis)
@@ -152,17 +174,12 @@ def build_manifest(raw):
     ctx = ScalarContext(POLYNOMIAL if kind == "polynomial" else FIELD,
                         basis, constants, extensions)
     algebraifold = Algebraifold.build(ctx)
-    n = algebraifold.n
 
-    metric_exprs = _expr_matrix(raw.get("metric"), n, "metric", ctx)
-    stress_exprs = _expr_matrix(raw.get("stress_energy"), n, "stress_energy",
-                                ctx)
-
-    lambda_text = raw.get("lambda", "0")
-    kappa_text = raw.get("kappa", "1")
-    for label, text in (("lambda", lambda_text), ("kappa", kappa_text)):
-        _require(isinstance(text, str), f"{label} must be an expression string")
-        parse_scalar(text, ctx)
+    metric = _tensor(raw.get("metric"), "metric", algebraifold)
+    stress_energy = _tensor(raw.get("stress_energy"), "stress_energy",
+                            algebraifold)
+    lam = _expr(raw.get("lambda", "0"), "lambda", ctx)
+    kappa = _expr(raw.get("kappa", "1"), "kappa", ctx)
 
     line = (FormalLine.polynomial(constants) if kind == "polynomial"
             else FormalLine.rational(constants))
@@ -180,20 +197,19 @@ def build_manifest(raw):
         for gen in sorted(table):
             _require(gen in ctx.generators,
                      f"curve '{name}' maps '{gen}', which is no generator")
-        for text in table.values():
-            parse_scalar(text, line.algebraifold.ctx)
-        curves[name] = dict(table)
+        curves[name] = {gen: parse_scalar(text, line.algebraifold.ctx)
+                        for gen, text in table.items()}
 
-    checks = _validate_checks(raw.get("checks", []), ctx, n, curves,
-                              bool(metric_exprs))
+    checks = _validate_checks(raw.get("checks", []), algebraifold, curves,
+                              metric is not None)
 
     return Manifest(
         base_constants=constants,
         algebra=algebra,
-        metric_exprs=metric_exprs,
-        lambda_text=lambda_text,
-        kappa_text=kappa_text,
-        stress_energy_exprs=stress_exprs,
+        metric=metric,
+        lam=lam,
+        kappa=kappa,
+        stress_energy=stress_energy,
         curves=curves,
         checks=checks,
         raw=raw,
@@ -202,24 +218,37 @@ def build_manifest(raw):
     )
 
 
-def _expr_matrix(value, n, what, ctx):
+def _tensor(value, what, A):
+    """A rank-(0, 2) tensor from an n x n array of expressions, or None."""
     if value is None:
-        return ()
-    _require(isinstance(value, list) and len(value) == n,
-             f"{what} must be a {n}x{n} array of expression strings")
-    rows = []
-    for row in value:
-        _require(isinstance(row, list) and len(row) == n,
-                 f"{what} must be a {n}x{n} array of expression strings")
-        _require(all(isinstance(x, str) for x in row),
-                 f"{what} entries must be expression strings")
-        for text in row:
-            parse_scalar(text, ctx)
-        rows.append(tuple(row))
-    return tuple(rows)
+        return None
+    _require(isinstance(value, list) and len(value) == A.n,
+             f"{what} must be a list of {A.n} rows")
+    rows = [_exprs(row, f"{what} row {i}", A)
+            for i, row in enumerate(value, start=1)]
+    return Tensor.make(A, 0, 2, {(i, j): entry
+                                 for i, row in enumerate(rows, start=1)
+                                 for j, entry in enumerate(row, start=1)})
 
 
-def _validate_checks(value, ctx, n, curves, has_metric):
+def _option(kind, value, what, A, curves):
+    """The parsed value of one check option of the given kind."""
+    if kind == "expr":
+        return _expr(value, what, A.ctx)
+    if kind == "verdict":
+        _require(value in ("zero", "nonzero"),
+                 f"{what} must be 'zero' or 'nonzero'")
+        return value
+    if kind == "curve":
+        _require(isinstance(value, str) and value in curves,
+                 f"{what} {value!r} is no declared curve")
+        return value
+    if kind == "derivation":
+        return A.derivation(*_exprs(value, what, A))
+    return A.one_form(*_exprs(value, what, A))
+
+
+def _validate_checks(value, A, curves, has_metric):
     _require(isinstance(value, list), "checks must be a list")
     checks = []
     seen = set()
@@ -230,40 +259,18 @@ def _validate_checks(value, ctx, n, curves, has_metric):
         _require(isinstance(name, str) and name, "each check needs a name")
         _require(name not in seen, f"duplicate check name '{name}'")
         seen.add(name)
-        _require(command in COMMANDS and command != "check",
+        _require(isinstance(command, str) and command in OPTIONS,
                  f"check '{name}': unknown command {command!r}")
+        kinds = OPTIONS[command]
         options = {k: v for k, v in item.items()
                    if k not in ("name", "command")}
-        expect = options.get("expect")
-        if command in ("efe", "geodesic", "lie", "bracket"):
-            _require(expect is None
-                     or (isinstance(expect, str) and expect in _EXPECTABLE),
-                     f"check '{name}': expect must be 'zero' or 'nonzero'")
-        elif command == "dim" and expect is not None:
-            _require(isinstance(expect, str),
-                     f"check '{name}': expect must be an expression string")
-            parse_scalar(expect, ctx)
-        if command in ("christoffel", "curvature", "efe", "geodesic", "lie"):
-            _require(has_metric, f"check '{name}': manifest declares no metric")
-        if command in ("geodesic", "pullback"):
-            curve = options.get("curve")
-            _require(isinstance(curve, str) and curve in curves,
-                     f"check '{name}': unknown curve {curve!r}")
-        if command == "lie":
-            _vector_option(options, "vector", name, n, ctx)
-        if command == "bracket":
-            _vector_option(options, "u", name, n, ctx)
-            _vector_option(options, "v", name, n, ctx)
-        if command == "pullback":
-            _vector_option(options, "one_form", name, n, ctx)
-        checks.append(CheckSpec(name, command, options))
+        _known_keys(options, kinds,
+                    f"check '{name}': {command} takes no option")
+        _require(has_metric or command not in NEEDS_METRIC,
+                 f"check '{name}': manifest declares no metric")
+        args = {key: _option(kind, options.get(key), f"check '{name}': {key}",
+                             A, curves)
+                for key, kind in kinds.items()
+                if options.get(key) is not None or kind not in OPTIONAL}
+        checks.append(CheckSpec(name, command, options, args))
     return tuple(checks)
-
-
-def _vector_option(options, key, name, n, ctx):
-    value = options.get(key)
-    _require(isinstance(value, list) and len(value) == n
-             and all(isinstance(x, str) for x in value),
-             f"check '{name}': {key} must be a list of {n} expression strings")
-    for text in value:
-        parse_scalar(text, ctx)

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 from . import __version__
 from .curvature import Geometry, levi_civita  # noqa: F401  callers import it here
 from .errors import AfdError, ManifestValidationError
-from .expr import Renderer, parse_scalar
-from .manifest import COMMANDS, CheckSpec
+from .expr import Renderer
+from .manifest import COMMANDS, NEEDS_METRIC, OPTIONAL, OPTIONS, CheckSpec
 from .maps import geodesic_residual
 from .tensors import lie_derivative, metric_inverse
 
@@ -128,8 +128,7 @@ class _Runtime:
 
     def geometry(self):
         if self._geometry is None:
-            metric = metric_inverse(self.algebraifold,
-                                    self.manifest.metric_tensor())
+            metric = metric_inverse(self.algebraifold, self.manifest.metric)
             self._geometry = Geometry(self.algebraifold, metric)
         return self._geometry
 
@@ -148,21 +147,21 @@ def _expect_status(expect, is_zero):
 
 
 def _run_check(runtime, spec):
+    """Run one check on the values its manifest parsed; ``spec.options``
+    only echoes the user's own strings."""
     manifest = runtime.manifest
     A = runtime.algebraifold
-    ctx = A.ctx
     render = runtime.render
     result = {"name": spec.name, "command": spec.command}
-    options = spec.options
+    options, args = spec.options, spec.args
 
     if spec.command == "dim":
         value = render(A.dimension())
         result["dimension"] = value
-        expect = options.get("expect")
-        if expect is None:
+        if "expect" not in args:
             result["status"] = "info"
         else:
-            expected = render(parse_scalar(expect, ctx))
+            expected = render(args["expect"])
             result["expected"] = expected
             result["status"] = "pass" if value == expected else "fail"
 
@@ -180,48 +179,42 @@ def _run_check(runtime, spec):
         result["status"] = "info"
 
     elif spec.command == "efe":
-        lam = parse_scalar(manifest.lambda_text, ctx)
-        kappa = parse_scalar(manifest.kappa_text, ctx)
-        residual = runtime.geometry().efe_residual(lam, kappa,
-                                                   manifest.stress_tensor())
-        result["lambda"] = render(lam)
-        result["kappa"] = render(kappa)
+        residual = runtime.geometry().efe_residual(
+            manifest.lam, manifest.kappa, manifest.stress_energy)
+        result["lambda"] = render(manifest.lam)
+        result["kappa"] = render(manifest.kappa)
         result["residual"] = tensor_payload(residual, render)
-        result["status"] = _expect_status(options.get("expect", "zero"),
+        result["status"] = _expect_status(args.get("expect", "zero"),
                                           residual.is_zero)
 
     elif spec.command == "geodesic":
-        curve = options["curve"]
+        curve = args["curve"]
         hom = runtime.hom(curve)
         residual = geodesic_residual(manifest.line, hom,
                                      runtime.geometry().connection)
         result["curve"] = curve
         result["residual"] = [render(c) for c in residual.coeffs]
-        result["status"] = _expect_status(options.get("expect"),
+        result["status"] = _expect_status(args.get("expect"),
                                           residual.is_zero)
 
     elif spec.command == "lie":
-        vector = A.derivation(*options["vector"])
-        derivative = lie_derivative(A, vector, runtime.geometry().metric.g)
+        derivative = lie_derivative(A, args["vector"],
+                                    runtime.geometry().metric.g)
         result["vector"] = list(options["vector"])
         result["metric_derivative"] = tensor_payload(derivative, render)
-        result["status"] = _expect_status(options.get("expect"),
+        result["status"] = _expect_status(args.get("expect"),
                                           derivative.is_zero)
 
     elif spec.command == "bracket":
-        u = A.derivation(*options["u"])
-        v = A.derivation(*options["v"])
-        w = A.bracket(u, v)
+        w = A.bracket(args["u"], args["v"])
         result["u"] = list(options["u"])
         result["v"] = list(options["v"])
         result["bracket"] = [render(c) for c in w.coeffs]
-        result["status"] = _expect_status(options.get("expect"), w.is_zero)
+        result["status"] = _expect_status(args.get("expect"), w.is_zero)
 
     elif spec.command == "pullback":
-        curve = options["curve"]
-        hom = runtime.hom(curve)
-        xi = A.one_form(*options["one_form"])
-        pulled = hom.pullback(xi)
+        curve = args["curve"]
+        pulled = runtime.hom(curve).pullback(args["one_form"])
         result["curve"] = curve
         result["one_form"] = list(options["one_form"])
         result["pulled"] = [render(c) for c in pulled.coeffs]
@@ -233,21 +226,21 @@ def _run_check(runtime, spec):
 
 
 def _default_checks(manifest, command):
-    if command == "dim":
-        return [CheckSpec("dim", "dim", {})]
-    if command in ("christoffel", "curvature", "efe"):
-        if not manifest.metric_exprs:
-            raise ManifestValidationError("manifest declares no metric")
-        options = {"expect": "zero"} if command == "efe" else {}
-        return [CheckSpec(command, command, options)]
+    """The checks a command runs when the manifest declares none: one per
+    curve for ``geodesic``, else one named after the command if every
+    option of the command may be left out."""
     if command == "geodesic":
-        if not manifest.metric_exprs or not manifest.curves:
+        if manifest.metric is None or not manifest.curves:
             raise ManifestValidationError(
                 "geodesic checks need a metric and at least one curve")
-        return [CheckSpec(f"geodesic:{name}", "geodesic", {"curve": name})
+        return [CheckSpec(f"geodesic:{name}", "geodesic", args={"curve": name})
                 for name in sorted(manifest.curves)]
-    raise ManifestValidationError(
-        f"manifest declares no '{command}' checks")
+    if any(kind not in OPTIONAL for kind in OPTIONS[command].values()):
+        raise ManifestValidationError(
+            f"manifest declares no '{command}' checks")
+    if command in NEEDS_METRIC and manifest.metric is None:
+        raise ManifestValidationError("manifest declares no metric")
+    return [CheckSpec(command, command)]
 
 
 def run_command(manifest, command, only=None):

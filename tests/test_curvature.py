@@ -539,7 +539,7 @@ class TestCurvatureOverSharedDenominator:
 
         manifest = load_manifest(repo_root / path)
         A = manifest.algebraifold
-        C = levi_civita(A, metric_inverse(A, manifest.metric_tensor()))
+        C = levi_civita(A, metric_inverse(A, manifest.metric))
         R = self.assert_matches_reference(C)
         assert R.comp
         if nonzero is not None:
@@ -629,7 +629,7 @@ class TestJacobiFormula:
         from afd.manifest import load_manifest
 
         manifest = load_manifest(repo_root / "manifests" / f"{name}.json")
-        self.traces(manifest.algebraifold, manifest.metric_tensor())
+        self.traces(manifest.algebraifold, manifest.metric)
 
     @pytest.mark.parametrize("path", [
         "perfbench/ks_extension.json", "tests/fixtures/schwarzschild_ks.json"])
@@ -637,7 +637,7 @@ class TestJacobiFormula:
         from afd.manifest import load_manifest
 
         manifest = load_manifest(repo_root / path)
-        traces = self.traces(manifest.algebraifold, manifest.metric_tensor())
+        traces = self.traces(manifest.algebraifold, manifest.metric)
         assert all(trace.is_zero for trace in traces)
 
     @pytest.mark.parametrize("names", [("x", "y"), ("x", "y", "z")])

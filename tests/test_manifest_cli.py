@@ -7,6 +7,7 @@ import sys
 import pytest
 from hypothesis import example, given, strategies as st
 
+from afd.algebraifold import Derivation, OneForm
 from afd.cli import main
 from afd.errors import (
     AfdError,
@@ -16,7 +17,7 @@ from afd.errors import (
     UnknownIdentifier,
 )
 from afd.expr import render_scalar
-from afd.manifest import COMMANDS, build_manifest, load_manifest
+from afd.manifest import COMMANDS, OPTIONS, build_manifest, load_manifest
 from afd.report import emit_report, run_command, tensor_payload
 from afd.tensors import Tensor
 
@@ -43,7 +44,7 @@ class TestLoadManifest:
     def test_bundled_poly_metric(self, repo_root):
         manifest = load_manifest(repo_root / "manifests" / "poly_metric.json")
         assert manifest.n == 2
-        assert manifest.metric_exprs[0][1] == "x"
+        assert render_scalar(manifest.metric.get((1, 2))) == "x"
 
     def test_bundled_friedmann(self, repo_root):
         manifest = load_manifest(repo_root / "manifests" / "friedmann.json")
@@ -86,6 +87,9 @@ class TestLoadManifest:
         check = {"name": "c", "command": command, "curve": "line",
                  "vector": ["1", "0"], "u": ["1", "0"], "v": ["0", "1"],
                  "one_form": ["1", "0"], key: bad}
+        # only the options the command takes, so the bad value is reached
+        check = {k: v for k, v in check.items()
+                 if k in ("name", "command", *OPTIONS[command])}
         raw = manifest_with(curves={"line": {"x": "t", "y": "0"}},
                             checks=[check])
         with pytest.raises(ManifestValidationError) as err:
@@ -99,6 +103,71 @@ class TestLoadManifest:
             checks=[{"name": "d", "command": "dim", "expect": expect}])
         with pytest.raises(error):
             build_manifest(raw)
+
+    # a legal value for every kind of check option
+    LEGAL = {"expr": "2", "verdict": "zero", "curve": "line",
+             "derivation": ["1", "x"], "one_form": ["x", "0"]}
+
+    @pytest.mark.parametrize("command", sorted(OPTIONS))
+    def test_misspelt_option_is_refused(self, command):
+        check = {"name": "c", "command": command,
+                 **{k: self.LEGAL[kind] for k, kind in OPTIONS[command].items()}}
+        curves = {"line": {"x": "t", "y": "0"}}
+        manifest = build_manifest(manifest_with(curves=curves, checks=[check]))
+        assert manifest.checks[0].options == {
+            k: v for k, v in check.items() if k not in ("name", "command")}
+        with pytest.raises(ManifestValidationError) as err:
+            build_manifest(manifest_with(
+                curves=curves, checks=[dict(check, expct="zero")]))
+        assert str(err.value) == f"check 'c': {command} takes no option 'expct'"
+
+    @pytest.mark.parametrize("overrides, key", [
+        ({"lamda": "1"}, "lamda"),
+        ({"algebra": dict(MINIMAL["algebra"], relation=[])}, "relation"),
+    ])
+    def test_unknown_key_is_refused(self, overrides, key):
+        with pytest.raises(ManifestValidationError) as err:
+            build_manifest(manifest_with(**overrides))
+        assert f"unknown key '{key}'" in str(err.value)
+
+    @pytest.mark.parametrize("overrides", [
+        {"base_constants": ["x"]},
+        {"base_constants": ["t"]},
+        {"algebra": {"kind": "polynomial", "generators": ["x", "x"]}},
+        {"algebra": {"kind": "field", "generators": ["x", "y"],
+                     "relations": ["y^2 - x"],
+                     "transcendence_basis": ["x", "x"]}},
+    ], ids=["constant-is-generator", "constant-t", "same-generators",
+            "same-basis"])
+    def test_clashing_names_are_refused(self, overrides):
+        # the scalar context refuses them with a bare ValueError
+        with pytest.raises(ManifestValidationError):
+            build_manifest(manifest_with(**overrides))
+
+    def test_values_are_parsed_at_load(self):
+        raw = manifest_with(
+            **{"lambda": "2/3", "kappa": "8"},
+            stress_energy=[["x", "0"], ["0", "y"]],
+            curves={"line": {"x": "t", "y": "t^2"}},
+            checks=[{"name": "d", "command": "dim", "expect": "1 + 1"},
+                    {"name": "b", "command": "bracket", "u": ["x", "0"],
+                     "v": ["0", "y"]},
+                    {"name": "p", "command": "pullback", "curve": "line",
+                     "one_form": ["1", "x"]}])
+        manifest = build_manifest(raw)
+        assert render_scalar(manifest.lam) == "2/3"
+        assert render_scalar(manifest.kappa) == "8"
+        assert manifest.metric.rank == manifest.stress_energy.rank == (0, 2)
+        assert [render_scalar(manifest.stress_energy.get(idx))
+                for idx in ((1, 1), (1, 2), (2, 2))] == ["x", "0", "y"]
+        assert {g: render_scalar(v) for g, v in
+                manifest.curves["line"].items()} == {"x": "t", "y": "t^2"}
+        dim, bracket, pullback = (c.args for c in manifest.checks)
+        assert render_scalar(dim["expect"]) == "2"
+        assert isinstance(bracket["u"], Derivation)
+        assert [render_scalar(c) for c in bracket["v"].coeffs] == ["0", "y"]
+        assert isinstance(pullback["one_form"], OneForm)
+        assert pullback["curve"] == "line"
 
     def test_curve_must_cover_generators(self):
         raw = manifest_with(curves={"c": {"x": "t"}})
@@ -165,13 +234,26 @@ _JSON = st.recursive(
                    | st.dictionaries(st.text(max_size=3), inner, max_size=3)),
     max_leaves=6)
 _CHECK_KEYS = ("name", "command", "expect", "curve", "vector", "u", "v",
-               "one_form")
+               "one_form", "expct")
 
 
 class TestCheckFuzz:
-    """Whatever JSON a check object holds, loading raises only AfdError."""
+    """Whatever JSON a check object holds, loading it and running what loads
+    raise only AfdError."""
 
     @given(st.fixed_dictionaries({}, optional={k: _JSON for k in _CHECK_KEYS}))
+    @example({"name": "d", "command": []})
+    @example({"name": "d", "command": "dim", "expect": "2"})
+    @example({"name": "d", "command": "christoffel"})
+    @example({"name": "d", "command": "curvature"})
+    @example({"name": "d", "command": "efe", "expect": "nonzero"})
+    @example({"name": "d", "command": "geodesic", "curve": "line",
+              "expect": "zero"})
+    @example({"name": "d", "command": "lie", "vector": ["x", "1"]})
+    @example({"name": "d", "command": "bracket", "u": ["x", "0"],
+              "v": ["0", "x + y"], "expect": "zero"})
+    @example({"name": "d", "command": "pullback", "curve": "line",
+              "one_form": ["1", "x"]})
     @example({"name": "d", "command": "efe", "expect": ["zero"]})
     @example({"name": "d", "command": "lie", "expect": {}})
     @example({"name": "d", "command": "geodesic", "curve": []})
@@ -186,6 +268,12 @@ class TestCheckFuzz:
         except AfdError:
             return
         assert [c.name for c in manifest.checks] == [check["name"]]
+        try:
+            report = run_command(manifest, "check")
+            for fmt in ("json", "text"):
+                emit_report(report, fmt)
+        except AfdError:
+            pass
 
 
 class TestRunCommand:
@@ -460,6 +548,41 @@ class TestGoldenReports:
             bench / "ks_extension.check.json").read_text(encoding="utf-8")
 
 
+class TestParseOnce:
+    def test_checks_run_without_the_parser(self, repo_root, monkeypatch):
+        # every expression is parsed at load; a check only reads the values
+        from afd import expr
+
+        pairs = [(repo_root / "manifests" / path.name.replace(".check", ""),
+                  path)
+                 for path in sorted(
+                     (repo_root / "manifests" / "golden").glob("*.json"))]
+        pairs.append((repo_root / "perfbench" / "ks_extension.json",
+                      repo_root / "perfbench" / "ks_extension.check.json"))
+        assert len(pairs) == 7
+        loaded = [(load_manifest(m), ref) for m, ref in pairs]
+
+        def refuse(*args):
+            raise AssertionError("an expression was parsed after load")
+
+        monkeypatch.setattr(expr, "_Parser", refuse)
+        for manifest, ref in loaded:
+            report = run_command(manifest, "check")
+            assert emit_report(report, "json") == ref.read_text(
+                encoding="utf-8"), ref.name
+
+
+class TestReadme:
+    def test_manifest_example_loads_and_passes(self, repo_root):
+        readme = (repo_root / "README.md").read_text(encoding="utf-8")
+        section = readme.split("## Manifests", 1)[1]
+        block = section.split("```json\n", 1)[1].split("```", 1)[0]
+        manifest = build_manifest(json.loads(block))
+        assert len(manifest.checks) == len(OPTIONS)
+        report = run_command(manifest, "check")
+        assert report.summary["error"] == report.summary["fail"] == 0
+
+
 class TestConcurrency:
     def test_shared_objects_across_threads(self, repo_root):
         # descriptors, metrics and tensors are immutable; independent checks
@@ -576,6 +699,36 @@ class TestCli:
         assert proc.stderr.startswith("afd: [manifest-validation-error]")
         assert "zz_typo" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("edit, key", [
+        (lambda raw: raw["checks"].append(
+            {"name": "bent", "command": "geodesic", "curve": "parabola",
+             "expct": "zero"}), "expct"),
+        (lambda raw: raw["checks"].append(
+            {"name": "flat", "command": "curvature", "expect": "nonzero"}),
+         "expect"),
+        (lambda raw: raw.update(lamda="1"), "lamda"),
+        (lambda raw: raw["algebra"].update(generator=["x"]), "generator"),
+    ], ids=["misspelt-option", "unsupported-option", "top-level", "algebra"])
+    def test_unknown_key_exits_one(self, repo_root, tmp_path, capsys, edit,
+                                   key):
+        raw = json.loads((repo_root / "manifests" / "euclidean.json")
+                         .read_text(encoding="utf-8"))
+        edit(raw)
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        assert main(["check", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("afd: [manifest-validation-error]")
+        assert f"'{key}'" in err and err.count("\n") == 1
+
+    def test_unwritable_out_exits_one(self, repo_root, tmp_path, capsys):
+        out = tmp_path / "missing" / "report.json"
+        manifest = repo_root / "manifests" / "minkowski.json"
+        assert main(["check", str(manifest), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"afd: cannot write {out}")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_check_filter(self, repo_root):
         proc = self.run_cli(

@@ -381,7 +381,7 @@ class TestInverseAgainstGaussJordan:
                      "tests/fixtures/schwarzschild_ks.json"):
             manifest = load_manifest(repo_root / path)
             assert self.assert_matches_reference(
-                manifest.algebraifold, manifest.metric_tensor()) is None
+                manifest.algebraifold, manifest.metric) is None
 
     def test_constant_unit_of_polynomial_ring(self):
         # m is a unit of Q(m)[x, y]: diag(m, 1) inverts to diag(1/m, 1)
@@ -419,7 +419,7 @@ class TestInverseAgainstGaussJordan:
 
         manifest = load_manifest(repo_root / "tests/fixtures/kerr.json")
         A = manifest.algebraifold
-        m = metric_inverse(A, manifest.metric_tensor())
+        m = metric_inverse(A, manifest.metric)
         for i in range(1, 5):
             for k in range(1, 5):
                 total = A.zero()
