@@ -81,6 +81,13 @@ class ExprSyntaxError(AfdError):
         self.expected = tuple(expected)
 
 
+class NumberTooLong(AfdError):
+    """A number has too many digits to print."""
+
+    code = "number-too-long"
+    exit_code = 1
+
+
 class UnknownIdentifier(AfdError):
     code = "unknown-identifier"
     exit_code = 1

@@ -19,7 +19,12 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .errors import ExprSyntaxError, UnknownIdentifier, UnknownVariable
+from .errors import (
+    ExprSyntaxError,
+    NumberTooLong,
+    UnknownIdentifier,
+    UnknownVariable,
+)
 from .scalars import FIELD, MultiPoly, RatFunc, ScalarContext, _unpack
 
 # ---------------------------------------------------------------------------
@@ -31,6 +36,23 @@ _OPS = set("+-*/^()")
 # deepest accepted nesting of parentheses and unary minus; deeper input is a
 # syntax error rather than a Python recursion failure
 MAX_NESTING = 100
+
+
+def _identifier_end(text, i):
+    """End of the identifier that starts at ``text[i]``, or ``i`` if none
+    does: a letter, then letters, digits and underscores."""
+    n = len(text)
+    if i == n or not text[i].isalpha():
+        return i
+    j = i + 1
+    while j < n and (text[j].isalnum() or text[j] == "_"):
+        j += 1
+    return j
+
+
+def is_identifier(name):
+    """Whether ``name`` is exactly one identifier of the grammar."""
+    return _identifier_end(name, 0) == len(name) > 0
 
 
 def _tokenize(text):
@@ -48,10 +70,8 @@ def _tokenize(text):
             tokens.append(("int", text[i:j], i))
             i = j
             continue
-        if ch.isalpha():
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
+        j = _identifier_end(text, i)
+        if j > i:
             tokens.append(("ident", text[i:j], i))
             i = j
             continue
@@ -175,9 +195,14 @@ def parse_scalar(text, ctx):
 
 def _fraction(n, d):
     """The text of ``n / d`` for ints ``n >= 0`` and ``d > 0``, reduced by
-    one gcd."""
+    one gcd.  Every number the renderer prints goes through here."""
     g = gcd(n, d)
-    return str(n // g) if g == d else f"{n // g}/{d // g}"
+    try:
+        return str(n // g) if g == d else f"{n // g}/{d // g}"
+    except ValueError:  # past the interpreter's digit limit
+        raise NumberTooLong(
+            f"a number of {max(n, d).bit_length()} bits is too long to"
+            " render") from None
 
 
 def _monomial_factors(exps, variables):
@@ -271,8 +296,9 @@ class Renderer:
         return parts
 
     def _render(self, v):
-        if type(v) is Fraction:
-            return [(False, str(v))] if v else [], False, ""
+        if type(v) is Fraction:  # sign-free, so v >= 0
+            text = _fraction(v.numerator, v.denominator)
+            return [(False, text)] if v else [], False, ""
         if type(v) is MultiPoly:
             return _poly_pieces(v), False, ""
         if type(v) is RatFunc:

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .algebraifold import Algebraifold
 from .errors import ManifestParseError, ManifestValidationError
-from .expr import parse_relation, parse_scalar
+from .expr import is_identifier, parse_relation, parse_scalar
 from .maps import AlgebraifoldHom, FormalLine
 from .scalars import FIELD, POLYNOMIAL, ScalarContext
 from .tensors import Tensor
@@ -155,6 +155,10 @@ def build_manifest(raw):
         algebra_raw.get("transcendence_basis", list(generators)),
         "algebra.transcendence_basis")
     _require(len(generators) >= 1, "algebra must declare generators")
+    for name in (*constants, *generators):
+        _require(is_identifier(name),
+                 f"{name!r} is no identifier of the expression grammar"
+                 " (a letter, then letters, digits or '_')")
     _require(len({*constants, *generators}) == len(constants) + len(generators)
              and len(set(basis)) == len(basis),
              "base constants and generators need pairwise distinct names")

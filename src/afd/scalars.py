@@ -63,8 +63,10 @@ differentiation of the extension generator) and substitution.
 
 Scalar arithmetic has one path: coerce the operand, lift the lower payload
 to the level of the other, run the payload operation, demote the result.
-A rational factor of ``*`` instead scales the other payload at its own
-level, and ``a / b`` is ``a`` times the payload inverse of ``b``.
+A zero summand of ``+`` or ``-`` and a factor 1 or -1 of ``*`` return the
+other operand (negated where the sign asks) right after coercion, before
+any lift.  Any other rational factor of ``*`` scales the other payload at
+its own level, and ``a / b`` is ``a`` times the payload inverse of ``b``.
 
 Everything here is immutable after construction and all operations are pure.
 """
@@ -1554,6 +1556,12 @@ class Scalar:
         if other is None:
             return NotImplemented
         a, b = self.val, other.val
+        # zero is always stored as the rational 0; ``*`` reaches here with
+        # no rational operand, so these only cut short ``+`` and ``-``
+        if type(b) is Fraction and not b:
+            return self
+        if type(a) is Fraction and not a:
+            return other if op is add else -other
         la, lb = _LEVEL[type(a)], _LEVEL[type(b)]
         if la < lb:
             a = _lift(self.ctx, a, la, lb)
@@ -1588,6 +1596,10 @@ class Scalar:
         # nonzero one keeps it canonical
         if not b:
             return self.ctx.zero()
+        if b == 1:
+            return Scalar(self.ctx, a)
+        if b == -1:
+            return Scalar(self.ctx, -a)
         return Scalar(self.ctx, a * b if type(a) is Fraction else a.scale(b))
 
     __rmul__ = __mul__

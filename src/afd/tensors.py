@@ -7,9 +7,7 @@ plain scalars wrapped in an empty-or-singleton component table keyed by ().
 
 from __future__ import annotations
 
-from functools import reduce
 from itertools import product
-from operator import mul
 
 from .algebraifold import Derivation, OneForm, require_elements
 from .errors import (
@@ -159,20 +157,28 @@ class Tensor:
         return Tensor(self.algebraifold, self.r - 1, self.s - 1, comp)
 
     def evaluate(self, oneforms, derivations):
-        """Full multilinear pairing against components."""
+        """Full multilinear pairing against components.
+
+        The sum runs over the nonzero coefficients of the arguments only:
+        each index tuple they support is looked up in the component table,
+        and a component found there is multiplied by its coefficients.
+        """
         if len(oneforms) != self.r or len(derivations) != self.s:
             raise ArityMismatch(
                 f"rank {self.rank} tensor takes {self.r} one-forms and"
                 f" {self.s} derivations")
         require_elements(self.algebraifold, OneForm, *oneforms)
         require_elements(self.algebraifold, Derivation, *derivations)
-        # slot a pairs with the coefficients of the a-th argument
-        slots = [x.coeffs for x in (*oneforms, *derivations)]
+        # slot a pairs with the a-th argument
+        supports = [[(i, c) for i, c in enumerate(x.coeffs, 1) if c]
+                    for x in (*oneforms, *derivations)]
         total = self.algebraifold.zero()
-        for idx, value in self.comp.items():
-            factors = [c[i - 1] for c, i in zip(slots, idx)]
-            if all(factors):  # a zero coefficient kills the component
-                total = total + reduce(mul, factors, value)
+        for terms in product(*supports):
+            value = self.comp.get(tuple(i for i, _ in terms))
+            if value is not None:
+                for _, c in terms:
+                    value = value * c
+                total = total + value
         return total
 
 

@@ -8,8 +8,13 @@ import pytest
 from hypothesis import given
 
 from afd import ScalarContext, field_with_extension, parse_scalar, render_scalar
-from afd.errors import ExprSyntaxError, NotDivisible, UnknownIdentifier
-from afd.expr import MAX_NESTING, Renderer, render_poly
+from afd.errors import (
+    ExprSyntaxError,
+    NotDivisible,
+    NumberTooLong,
+    UnknownIdentifier,
+)
+from afd.expr import MAX_NESTING, Renderer, _tokenize, is_identifier, render_poly
 from afd.manifest import load_manifest
 from afd.report import emit_report, run_command
 from afd.scalars import FIELD, POLYNOMIAL, ExtElem, MultiPoly, RatFunc
@@ -23,6 +28,17 @@ ELL = field_with_extension(("x",), "y", "y^2 - x^3 - 1")
 
 
 class TestParse:
+    @pytest.mark.parametrize("name", [
+        "x", "x_1", "r2", "\u03bb", "x\u00b2", "", "2x", "x y", "x-1", "_x",
+        " x"])
+    def test_identifier_rule_is_the_tokenizers(self, name):
+        try:
+            tokens = _tokenize(name)
+        except ExprSyntaxError:
+            tokens = []
+        one_token = len(tokens) == 2 and tokens[0][:2] == ("ident", name)
+        assert is_identifier(name) == one_token
+
     def test_polynomial(self):
         assert parse_scalar("1 + x^2", POLY) == POLY.var("x") ** 2 + 1
 
@@ -102,6 +118,18 @@ class TestParse:
 
 
 class TestRender:
+    def test_number_past_the_digit_limit(self):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not limit:
+            pytest.skip("this interpreter converts integers of any length")
+        big = 10 ** limit
+        x = POLY.var("x")
+        for value in (POLY.const(big), POLY.const(Fraction(1, big)),
+                      big * x + 1, x / big, ELL.var("y") * big):
+            with pytest.raises(NumberTooLong):
+                render_scalar(value)
+        assert render_scalar(POLY.const(big - 1)) == "9" * limit
+
     def test_polynomial(self):
         assert render_scalar(POLY.var("x") ** 2 - POLY.var("y") ** 2) == "x^2 - y^2"
 

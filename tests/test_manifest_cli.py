@@ -144,6 +144,19 @@ class TestLoadManifest:
         with pytest.raises(ManifestValidationError):
             build_manifest(manifest_with(**overrides))
 
+    @pytest.mark.parametrize("name", ["", "2x", "x y", "x-1"])
+    @pytest.mark.parametrize("where", ["generator", "base_constant"])
+    def test_unspellable_name_is_refused(self, where, name):
+        if where == "generator":
+            overrides = {"algebra": dict(MINIMAL["algebra"],
+                                         generators=[name, "y"],
+                                         transcendence_basis=[name, "y"])}
+        else:
+            overrides = {"base_constants": [name]}
+        with pytest.raises(ManifestValidationError) as err:
+            build_manifest(manifest_with(**overrides))
+        assert f"{name!r} is no identifier" in str(err.value)
+
     def test_values_are_parsed_at_load(self):
         raw = manifest_with(
             **{"lambda": "2/3", "kappa": "8"},
@@ -686,6 +699,34 @@ class TestCli:
         assert proc.returncode == 1
         assert proc.stderr.startswith(f"afd: [{code}]")
         assert "Traceback" not in proc.stderr
+
+    def test_unspellable_generator_exits_one(self, tmp_path):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest_with(algebra=dict(
+            MINIMAL["algebra"], generators=["", "y"],
+            transcendence_basis=["", "y"]))), encoding="utf-8")
+        proc = self.run_cli("check", str(path))
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("afd: [manifest-validation-error]")
+        assert proc.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("expect", ["2^100000", "2^10000 * 2^10000"])
+    def test_number_too_long_to_render_is_an_error_result(
+            self, repo_root, tmp_path, expect):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not 0 < limit < len(str(2**10000)) * 2:
+            pytest.skip("this interpreter prints 2^20000 in full")
+        raw = json.loads((repo_root / "manifests" / "euclidean.json")
+                         .read_text(encoding="utf-8"))
+        raw["checks"] = [{"name": "big", "command": "dim", "expect": expect}]
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        proc = self.run_cli("check", str(path))
+        assert proc.returncode in (1, 2)
+        assert "Traceback" not in proc.stderr
+        (result,) = json.loads(proc.stdout)["results"]
+        assert (result["status"], result["code"]) == (
+            "error", "number-too-long")
 
     def test_curve_image_for_a_misspelt_generator_exits_one(
             self, repo_root, tmp_path):

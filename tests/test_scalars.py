@@ -35,6 +35,7 @@ from afd.scalars import (
 )
 
 from conftest import ext_scalars, field_scalars, nonzero_field_scalars, poly_scalars
+from helpers import elliptic_field, function_field
 
 POLY = ScalarContext(POLYNOMIAL, ("x", "y"))
 ELL = field_with_extension(("x",), "y", "y^2 - x^3 - 1")
@@ -208,6 +209,54 @@ class TestMixedLevels:
         half = PARAM.var("x") / 2
         assert type(half.val) is MultiPoly
         assert half.val == MultiPoly(("m", "x"), {(0, 1): Fraction(1, 2)})
+
+
+# one sample per payload level
+IDENTITY_SAMPLES = {
+    "rational": (POLY, "-3/2"),
+    "polynomial": (POLY, "x*y - 2"),
+    "function_field": (function_field("x", "y").ctx, "x/(y + 1)"),
+    "elliptic_field": (elliptic_field().ctx, "y/(x + 1)"),
+}
+
+# the rational operand and the operator of each short-circuit, both orders
+IDENTITY_CASES = {
+    "x + 0": (0, lambda x, k: x + k),
+    "0 + x": (0, lambda x, k: k + x),
+    "x - 0": (0, lambda x, k: x - k),
+    "0 - x": (0, lambda x, k: k - x),
+    "x * 1": (1, lambda x, k: x * k),
+    "1 * x": (1, lambda x, k: k * x),
+    "x * -1": (-1, lambda x, k: x * k),
+    "-1 * x": (-1, lambda x, k: k * x),
+}
+
+
+class TestIdentityOperands:
+    """A zero summand or a factor of 1 or -1 returns the other operand
+    before any lift; the result must be the generic one, demoted."""
+
+    @pytest.mark.parametrize("level", sorted(IDENTITY_SAMPLES))
+    @pytest.mark.parametrize("case", sorted(IDENTITY_CASES))
+    def test_matches_the_lifted_result(self, level, case):
+        ctx, text = IDENTITY_SAMPLES[level]
+        x = parse_scalar(text, ctx)
+        k, op = IDENTITY_CASES[case]
+        want = op(_to_top(ctx, x.val), _to_top(ctx, Fraction(k)))
+        for operand in (k, Fraction(k), ctx.const(k)):
+            got = op(x, operand)
+            assert got.ctx is ctx, (case, operand)
+            assert _to_top(ctx, got.val) == want, (case, operand)
+            assert type(got.val) is TestMixedLevels._lowest(want), case
+
+    @pytest.mark.parametrize("level", sorted(IDENTITY_SAMPLES))
+    @pytest.mark.parametrize("case", sorted(IDENTITY_CASES))
+    def test_other_context_still_mismatches(self, level, case):
+        ctx, text = IDENTITY_SAMPLES[level]
+        x = parse_scalar(text, ctx)
+        k, op = IDENTITY_CASES[case]
+        with pytest.raises(ContextMismatch):
+            op(x, PARAM.const(k))
 
 
 def _random_poly(rng, variables, max_terms=6, max_deg=3):

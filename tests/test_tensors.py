@@ -1,6 +1,9 @@
 """Tensor algebra, contraction, Lie derivatives, metrics, musical maps."""
 
 import random
+from functools import reduce
+from itertools import product
+from operator import mul
 
 import pytest
 
@@ -9,6 +12,7 @@ from afd.algebraifold import Algebraifold
 from afd.errors import (
     ArityMismatch,
     Degenerate,
+    DescriptorMismatch,
     NotDivisible,
     NotInvertibleInAlgebra,
     NotSymmetric,
@@ -100,7 +104,66 @@ class TestContract:
             kronecker(P2).contract(2, 1)
 
 
+def reference_evaluate(T, oneforms, derivations):
+    """The pairing as a sum over every stored component."""
+    slots = [x.coeffs for x in (*oneforms, *derivations)]
+    total = T.algebraifold.zero()
+    for idx, value in T.comp.items():
+        factors = [c[i - 1] for c, i in zip(slots, idx)]
+        if all(factors):  # a zero coefficient kills the component
+            total = total + reduce(mul, factors, value)
+    return total
+
+
+EVALUATE_ALGEBRAS = {
+    "polynomial": poly_ring("x", "y", "z"),
+    "function_field": function_field("x", "y"),
+    "elliptic_field": Algebraifold.build(
+        field_with_extension(("x", "z"), "y", "y^2 - x^3 - 1")),
+}
+
+
+def _mixed_coefficient(rng, A):
+    """Zero, 1, -1 or a general scalar, each a quarter of the time."""
+    pick = rng.randrange(4)
+    if pick == 3:
+        return random_scalar(rng, A.ctx)
+    return A.scalar((0, 1, -1)[pick])
+
+
 class TestEvaluate:
+    @pytest.mark.parametrize("rank", [(0, 2), (2, 0), (1, 1), (1, 3)],
+                             ids=lambda rank: "%d-%d" % rank)
+    @pytest.mark.parametrize("name", sorted(EVALUATE_ALGEBRAS))
+    def test_support_walk_matches_every_component_loop(self, name, rank):
+        A = EVALUATE_ALGEBRAS[name]
+        r, s = rank
+        rng = random.Random(f"{name}{rank}")
+        for trial in range(6):
+            T = Tensor.make(A, r, s, {
+                idx: random_scalar(rng, A.ctx)
+                for idx in product(range(1, A.n + 1), repeat=r + s)
+                if rng.random() < 0.6})
+            args = [[_mixed_coefficient(rng, A) for _ in range(A.n)]
+                    for _ in range(r + s)]
+            if trial == 0:
+                args[-1] = [A.zero()] * A.n
+            oneforms = [A.one_form(*c) for c in args[:r]]
+            derivations = [A.derivation(*c) for c in args[r:]]
+            assert (T.evaluate(oneforms, derivations)
+                    == reference_evaluate(T, oneforms, derivations)), trial
+
+    def test_descriptor_mismatch(self):
+        T = Tensor.make(P2, 1, 1, {(1, 2): X})
+        dx, d1 = P2.coordinate_form(1), P2.basis_derivation(1)
+        other = poly_ring("x", "z")
+        with pytest.raises(DescriptorMismatch):
+            T.evaluate((d1,), (d1,))
+        with pytest.raises(DescriptorMismatch):
+            T.evaluate((dx,), (dx,))
+        with pytest.raises(DescriptorMismatch):
+            T.evaluate((dx,), (other.basis_derivation(1),))
+
     def test_metric_on_basis(self):
         m = metric_inverse(P2, POLY_METRIC)
         value = m.g.evaluate((), (P2.basis_derivation(1), P2.basis_derivation(2)))
@@ -119,6 +182,8 @@ class TestEvaluate:
     def test_arity_mismatch(self):
         with pytest.raises(ArityMismatch):
             kronecker(P2).evaluate((), (P2.basis_derivation(1),))
+        with pytest.raises(ArityMismatch):
+            POLY_METRIC.evaluate((P2.coordinate_form(1),), ())
 
     def test_linearity_in_each_slot(self):
         rng = random.Random(5)
