@@ -12,7 +12,10 @@ instead of cancelling a gcd after every product and sum: every Gamma becomes
 polynomial numerators over D, the lcm of the Christoffel denominators, and
 every derivative d_a Gamma numerators over D**2 E, where E is the lcm of the
 denominators of the extension generator's implicit derivatives.  Each
-component's numerator is a polynomial sum of products, made canonical by one
+component's numerator is a polynomial sum of products, built in one pass of
+the sparse multiply-accumulate kernel ``scalars._sum_products``: every
+product's integer numerators go into one dict per power of the generator,
+with no intermediate polynomial, and the sum is made canonical by one
 reduction modulo the relation and one cancel.  Over a polynomial ring D and
 E are one and no factor is multiplied in.
 """
@@ -25,7 +28,7 @@ from functools import cached_property
 
 from .algebraifold import Derivation, require_elements
 from .errors import DescriptorMismatch, NonConstantCoupling
-from .scalars import SharedDenominator, _add_product, _add_vector
+from .scalars import SharedDenominator, _sum_products
 from .tensors import Tensor, accumulate, derive_tensor
 
 
@@ -119,9 +122,10 @@ def curvature_tensor(connection):
     Christoffel denominators, and every derivative d_a Gamma to numerators
     over D**2 E, where E is the lcm of the denominators of the extension
     generator's derivatives (one without an extension); each is computed
-    once per distinct Gamma value and direction.  A component's numerator
-    is then built from polynomial products and sums only, and made
-    canonical by one reduction and cancel.
+    once per distinct Gamma value and direction.  A component's products
+    and its two derivative vectors go into one ``_sum_products`` call; over
+    an extension the product sum, over D**2, is widened by E first.  The
+    numerator is made canonical by one reduction and cancel.
     """
     A = connection.algebraifold
     n = A.n
@@ -138,6 +142,8 @@ def curvature_tensor(connection):
     slot = {idx: slots[value] for idx, value in comp.items()}
     gamma = {idx: vecs[s] for idx, s in slot.items()}
     partials = {}
+    # over an extension the products, over D**2, are widened to D**2 E
+    widen = not frame.ext_den.is_const
 
     def partial(a, idx):
         """Numerators of d_a Gamma^idx over D**2 E; None for a zero Gamma."""
@@ -155,21 +161,23 @@ def curvature_tensor(connection):
             for i in range(1, n + 1):
                 for j in range(1, i):
                     # antisymmetric in (i, j); fill both orders from one value
-                    acc = []
+                    terms = []
                     for m in range(1, n + 1):
                         a, b = gamma.get((l, i, m)), gamma.get((m, j, k))
                         if a and b:
-                            _add_product(acc, a, b)
+                            terms.append((a, b, 1))
                         a, b = gamma.get((l, j, m)), gamma.get((m, i, k))
                         if a and b:
-                            _add_product(acc, a, b, -1)
-                    acc = frame.widen(acc)
+                            terms.append((a, b, -1))
+                    if terms and widen:
+                        terms = [(frame.widen(_sum_products(terms)), None, 1)]
                     d = partial(i, (l, j, k))
                     if d:
-                        _add_vector(acc, d)
+                        terms.append((d, None, 1))
                     d = partial(j, (l, i, k))
                     if d:
-                        _add_vector(acc, d, -1)
+                        terms.append((d, None, -1))
+                    acc = _sum_products(terms)
                     if any(p.nums for p in acc):
                         # the numerator may still vanish modulo the relation
                         value = frame.make(acc)

@@ -30,7 +30,8 @@ class NotDivisible(AfdError):
 
 
 class ExponentOverflow(AfdError):
-    """An exponent or total degree reaches the packed-monomial limit 2**15."""
+    """An exponent or total degree reaches the packed-monomial limit 2**15,
+    or a power of a rational could pass 2**20 bits."""
 
     code = "exponent-overflow"
     exit_code = 1

@@ -24,7 +24,15 @@ that can represent them:
   nonnegative with no guard bit set (a borrow sets one).  A product whose
   total degree would reach ``2**15`` raises ``ExponentOverflow``, and so
   does a power of a polynomial or a rational function before it is built;
-  no key ever wraps.
+  no key ever wraps.  A power of a rational that could pass ``2**20`` bits
+  raises it too, before it is built.
+* ``_sum_products`` is the one sparse multiply-accumulate kernel for
+  polynomial vectors (one polynomial per power of the extension generator):
+  ``sum sign * a * b`` over many terms, each product's integer numerators
+  added straight into one dict per entry over one common integer
+  denominator, and each entry made canonical once.  An ``ExtElem`` product,
+  a Riemann numerator and the chain-rule term of a shared-denominator
+  partial all run through it.
 * ``RatFunc`` and ``ExtElem`` share one quotient form: polynomial
   numerators over one common monic denominator that shares no factor with
   all of them at once.  A ``RatFunc`` has one numerator; an ``ExtElem`` has
@@ -149,10 +157,24 @@ def _used(poly):
     return _unpack(_support(poly.nums), len(poly.vars))
 
 
+# the bit size past which a power of a rational is refused: far above the
+# 4300 digits (about 14,300 bits) that a report can print
+_POWER_BITS = 1 << 20
+
+
 def _require_power_fits(n, value):
     """Raise ExponentOverflow before the ``n``-th power of a MultiPoly, or of
     a RatFunc's numerator and denominator, is built with a total degree that
-    reaches the limit: over Q, ``deg p**n = n * deg p``."""
+    reaches the limit: over Q, ``deg p**n = n * deg p``.  A Fraction's power
+    other than 0, 1 or -1 is refused when its numerator or denominator
+    could pass ``_POWER_BITS`` bits: ``n`` times their larger bit length."""
+    if type(value) is Fraction:
+        bits = n * max(abs(value.numerator), value.denominator).bit_length()
+        if bits > _POWER_BITS and value not in (0, 1, -1):
+            raise ExponentOverflow(
+                f"a rational power of about {bits} bits passes the limit"
+                " 2**20 bits")
+        return
     for p in (value,) if type(value) is MultiPoly else (value.num, value.den):
         if p.nums:
             total = n * (max(p.nums) >> _W * len(p.vars))
@@ -929,31 +951,59 @@ def _vector_in_gen(poly, gen, base_vars):
             for k in range(max(by_power, default=0) + 1)]
 
 
-def _grow(acc, size, variables):
-    """Pad the polynomial vector ``acc`` with zeros to at least ``size``."""
-    if len(acc) < size:
-        acc.extend([MultiPoly.zero(variables)] * (size - len(acc)))
+def _sum_products(terms):
+    """``sum sign * a * b`` over ``(a, b, sign)`` terms, for polynomial
+    vectors in the generator (constant term first, unreduced), as a list of
+    canonical MultiPolys; ``b`` None stands for a plain vector ``a``.
 
-
-def _add_product(acc, a, b, sign=1):
-    """``acc += sign * a * b`` in place, for polynomial vectors in the
-    generator (constant term first), unreduced; returns ``acc``."""
-    _grow(acc, len(a) + len(b) - 1, a[0].vars)
-    for i, x in enumerate(a):
-        if x.nums:
-            for j, y in enumerate(b):
-                if y.nums:
-                    acc[i + j] = acc[i + j]._combine(x * y, sign)
-    return acc
-
-
-def _add_vector(acc, v, sign=1):
-    """``acc += sign * v`` in place for polynomial vectors; returns ``acc``."""
-    _grow(acc, len(v), v[0].vars)
-    for i, x in enumerate(v):
-        if x.nums:
-            acc[i] = acc[i]._combine(x, sign)
-    return acc
+    The sparse multiply-accumulate kernel: a prepass on ints finds the lcm
+    L of the denominators of the entry products, then every product's
+    integer numerators, scaled to L, go into one dict per vector entry,
+    and each entry is made canonical once.  A product whose total degree
+    would reach ``2**15`` raises ExponentOverflow before any is built.
+    """
+    if not terms:
+        return []
+    variables = terms[0][0][0].vars
+    t = _W * len(variables)
+    unit = (_poly(variables, {0: 1}, 1),)
+    size, dens, pairs = 0, set(), []
+    for a, b, sign in terms:
+        b = unit if b is None else b
+        size = max(size, len(a) + len(b) - 1)
+        xs = [(i, x.nums, x.denom, max(x.nums))
+              for i, x in enumerate(a) if x.nums]
+        for j, y in enumerate(b):
+            yn = y.nums
+            if yn:
+                ytop, yd = max(yn), y.denom
+                for i, xn, xd, xtop in xs:
+                    # keys add, so the sum's top field is the total degree
+                    total = (xtop + ytop) >> t
+                    if total >= _LIMIT:
+                        raise ExponentOverflow(
+                            f"a product of total degree {total} reaches"
+                            f" the limit 2**{_W - 1}")
+                    d = xd * yd
+                    dens.add(d)
+                    pairs.append((i + j, xn, yn, sign, d))
+    L = lcm(*dens)
+    acc = [{} for _ in range(size)]
+    for i, xs, ys, f, d in pairs:
+        out = acc[i]
+        get = out.get
+        f *= L // d
+        for e1, c1 in xs.items():
+            c1 *= f
+            for e2, c2 in ys.items():
+                e = e1 + e2
+                out[e] = get(e, 0) + c1 * c2
+    zero = _poly(variables, {}, 1)
+    sums = []
+    for out in acc:
+        nums = {e: c for e, c in out.items() if c}
+        sums.append(_reduced(variables, nums, L) if nums else zero)
+    return sums
 
 
 def _laplace_minors(rows, zero, one):
@@ -1100,7 +1150,7 @@ class ExtElem(_Quotient):
             return self
         if other.is_zero:
             return other
-        return self.ext.reduce(_add_product([], self.nums, other.nums),
+        return self.ext.reduce(_sum_products([(self.nums, other.nums, 1)]),
                                self.den * other.den)
 
     def inverse(self):
@@ -1180,9 +1230,12 @@ class SharedDenominator:
     ``ext_den``, is the lcm of the denominators of the generator's implicit
     derivatives (one without an extension).  ``widen`` takes numerators
     over ``D**2``, such as a product of two lifts, to numerators over
-    ``outer``.  ``make`` is the canonical Scalar ``vec / outer``: one
-    reduction modulo the relation and one cancel.  A factor D or E of one
-    is never multiplied in.
+    ``outer``.  Sums of products of lifts and of partials are built by
+    ``_sum_products``, the one accumulator: all their integer numerators go
+    into one dict per entry, and no entry is cancelled until the end.
+    ``make`` is the canonical Scalar ``vec / outer``: one reduction modulo
+    the relation and one cancel.  A factor D or E of one is never
+    multiplied in.
     """
 
     __slots__ = ("ctx", "den", "ext_den", "outer", "_cofactors", "_dden",
@@ -1242,7 +1295,7 @@ class SharedDenominator:
             # the derivative of vec in the generator, times D * d(gen)
             dvec = [n._scaled(i, 1) for i, n in enumerate(vec) if i]
             if any(map(_terms_of, dvec)):
-                _add_product(out, dvec, chain)
+                out = _sum_products([(out, None, 1), (dvec, chain, 1)])
         return out
 
     def widen(self, vec):
@@ -1323,21 +1376,80 @@ def _monotone_root(g, lo, hi, sign):
 _SPECIALIZE_SEEDS = (1, 2, 3, 5, 7, -1, -2, 11, 13, -5, 17, 19)
 
 
+def _int_square_root(f, k):
+    """An integer polynomial ``r`` (key -> int) with ``r * r == f`` for a
+    nonzero integer polynomial ``f`` over ``k`` variables, or None.
+
+    The root is found term by term from the top: its leading term squares
+    to ``f``'s, and each further term is the leading term of ``f - r**2``
+    over twice ``r``'s.  Keys add like monomials, so the terms of a true
+    root strictly decrease and stay at or above half of ``f``'s least key;
+    a step that breaks either bound, or does not divide, proves ``f`` is no
+    square.
+    """
+    guard = _guards(k)
+    top = max(f)
+    s = isqrt(f[top]) if f[top] > 0 else 0
+    if top & (guard >> (_W - 1)) or s * s != f[top]:
+        return None  # an odd exponent or a non-square leading coefficient
+    he, floor = top >> 1, min(f) >> 1
+    root, twice, last = {he: s}, 2 * s, he
+    rem = dict(f)
+    del rem[top]
+    while rem:
+        re = max(rem)
+        qe = re - he
+        if qe < floor or qe >= last or qe & guard:
+            return None
+        q, r = divmod(rem[re], twice)
+        if r:
+            return None
+        # rem -= (2 * root + q * x**qe) * q * x**qe
+        updates = [(e + qe, 2 * c * q) for e, c in root.items()]
+        updates.append((qe + qe, q * q))
+        for e, c in updates:
+            c = rem.get(e, 0) - c
+            if c:
+                rem[e] = c
+            else:
+                del rem[e]
+        root[qe] = q
+        last = qe
+    return root
+
+
+def _is_square(poly):
+    """Whether a polynomial over Q is the square of one.  ``N / d`` is a
+    square exactly when the integer polynomial ``N * d`` is (Gauss's lemma);
+    the certificate is an exact square root, squared back."""
+    if not poly.nums:
+        return True
+    f = _poly(poly.vars, {e: c * poly.denom for e, c in poly.nums.items()}, 1)
+    root = _int_square_root(f.nums, len(f.vars))
+    return root is not None and _poly(f.vars, root, 1) ** 2 == f
+
+
 def relation_is_irreducible(relation, gen):
     """Decide irreducibility of a degree <= 3 relation over the base field.
 
     A polynomial of degree 2 or 3 in the generator is reducible exactly when
-    it has a root in the rational-function field of the other variables.  Any
-    such root survives specialization of those variables at points where the
-    leading coefficient stays nonzero, so one specialization without a
-    rational root proves irreducibility.  If every trial specialization has a
-    rational root the relation is declared reducible (exact for honest
-    reducible inputs; a thin family of irreducible polynomials with rational
-    points everywhere would be mis-flagged).
+    it has a root in the rational-function field of the other variables.
+    For degree 2 that holds exactly when the discriminant is a square there,
+    hence (the base ring being a UFD) a square polynomial: the verdict is
+    exact.  A cubic's root survives specialization of the other variables
+    at points where the leading coefficient stays nonzero, so one
+    specialization without a rational root proves irreducibility.  If every
+    trial specialization has a rational root the cubic is declared reducible
+    (exact for honest reducible inputs; a thin family of irreducible cubics
+    with rational points everywhere would be mis-flagged).
     """
     deg = relation.degree_in(gen)
     if deg <= 1:
         return True
+    if deg == 2:
+        base = [v for v in relation.vars if v != gen]
+        c, b, a = _vector_in_gen(relation, gen, base)
+        return not _is_square(b * b - (a * c).scale(4))
     s, _ = relation._field(gen)
     others = [relation._field(v) for v in relation.vars if v != gen]
     for seed in _SPECIALIZE_SEEDS:
@@ -1632,7 +1744,7 @@ class Scalar:
         v = self.val
         # the powers of a reduced quotient stay reduced; reduction changes
         # an ExtElem's degrees, so only its products check
-        if type(v) is MultiPoly or type(v) is RatFunc:
+        if type(v) is not ExtElem:
             _require_power_fits(n, v)
         result = self.ctx.one()
         base = self

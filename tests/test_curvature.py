@@ -9,6 +9,7 @@ from afd import ScalarContext
 from afd.algebraifold import Algebraifold
 from afd.curvature import (
     Connection,
+    Geometry,
     covariant_derivative,
     curvature_report,
     curvature_tensor,
@@ -22,7 +23,8 @@ from afd.curvature import (
 )
 from afd.errors import NonConstantCoupling
 from afd.scalars import (
-    FIELD, ExtElem, MultiPoly, RatFunc, Scalar, _laplace_minors)
+    FIELD, ExtElem, MultiPoly, RatFunc, Scalar, SharedDenominator,
+    _laplace_minors)
 from afd.tensors import Tensor, kronecker, metric_inverse
 
 from helpers import (
@@ -596,6 +598,74 @@ class TestCurvatureOverSharedDenominator:
         assert reference_curvature_tensor(C).get((1, 2, 1, 2)).is_zero
         R = self.assert_matches_reference(C)
         assert (1, 2, 1, 2) not in R.comp and (1, 1, 2, 2) not in R.comp
+
+
+def einstein_divergence(geometry):
+    """``sum_{a,c} g^{ac} (nabla_c G)_{ab}`` for each b: the divergence of
+    the Einstein tensor, which the contracted Bianchi identity makes zero."""
+    A, metric = geometry.algebraifold, geometry.metric
+    n = A.n
+    nabla = [covariant_derivative(geometry.connection, A.basis_derivation(c),
+                                  geometry.einstein) for c in range(1, n + 1)]
+    out = []
+    for b in range(1, n + 1):
+        total = A.zero()
+        for a in range(1, n + 1):
+            for c in range(1, n + 1):
+                ginv = metric.inv_entry(a, c)
+                if not ginv.is_zero:
+                    total = total + ginv * nabla[c - 1].get((a, b))
+        out.append(total)
+    return out
+
+
+class TestContractedBianchi:
+    """The Einstein tensor is divergence-free.  The oracle differentiates
+    Gamma through the covariant derivative of G, so it checks the d Gamma
+    terms of Riemann that the first Bianchi identity cannot."""
+
+    @staticmethod
+    def assert_divergence_free(A, metric):
+        geometry = Geometry(A, metric)
+        assert all(v.is_zero for v in einstein_divergence(geometry))
+        return geometry
+
+    def test_kerr_schild_over_an_extension(self, repo_root):
+        from afd.manifest import load_manifest
+
+        manifest = load_manifest(repo_root / "perfbench" / "ks_extension.json")
+        A = manifest.algebraifold
+        geometry = self.assert_divergence_free(
+            A, metric_inverse(A, manifest.metric))
+        assert not geometry.einstein.is_zero
+        # the derivatives of Gamma carry the generator's denominator E != 1
+        frame = SharedDenominator(A.ctx, geometry.connection.gamma.comp.values())
+        assert not frame.ext_den.is_const
+
+    def test_bundled_manifests(self, repo_root):
+        from afd.manifest import load_manifest
+
+        nonzero = []
+        for path in sorted((repo_root / "manifests").glob("*.json")):
+            manifest = load_manifest(path)
+            if manifest.metric is None:
+                continue
+            A = manifest.algebraifold
+            geometry = self.assert_divergence_free(
+                A, metric_inverse(A, manifest.metric))
+            if not geometry.einstein.is_zero:
+                nonzero.append(path.name)
+        assert "friedmann.json" in nonzero
+
+    @pytest.mark.parametrize("names, trials", [
+        (("x", "y"), 2), (("x", "y", "z"), 3)])
+    def test_random_rational_metrics(self, names, trials):
+        rng = random.Random(1905)
+        for _ in range(trials):
+            A = function_field(*names)
+            geometry = self.assert_divergence_free(A, metric_inverse(
+                A, random_invertible_metric(rng, A, random_field_scalar)))
+            assert geometry.einstein.is_zero == (len(names) == 2)
 
 
 class TestJacobiFormula:

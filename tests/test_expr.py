@@ -9,6 +9,7 @@ from hypothesis import given
 
 from afd import ScalarContext, field_with_extension, parse_scalar, render_scalar
 from afd.errors import (
+    ExponentOverflow,
     ExprSyntaxError,
     NotDivisible,
     NumberTooLong,
@@ -115,6 +116,20 @@ class TestParse:
                 parse_scalar(text, POLY)
             assert err.value.position == position
         assert parse_scalar("9" * limit, POLY) == POLY.const(10**limit - 1)
+
+
+    def test_constant_power_bound(self):
+        # 2 has bit length 2: 2^(2**19) is built, 2^(2**19 + 1) is refused
+        assert parse_scalar("2^524288", POLY) == POLY.const(2**524288)
+        # an exponent of 4000 digits could never be built: it is refused
+        # before any power is computed
+        for text in ("2^524289", "3^4000000", "(2/3)^4000000", "3^-4000000",
+                     "(x + 3^4000000)", "3^" + "9" * 4000):
+            with pytest.raises(ExponentOverflow):
+                parse_scalar(text, FIELD2)
+        for text, value in (("1^40000000", 1), ("(-1)^40000001", -1),
+                            ("(-1)^-40000001", -1), ("0^40000000", 0)):
+            assert parse_scalar(text, FIELD2) == FIELD2.const(value)
 
 
 class TestRender:

@@ -728,6 +728,19 @@ class TestCli:
         assert (result["status"], result["code"]) == (
             "error", "number-too-long")
 
+    @pytest.mark.parametrize("expect", ["3^4000000", "2 + (1/7)^1000000"])
+    def test_constant_power_past_the_bit_bound_exits_one(
+            self, repo_root, tmp_path, expect):
+        raw = json.loads((repo_root / "manifests" / "euclidean.json")
+                         .read_text(encoding="utf-8"))
+        raw["checks"] = [{"name": "big", "command": "dim", "expect": expect}]
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        proc = self.run_cli("check", str(path))
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("afd: [exponent-overflow]")
+        assert proc.stderr.count("\n") == 1
+
     def test_curve_image_for_a_misspelt_generator_exits_one(
             self, repo_root, tmp_path):
         raw = json.loads((repo_root / "manifests" / "euclidean.json")

@@ -324,6 +324,95 @@ class TestSparseProduct:
         _assert_canonical(integral * integral)
 
 
+def _ref_add_product(acc, a, b, sign=1):
+    """``acc += sign * a * b`` in place, the sequential loop that
+    ``_sum_products`` replaced: each product built with ``*`` and added to
+    the accumulator with ``_combine``; ``b`` None adds ``sign * a``."""
+    size = len(a) if b is None else len(a) + len(b) - 1
+    if len(acc) < size:
+        acc.extend([MultiPoly.zero(a[0].vars)] * (size - len(acc)))
+    for i, x in enumerate(a):
+        if x.nums:
+            if b is None:
+                acc[i] = acc[i]._combine(x, sign)
+                continue
+            for j, y in enumerate(b):
+                if y.nums:
+                    acc[i + j] = acc[i + j]._combine(x * y, sign)
+    return acc
+
+
+class TestSumProducts:
+    """``scalars._sum_products`` against ``_ref_add_product``."""
+
+    VARS = ("x", "y", "z")
+
+    def random_vector(self, rng):
+        # _random_poly draws zero entries and denominators 1, 2, 3, 6, 35
+        return [_random_poly(rng, self.VARS, max_terms=4)
+                for _ in range(rng.randint(1, 4))]
+
+    def assert_matches_reference(self, terms):
+        got = scalars._sum_products(terms)
+        want = []
+        for a, b, sign in terms:
+            _ref_add_product(want, a, b, sign)
+        assert got == want
+        for entry in got:
+            _assert_int_canonical(entry)
+        return got
+
+    def test_random_terms(self):
+        rng = random.Random(1901)
+        plain = zeros = 0
+        for _ in range(200):
+            terms = []
+            for _ in range(rng.randint(1, 6)):
+                b = None if rng.random() < 0.3 else self.random_vector(rng)
+                plain += b is None
+                terms.append((self.random_vector(rng), b, rng.choice((1, -1))))
+            got = self.assert_matches_reference(terms)
+            zeros += sum(entry.is_zero for entry in got)
+        assert plain and zeros
+
+    def test_unequal_lengths_and_zero_entries(self):
+        x = MultiPoly.var(self.VARS, "x")
+        zero = MultiPoly.zero(self.VARS)
+        half = MultiPoly.const(self.VARS, Fraction(1, 2))
+        third = MultiPoly.const(self.VARS, Fraction(-1, 3))
+        a, b = [zero, x * half, zero], [third]
+        got = self.assert_matches_reference([(a, b, 1), ([x], None, -1)])
+        assert got == [-x, x.scale(Fraction(-1, 6)), zero]
+        got = self.assert_matches_reference([([zero], [zero, zero], 1)])
+        assert got == [zero, zero]
+
+    def test_full_cancellation_is_canonical_zero(self):
+        rng = random.Random(1902)
+        for _ in range(50):
+            a, b = self.random_vector(rng), self.random_vector(rng)
+            product = scalars._sum_products([(a, b, 1)])
+            for terms in ([(a, b, 1), (b, a, -1)],
+                          [(a, b, -1), (product, None, 1)],
+                          [(a, None, 1), (a, None, -1)]):
+                got = self.assert_matches_reference(terms)
+                assert all(not p.nums and p.denom == 1 for p in got)
+
+    def test_no_terms(self):
+        assert scalars._sum_products([]) == []
+
+    def test_total_degree_limit(self):
+        x = MultiPoly.var(self.VARS, "x")
+        y = MultiPoly.var(self.VARS, "y")
+        below, half = x ** (2**14 - 1), x ** (2**14)
+        one = MultiPoly.const(self.VARS, 1)
+        (p,) = scalars._sum_products([([half], [below], 1)])
+        assert p == x ** (2**15 - 1)
+        for a, b in (([half], [y ** (2**14)]), ([one, half], [one, half]),
+                     ([y], [half * x ** (2**14 - 1)])):
+            with pytest.raises(ExponentOverflow):
+                scalars._sum_products([([one], None, 1), (a, b, 1)])
+
+
 def _ref_add(a, b, sign=1):
     out = dict(a)
     for e, c in b.items():
@@ -1178,6 +1267,97 @@ class TestRationalRoots:
 # ---------------------------------------------------------------------------
 
 FIELD2 = ScalarContext(FIELD, ("x", "y"))
+
+
+class TestQuadraticRelations:
+    """A degree-2 relation is reducible exactly when its discriminant is a
+    square polynomial; ``_int_square_root`` finds the root."""
+
+    VARS = ("x", "y", "z")
+
+    @staticmethod
+    def integer_part(poly):
+        return {e: c * poly.denom for e, c in poly.nums.items()}
+
+    def test_square_roots_of_random_squares(self):
+        rng = random.Random(1903)
+        for trial in range(200):
+            r = _random_poly(rng, self.VARS, max_terms=5)
+            if r.is_zero:
+                continue
+            r = r.scale(r.denom)  # an integer polynomial
+            square = self.integer_part(r * r)
+            root = scalars._int_square_root(square, 3)
+            assert root in (r.nums, (-r).nums), trial
+            assert scalars._is_square(r * r)
+            assert scalars._is_square((r * r).scale(Fraction(4, 9)))
+            # a non-square rational multiple, and a perturbed square
+            assert scalars._int_square_root(
+                {e: 2 * c for e, c in square.items()}, 3) is None, trial
+            assert not scalars._is_square(r * r * MultiPoly.const(
+                self.VARS, Fraction(3, 7))), trial
+            bumped = r * r + MultiPoly.var(self.VARS, rng.choice(self.VARS))
+            assert not scalars._is_square(bumped), trial
+            assert not scalars._is_square(-(r * r)), trial
+
+    def test_no_square_shapes(self):
+        x = MultiPoly.var(self.VARS, "x")
+        one = MultiPoly.const(self.VARS, 1)
+        for poly in (x, -x * x, x * x + one, x ** 3, x * x * x * x + x):
+            assert not scalars._is_square(poly), poly
+        assert scalars._is_square(MultiPoly.zero(self.VARS))
+
+    def test_counterexample_of_the_specialization_test(self):
+        # every seed specializes y^2 - (x^2 + P) to y^2 - s^2, which has
+        # rational roots, yet the relation is irreducible
+        product = " * ".join(f"(x - ({s}))" for s in scalars._SPECIALIZE_SEEDS)
+        ctx = field_with_extension(("x",), "y", f"y^2 - (x^2 + {product})")
+        y = ctx.var("y")
+        assert y * y == parse_scalar(f"x^2 + {product}", ctx)
+
+    @pytest.mark.parametrize("relation", [
+        "y^2 - x^2", "y^2 - 4/9*x^2*z^4", "4*y^2 + 4*x*y + x^2 - 9*z^2",
+        "x*y^2 + (x + z)*y + z", "(y - x*z)*(3*y + 2)", "z^2*y^2 - (x + 1)^2"])
+    def test_reducible_quadratics_refused(self, relation):
+        with pytest.raises(ReducibleRelation):
+            field_with_extension(("x", "z"), "y", relation)
+
+    @pytest.mark.parametrize("relation", [
+        "y^2 - 2*x^2", "y^2 - x^3 - 1", "y^2 - x*z", "x*y^2 - z",
+        "y^2 - 3/5*(x + z)^2", "y^2 + x^2"])
+    def test_irreducible_quadratics_accepted(self, relation):
+        ctx = field_with_extension(("x", "z"), "y", relation)
+        assert ctx.irreducibility_verified
+
+    def test_against_sympy_factorization(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(1904)
+        y = sympy.Symbol("y")
+        variables = ("x", "z", "y")
+        verdicts = set()
+        for trial in range(40):
+            coeffs = [_random_poly(rng, ("x", "z"), max_terms=2, max_deg=2)
+                      for _ in range(3)]
+            if coeffs[2].is_zero:
+                continue
+            if trial % 2:  # force a linear factor
+                (c, d), (e, f) = ([_random_poly(rng, ("x", "z"), 2, 1)
+                                   for _ in range(2)] for _ in range(2))
+                if c.is_zero or e.is_zero:
+                    continue
+                coeffs = [d * f, c * f + d * e, c * e]
+            relation = sum(
+                (coeffs[k].reordered(variables)
+                 * MultiPoly.var(variables, "y") ** k for k in range(3)),
+                MultiPoly.zero(variables))
+            text = render_poly(relation)
+            factors = sympy.factor_list(
+                sympy.sympify(text.replace("^", "**")))[1]
+            irreducible = not any(sympy.degree(f, y) == 1 for f, _ in factors)
+            assert scalars.relation_is_irreducible(relation, "y") \
+                == irreducible, text
+            verdicts.add(irreducible)
+        assert verdicts == {True, False}
 
 
 class TestSharedExtension:
