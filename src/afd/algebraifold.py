@@ -11,7 +11,7 @@ can be recomputed and reported even after deliberate corruption in tests.
 from __future__ import annotations
 
 from .errors import ContextMismatch, DescriptorMismatch
-from .scalars import Scalar
+from .scalars import Scalar, dot
 
 
 class Algebraifold:
@@ -105,13 +105,12 @@ class Algebraifold:
     def apply(self, v, a):
         """Apply a derivation to a scalar: sum_i v_i da/dx_i."""
         a = self.scalar(a)
-        total = self.zero()
         if a.is_constant_rational:  # every partial of a base rational is zero
-            return total
-        for coeff, name in zip(v.coeffs, self.ctx.transcendentals):
-            if not coeff.is_zero:
-                total = total + coeff * a.partial(name)
-        return total
+            return self.zero()
+        # no partial is taken along a zero coefficient
+        return dot(((c, a.partial(name))
+                    for c, name in zip(v.coeffs, self.ctx.transcendentals)
+                    if not c.is_zero), self.zero())
 
     def d(self, a):
         """The differential of a scalar: the one-form v -> v(a)."""
@@ -245,7 +244,4 @@ class OneForm(_CoordinateVector):
     def __call__(self, v):
         """Pairing with a derivation."""
         require_elements(self.algebraifold, Derivation, v)
-        total = self.algebraifold.zero()
-        for a, b in zip(self.coeffs, v.coeffs):
-            total = total + a * b
-        return total
+        return dot(zip(self.coeffs, v.coeffs), self.algebraifold.zero())

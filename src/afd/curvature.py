@@ -28,7 +28,7 @@ from functools import cached_property
 
 from .algebraifold import Derivation, require_elements
 from .errors import DescriptorMismatch, NonConstantCoupling
-from .scalars import SharedDenominator, _sum_products
+from .scalars import SharedDenominator, _sum_products, dot
 from .tensors import Tensor, accumulate, derive_tensor
 
 
@@ -212,15 +212,13 @@ def levi_civita(algebraifold, metric):
                 if not value.is_zero:
                     lowered[(i, j, l)] = half * value
     comp = {}
+    zero = A.zero()
     for k in range(1, n + 1):
         for i in range(1, n + 1):
             for j in range(1, i + 1):
-                total = A.zero()
-                for l in range(1, n + 1):
-                    ginv = metric.inv_entry(k, l)
-                    c = lowered.get((i, j, l))
-                    if c is not None and not ginv.is_zero:
-                        total = total + ginv * c
+                total = dot(
+                    ((metric.inv_entry(k, l), lowered.get((i, j, l), zero))
+                     for l in range(1, n + 1)), zero)
                 if not total.is_zero:
                     comp[(k, i, j)] = total
                     if i != j:
@@ -252,12 +250,8 @@ def ricci(algebraifold, riemann):
 
 def ricci_scalar(algebraifold, metric, ric):
     """Full contraction of the Ricci tensor with the inverse metric."""
-    total = algebraifold.zero()
-    for (i, j), value in ric.comp.items():
-        ginv = metric.inv_entry(i, j)
-        if not ginv.is_zero:
-            total = total + ginv * value
-    return total
+    return dot(((metric.inv_entry(i, j), value)
+                for (i, j), value in ric.comp.items()), algebraifold.zero())
 
 
 class Geometry:

@@ -36,6 +36,7 @@ from .scalars import (
     Scalar,
     ScalarContext,
     Substitution,
+    dot,
 )
 
 
@@ -158,11 +159,10 @@ class PulledVector(_CoordinateVector):
     def pair_source_form(self, xi):
         """Pair with a pulled-back source one-form: (1 (x) xi)(self)."""
         require_elements(self.hom.source, OneForm, xi)
-        total = self.hom.target.zero()
-        for coeff, xi_coeff in zip(self.coeffs, xi.coeffs):
-            if not coeff.is_zero and not xi_coeff.is_zero:
-                total = total + coeff * self.hom.apply(xi_coeff)
-        return total
+        hom = self.hom
+        # nothing is mapped along a zero coefficient
+        return dot(((c, hom.apply(x)) for c, x in zip(self.coeffs, xi.coeffs)
+                    if not c.is_zero), hom.target.zero())
 
 
 def pushforward_connection(hom, connection, w, section):
@@ -180,14 +180,10 @@ def pushforward_connection(hom, connection, w, section):
         raise DescriptorMismatch("connection over a different source")
     require_elements(hom, PulledVector, section)
     M = connection.matrix(hom.differential(w), hom)
-    out = []
-    for row, b in zip(M, section.coeffs):
-        total = hom.target.apply(w, b)
-        for m, c in zip(row, section.coeffs):
-            if not m.is_zero and not c.is_zero:
-                total = total + m * c
-        out.append(total)
-    return PulledVector(hom, tuple(out))
+    coeffs = section.coeffs
+    return PulledVector(hom, tuple(
+        dot(zip(row, coeffs), hom.target.apply(w, b))
+        for row, b in zip(M, coeffs)))
 
 
 def geodesic_residual(line, hom, connection):

@@ -26,13 +26,23 @@ that can represent them:
   does a power of a polynomial or a rational function before it is built;
   no key ever wraps.  A power of a rational that could pass ``2**20`` bits
   raises it too, before it is built.
+* ``_axpy`` is the one in-place update of integer numerators,
+  ``out += factor * x**shift * src``, dropping every entry that cancels
+  (the sparse accumulator of Monagan and Pearce).  A sum, a product (one
+  update per term of the shorter factor), the remainders of the exact
+  division and of the square root all run through it, and
+  ``_require_degree`` is the one total-degree check before a key is built.
 * ``_sum_products`` is the one sparse multiply-accumulate kernel for
   polynomial vectors (one polynomial per power of the extension generator):
   ``sum sign * a * b`` over many terms, each product's integer numerators
-  added straight into one dict per entry over one common integer
-  denominator, and each entry made canonical once.  An ``ExtElem`` product,
-  a Riemann numerator and the chain-rule term of a shared-denominator
-  partial all run through it.
+  added by ``_axpy`` straight into one dict per entry over one common
+  integer denominator, and each entry made canonical once.  An ``ExtElem``
+  product, a Riemann numerator and the chain-rule term of a
+  shared-denominator partial all run through it.
+* ``dot`` is the one sum of products of ring elements, ``sum a * b`` folded
+  with ``+`` and skipping every pair with a zero factor; the contractions of
+  the geometry modules (a derivation applied to a scalar, a pairing, index
+  raising, the Ricci scalar) call it.
 * ``RatFunc`` and ``ExtElem`` share one quotient form: polynomial
   numerators over one common monic denominator that shares no factor with
   all of them at once.  A ``RatFunc`` has one numerator; an ``ExtElem`` has
@@ -61,7 +71,8 @@ per ``(name, k)`` for as long as it lives, so a homomorphism that maps many
 payloads through one substitution raises each image to each power once.
 ``_int_evaluate`` sets one variable of the integer numerators to an
 integer; GCDHEU evaluates with it, and so does the irreducibility test of
-a relation, one variable at a time.
+a relation, one variable at a time.  Its loop is the one integer update
+besides ``_axpy``: it moves every key by a different amount.
 
 A ``ScalarContext`` declares base parameter constants (adjoined to the
 coefficient field), the ordered transcendental variables, and at most one
@@ -114,6 +125,15 @@ _FIELD = (1 << _W) - 1
 _LIMIT = 1 << (_W - 1)
 
 
+def _require_degree(total, what):
+    """Raise ExponentOverflow when ``what`` (a product, a power, or a key
+    itself for "") would have total degree ``total``, at or above the
+    limit ``2**15``: the one check that no key ever wraps."""
+    if total >= _LIMIT:
+        raise ExponentOverflow(
+            f"{what}total degree {total} reaches the limit 2**{_W - 1}")
+
+
 def _pack(exps, k):
     """The key of a tuple of ``k`` nonnegative int exponents."""
     if len(exps) != k:
@@ -124,9 +144,7 @@ def _pack(exps, k):
             raise ValueError(f"negative exponent in {exps!r}")
         key = key << _W | x
     total = sum(exps)
-    if total >= _LIMIT:
-        raise ExponentOverflow(
-            f"total degree {total} reaches the limit 2**{_W - 1}")
+    _require_degree(total, "")
     return total << (_W * k) | key
 
 
@@ -157,6 +175,21 @@ def _used(poly):
     return _unpack(_support(poly.nums), len(poly.vars))
 
 
+def _axpy(out, src, factor, shift=0):
+    """``out += factor * x**shift * src`` in place, for integer polynomials
+    (key -> int) and a nonzero int ``factor``: every key of ``src`` moves
+    by the monomial key ``shift``, and an entry that cancels is dropped.
+    The one sparse update loop of the integer kernels."""
+    get = out.get
+    for e, c in src.items():
+        e += shift
+        c = get(e, 0) + factor * c
+        if c:
+            out[e] = c
+        else:
+            del out[e]
+
+
 # the bit size past which a power of a rational is refused: far above the
 # 4300 digits (about 14,300 bits) that a report can print
 _POWER_BITS = 1 << 20
@@ -177,11 +210,8 @@ def _require_power_fits(n, value):
         return
     for p in (value,) if type(value) is MultiPoly else (value.num, value.den):
         if p.nums:
-            total = n * (max(p.nums) >> _W * len(p.vars))
-            if total >= _LIMIT:
-                raise ExponentOverflow(
-                    f"a power of total degree {total} reaches the limit"
-                    f" 2**{_W - 1}")
+            _require_degree(n * (max(p.nums) >> _W * len(p.vars)),
+                            "a power of ")
 
 
 def _rational(value):
@@ -350,13 +380,7 @@ class MultiPoly:
             den = da * ma
         out = (dict(self.nums) if ma == 1
                else {e: c * ma for e, c in self.nums.items()})
-        get = out.get
-        for e, c in other.nums.items():
-            s = get(e, 0) + c * mb
-            if s:
-                out[e] = s
-            else:
-                del out[e]
+        _axpy(out, other.nums, mb)
         return _reduced(self.vars, out, den)
 
     def __neg__(self):
@@ -371,21 +395,15 @@ class MultiPoly:
             return self._scaled(next(iter(b.values())), other.denom)
         if self.is_const:
             return other._scaled(next(iter(a.values())), self.denom)
-        # the leading keys carry the largest total degrees
-        t = _W * len(self.vars)
-        total = (max(a) >> t) + (max(b) >> t)
-        if total >= _LIMIT:
-            raise ExponentOverflow(
-                f"a product of total degree {total} reaches the limit"
-                f" 2**{_W - 1}")
+        # the leading keys carry the largest total degrees, and keys add
+        _require_degree((max(a) + max(b)) >> _W * len(self.vars),
+                        "a product of ")
+        if len(a) > len(b):  # one update per term of the shorter factor
+            a, b = b, a
         out = {}
-        get = out.get
         for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                e = e1 + e2
-                out[e] = get(e, 0) + c1 * c2
-        return _reduced(self.vars, {e: n for e, n in out.items() if n},
-                        self.denom * other.denom)
+            _axpy(out, b, c1, e1)
+        return _reduced(self.vars, out, self.denom * other.denom)
 
     def scale(self, c):
         """The product with an int or Fraction ``c``."""
@@ -519,13 +537,7 @@ def _int_quotient(f, h, guard):
         if r:
             return None
         quo[qe] = q
-        for e2, c2 in h.items():
-            e = qe + e2
-            s = rem.get(e, 0) - q * c2
-            if s:
-                rem[e] = s
-            else:
-                del rem[e]
+        _axpy(rem, h, -q, qe)
     return quo
 
 
@@ -979,31 +991,19 @@ def _sum_products(terms):
                 ytop, yd = max(yn), y.denom
                 for i, xn, xd, xtop in xs:
                     # keys add, so the sum's top field is the total degree
-                    total = (xtop + ytop) >> t
-                    if total >= _LIMIT:
-                        raise ExponentOverflow(
-                            f"a product of total degree {total} reaches"
-                            f" the limit 2**{_W - 1}")
+                    _require_degree((xtop + ytop) >> t, "a product of ")
                     d = xd * yd
                     dens.add(d)
                     pairs.append((i + j, xn, yn, sign, d))
     L = lcm(*dens)
     acc = [{} for _ in range(size)]
     for i, xs, ys, f, d in pairs:
-        out = acc[i]
-        get = out.get
         f *= L // d
+        if len(xs) > len(ys):  # one update per term of the shorter factor
+            xs, ys = ys, xs
         for e1, c1 in xs.items():
-            c1 *= f
-            for e2, c2 in ys.items():
-                e = e1 + e2
-                out[e] = get(e, 0) + c1 * c2
-    zero = _poly(variables, {}, 1)
-    sums = []
-    for out in acc:
-        nums = {e: c for e, c in out.items() if c}
-        sums.append(_reduced(variables, nums, L) if nums else zero)
-    return sums
+            _axpy(acc[i], ys, c1 * f, e1)
+    return [_reduced(variables, out, L) for out in acc]
 
 
 def _laplace_minors(rows, zero, one):
@@ -1405,14 +1405,8 @@ def _int_square_root(f, k):
         if r:
             return None
         # rem -= (2 * root + q * x**qe) * q * x**qe
-        updates = [(e + qe, 2 * c * q) for e, c in root.items()]
-        updates.append((qe + qe, q * q))
-        for e, c in updates:
-            c = rem.get(e, 0) - c
-            if c:
-                rem[e] = c
-            else:
-                del rem[e]
+        _axpy(rem, root, -2 * q, qe)
+        _axpy(rem, {qe: q}, -q, qe)
         root[qe] = q
         last = qe
     return root
@@ -1483,7 +1477,10 @@ class ScalarContext:
     are killed by every derivation); ``transcendentals`` are the coordinate
     variables; ``extensions`` holds at most one (generator, minimal relation)
     pair.  ``kind`` distinguishes polynomial rings from function fields.
-    ``extension`` is the :class:`Extension` of that pair, or None.
+    ``extension`` is the :class:`Extension` of that pair, or None.  A
+    relation is divided by its content in the generator, a unit of the base
+    field, before it is checked for separability and irreducibility, and
+    its primitive part is kept.
     """
 
     __slots__ = ("kind", "constants", "transcendentals", "extensions",
@@ -1515,6 +1512,9 @@ class ScalarContext:
             deg = rel.degree_in(gen)
             if deg < 1:
                 raise ValueError(f"relation for '{gen}' must involve it")
+            # kept primitive, so that no map satisfies the relation by
+            # sending its content to zero
+            _, rel = _content_pp(rel, len(self.all_vars))
             validate_relation_separable(rel, gen)
             if deg <= 3:
                 if not relation_is_irreducible(rel, gen):
@@ -1615,8 +1615,9 @@ class Scalar:
 
     @property
     def is_zero(self):
+        # zero is always stored as the rational 0 (see ``_demote``)
         v = self.val
-        return v == 0 if type(v) is Fraction else v.is_zero
+        return type(v) is Fraction and not v
 
     @property
     def is_constant_rational(self):
@@ -1790,6 +1791,18 @@ class Scalar:
         if target is None:
             target = self.ctx
         return Substitution(self.ctx.constants, bindings, target)(self.val)
+
+
+def dot(pairs, start):
+    """``start + sum a * b`` over the ``(a, b)`` pairs of ring elements
+    (Scalars or MultiPolys), folded with ``+`` in order; a pair with a zero
+    factor builds no product.  The one sum of products of the geometry
+    layers; ``start`` is their zero, or a first summand."""
+    total = start
+    for a, b in pairs:
+        if not (a.is_zero or b.is_zero):
+            total = total + a * b
+    return total
 
 
 def _demote(payload):

@@ -18,7 +18,7 @@ from .errors import (
     NotSymmetric,
     SlotOutOfRange,
 )
-from .scalars import _laplace_minors
+from .scalars import _laplace_minors, dot
 
 
 def accumulate(comp, idx, value):
@@ -172,14 +172,16 @@ class Tensor:
         # slot a pairs with the a-th argument
         supports = [[(i, c) for i, c in enumerate(x.coeffs, 1) if c]
                     for x in (*oneforms, *derivations)]
-        total = self.algebraifold.zero()
-        for terms in product(*supports):
-            value = self.comp.get(tuple(i for i, _ in terms))
+        if not supports:  # a rank-(0, 0) tensor
+            return self.get(())
+        pairs = []
+        for *head, (j, c) in product(*supports):
+            value = self.comp.get(tuple(i for i, _ in head) + (j,))
             if value is not None:
-                for _, c in terms:
-                    value = value * c
-                total = total + value
-        return total
+                for _, h in head:
+                    value = value * h
+                pairs.append((value, c))
+        return dot(pairs, self.algebraifold.zero())
 
 
 def kronecker(algebraifold):
@@ -316,15 +318,10 @@ def metric_inverse(algebraifold, g):
 def _contract_first(table, vector):
     """Coefficients sum_j table[i, j] vector[j] of a rank-2 table."""
     A = vector.algebraifold
-    coeffs = []
-    for i in range(1, A.n + 1):
-        total = A.zero()
-        for j, c in enumerate(vector.coeffs, start=1):
-            entry = table.get((i, j))
-            if not entry.is_zero and not c.is_zero:
-                total = total + entry * c
-        coeffs.append(total)
-    return tuple(coeffs)
+    return tuple(
+        dot(((table.get((i, j)), c) for j, c in enumerate(vector.coeffs, 1)),
+            A.zero())
+        for i in range(1, A.n + 1))
 
 
 def musical_flat(metric, v):

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -666,6 +667,99 @@ class TestContractedBianchi:
             geometry = self.assert_divergence_free(A, metric_inverse(
                 A, random_invertible_metric(rng, A, random_field_scalar)))
             assert geometry.einstein.is_zero == (len(names) == 2)
+
+
+def second_bianchi_violations(connection, riemann):
+    """The index tuples (e, i, j, l, k) where
+    ``(nabla_e R)^l_{ijk} + (nabla_i R)^l_{jek} + (nabla_j R)^l_{eik}``,
+    which the second Bianchi identity makes zero, is not."""
+    A = connection.algebraifold
+    n = A.n
+    nabla = [covariant_derivative(connection, A.basis_derivation(e), riemann)
+             for e in range(1, n + 1)]
+    return [(e, i, j, l, k)
+            for e, i, j, l, k in product(range(1, n + 1), repeat=5)
+            if not (nabla[e - 1].get((l, i, j, k))
+                    + nabla[i - 1].get((l, j, e, k))
+                    + nabla[j - 1].get((l, e, i, k))).is_zero]
+
+
+def first_bianchi_violations(riemann):
+    """The index tuples (l, i, j, k) where ``R^l_{ijk} + R^l_{jki} +
+    R^l_{kij}`` is not zero."""
+    n = riemann.algebraifold.n
+    R = riemann.get
+    return [(l, i, j, k) for l, i, j, k in product(range(1, n + 1), repeat=4)
+            if not (R((l, i, j, k)) + R((l, j, k, i))
+                    + R((l, k, i, j))).is_zero]
+
+
+class TestSecondBianchi:
+    """The covariant derivative of Riemann sums to zero cyclically over the
+    derivative slot and the two direction slots.  Like the contracted
+    identity it differentiates Gamma, so it sees the d Gamma terms of
+    Riemann that the first Bianchi identity cannot, component by
+    component."""
+
+    @staticmethod
+    def connection(A, metric):
+        return levi_civita(A, metric_inverse(A, metric))
+
+    def test_kerr_schild_over_an_extension(self, repo_root):
+        from afd.manifest import load_manifest
+
+        manifest = load_manifest(repo_root / "perfbench" / "ks_extension.json")
+        C = self.connection(manifest.algebraifold, manifest.metric)
+        R = curvature_tensor(C)
+        assert not R.is_zero
+        assert second_bianchi_violations(C, R) == []
+
+    @pytest.mark.parametrize("name", [
+        "friedmann", "kerr_family", "minkowski", "poly_metric"])
+    def test_bundled_manifests(self, repo_root, name):
+        from afd.manifest import load_manifest
+
+        manifest = load_manifest(repo_root / "manifests" / f"{name}.json")
+        C = self.connection(manifest.algebraifold, manifest.metric)
+        assert second_bianchi_violations(C, curvature_tensor(C)) == []
+
+    @pytest.mark.parametrize("names, trials", [
+        (("x", "y"), 3), (("x", "y", "z"), 2)])
+    def test_random_metrics(self, names, trials):
+        rng = random.Random(2001)
+        curved = 0
+        for trial in range(trials):
+            A = (function_field if trial % 2 else poly_ring)(*names)
+            entry = random_field_scalar if trial % 2 else random_poly_scalar
+            C = self.connection(A, random_invertible_metric(rng, A, entry))
+            R = curvature_tensor(C)
+            curved += not R.is_zero
+            assert second_bianchi_violations(C, R) == [], trial
+        assert curved
+
+    def test_doubled_derivative_terms_break_only_the_second(self, repo_root):
+        # adding d_i Gamma^l_jk - d_j Gamma^l_ik doubles the derivative terms
+        # of friedmann's Riemann: still antisymmetric, still cyclic
+        from afd.manifest import load_manifest
+
+        manifest = load_manifest(repo_root / "manifests" / "friedmann.json")
+        A = manifest.algebraifold
+        C = self.connection(A, manifest.metric)
+        R = curvature_tensor(C)
+        names, gamma, n = A.ctx.transcendentals, C.gamma, A.n
+        doubled = {}
+        for l, i, j, k in product(range(1, n + 1), repeat=4):
+            value = (R.get((l, i, j, k))
+                     + gamma.get((l, j, k)).partial(names[i - 1])
+                     - gamma.get((l, i, k)).partial(names[j - 1]))
+            if not value.is_zero:
+                doubled[l, i, j, k] = value
+        wrong = Tensor(A, 1, 3, doubled)
+        assert wrong != R
+        assert first_bianchi_violations(R) == []
+        assert first_bianchi_violations(wrong) == []
+        assert second_bianchi_violations(C, R) == []
+        assert len(second_bianchi_violations(C, wrong)) == 36
 
 
 class TestJacobiFormula:

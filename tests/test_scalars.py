@@ -585,6 +585,44 @@ class TestIntegerKernels:
                 build()
 
 
+class TestDot:
+    """``scalars.dot``, the sum of products behind every contraction."""
+
+    def test_no_pairs_is_the_start(self):
+        zero = POLY.zero()
+        assert scalars.dot([], zero) is zero
+        assert scalars.dot(iter(()), X) is X
+
+    def test_sum_onto_the_start(self):
+        pairs = [(X, Y), (POLY.const(3), X * X), (Y, POLY.const(-1))]
+        assert scalars.dot(pairs, POLY.const(2)) \
+            == 2 + X * Y + 3 * X * X - Y
+        assert scalars.dot(pairs, POLY.zero()) == X * Y + 3 * X * X - Y
+
+    def test_zero_factor_builds_no_product(self, monkeypatch):
+        calls = []
+        mul = Scalar.__mul__
+
+        def counted(a, b):
+            calls.append((a, b))
+            return mul(a, b)
+
+        monkeypatch.setattr(Scalar, "__mul__", counted)
+        zero = POLY.zero()
+        assert scalars.dot([(zero, X), (Y, zero), (zero, zero)], zero) \
+            .is_zero
+        assert calls == []
+        assert scalars.dot([(zero, X), (X, Y)], zero) == mul(X, Y)
+        assert calls == [(X, Y)]
+
+    def test_other_context_refused(self):
+        other = ScalarContext(POLYNOMIAL, ("x", "y", "z")).var("x")
+        with pytest.raises(ContextMismatch):
+            scalars.dot([(X, other)], POLY.zero())
+        # a zero factor is skipped before any product, whatever its context
+        assert scalars.dot([(X, other.ctx.zero())], POLY.zero()).is_zero
+
+
 class TestPackedKeys:
     """Exponent vectors are packed into one int per monomial, with a guard
     bit on top of every 16-bit field."""
@@ -1123,6 +1161,35 @@ class TestContextValidation:
     def test_reducible_relation(self):
         with pytest.raises(ReducibleRelation):
             field_with_extension(("x",), "y", "y^2 - x^2")
+
+    @pytest.mark.parametrize("relation, degree", [
+        ("x*y^2 - x*z", 2), ("(x+1)*(y^2 - z)", 2), ("x*y^3 - x*z", 3)])
+    def test_content_in_the_base_is_a_unit(self, relation, degree):
+        # separable over Q(x, z), where the content x or x + 1 is a unit
+        ctx = field_with_extension(("x", "z"), "y", relation)
+        assert ctx.var("y") ** degree == ctx.var("z")
+        # the context keeps the primitive part
+        assert ctx.extensions == (("y", MultiPoly.from_terms(
+            ("x", "z", "y"), {(0, 0, degree): 1, (0, 1, 0): -1})),)
+
+    def test_content_divided_out_before_the_checks(self):
+        with pytest.raises(ReducibleRelation):
+            field_with_extension(("x", "z"), "y", "x*y^2 - x^3")
+        with pytest.raises(NotSeparable):
+            field_with_extension(("x", "z"), "y", "x*(y - z)^2")
+
+    def test_relation_kept_primitive(self):
+        # with the content x kept, sending x to 0 would map the relation to
+        # zero whatever y and z map to
+        from afd.algebraifold import Algebraifold
+        from afd.errors import RelationNotPreserved
+        from afd.maps import AlgebraifoldHom, FormalLine
+
+        source = Algebraifold.build(
+            field_with_extension(("x", "z"), "y", "x*(y^2 - z)"))
+        target = FormalLine.rational().algebraifold
+        with pytest.raises(RelationNotPreserved):
+            AlgebraifoldHom.build(source, target, {"x": 0, "z": "t", "y": "t"})
 
     def test_rational_coefficient_relations(self):
         with pytest.raises(ReducibleRelation):

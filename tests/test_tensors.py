@@ -153,6 +153,10 @@ class TestEvaluate:
             assert (T.evaluate(oneforms, derivations)
                     == reference_evaluate(T, oneforms, derivations)), trial
 
+    def test_scalar_tensor_evaluates_to_its_value(self):
+        assert Tensor.scalar_tensor(P2, X).evaluate((), ()) == X
+        assert Tensor.scalar_tensor(P2, 0).evaluate((), ()).is_zero
+
     def test_descriptor_mismatch(self):
         T = Tensor.make(P2, 1, 1, {(1, 2): X})
         dx, d1 = P2.coordinate_form(1), P2.basis_derivation(1)
