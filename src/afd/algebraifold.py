@@ -104,13 +104,16 @@ class Algebraifold:
 
     def apply(self, v, a):
         """Apply a derivation to a scalar: sum_i v_i da/dx_i."""
-        a = self.scalar(a)
-        if a.is_constant_rational:  # every partial of a base rational is zero
-            return self.zero()
-        # no partial is taken along a zero coefficient
-        return dot(((c, a.partial(name))
-                    for c, name in zip(v.coeffs, self.ctx.transcendentals)
-                    if not c.is_zero), self.zero())
+        return dot(self._apply_pairs(v, self.scalar(a)), self.zero())
+
+    def _apply_pairs(self, v, a):
+        """The pairs (v_i, da/dx_i) of v(a); no partial is taken along a
+        zero coefficient, and a base rational has none."""
+        if a.is_constant_rational:
+            return []
+        return [(c, a.partial(name))
+                for c, name in zip(v.coeffs, self.ctx.transcendentals)
+                if not c.is_zero]
 
     def d(self, a):
         """The differential of a scalar: the one-form v -> v(a)."""
@@ -119,13 +122,13 @@ class Algebraifold:
             a.partial(name) for name in self.ctx.transcendentals))
 
     def bracket(self, u, v):
-        """Lie bracket of derivations in the commuting coordinate basis."""
+        """Lie bracket of derivations in the commuting coordinate basis:
+        [u, v]^j = u(v^j) - v(u^j), one ``dot`` per j."""
         require_elements(self, Derivation, u, v)
-        coeffs = tuple(
-            self.apply(u, v.coeffs[j]) - self.apply(v, u.coeffs[j])
-            for j in range(self.n)
-        )
-        return Derivation(self, coeffs)
+        return Derivation(self, tuple(
+            dot(self._apply_pairs(u, b)
+                + [(-c, p) for c, p in self._apply_pairs(v, a)], self.zero())
+            for a, b in zip(u.coeffs, v.coeffs)))
 
     def dimension(self):
         """Trace of the basis action matrix; the count of coordinates."""

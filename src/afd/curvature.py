@@ -49,29 +49,37 @@ class Connection:
 
     def matrix(self, u, hom=None):
         """M[k][j] = sum_i u^i Gamma^k_{ij}, indexed from 0: nabla_u sends
-        the coordinate derivation u_j to sum_k M[k][j] u_k.
+        the coordinate derivation u_j to sum_k M[k][j] u_k.  One ``dot``
+        sums each entry.
 
         Along a homomorphism ``hom``, ``u`` holds target scalars and each
         Gamma is first mapped by ``hom.apply``.
         """
         n = self.algebraifold.n
         zero = (self.algebraifold if hom is None else hom.target).zero()
-        M = [[zero] * n for _ in range(n)]
+        pairs = [[[] for _ in range(n)] for _ in range(n)]
         for (k, i, j), gamma in self.gamma.comp.items():
             c = u.coeffs[i - 1]
             if not c.is_zero:
                 if hom is not None:
                     gamma = hom.apply(gamma)
-                M[k - 1][j - 1] = M[k - 1][j - 1] + c * gamma
-        return M
+                pairs[k - 1][j - 1].append((c, gamma))
+        return [[dot(entry, zero) for entry in row] for row in pairs]
 
     def apply(self, u, v):
-        """Covariant derivative of a derivation along a derivation."""
+        """Covariant derivative of a derivation along a derivation:
+        (nabla_u v)^k = u(v^k) + sum_ij Gamma^k_{ij} u^i v^j, one ``dot``
+        per k, each Gamma paired with the product of its coefficients."""
         A = self.algebraifold
-        require_elements(A, Derivation, v)
-        vector = Tensor.make(A, 1, 0, {(k,): c for k, c in enumerate(v.coeffs, 1)})
-        out = covariant_derivative(self, u, vector)
-        return Derivation(A, tuple(out.get((k,)) for k in range(1, A.n + 1)))
+        require_elements(A, Derivation, u, v)
+        uc, vc = u.coeffs, v.coeffs
+        pairs = [[] for _ in vc]
+        for (k, i, j), gamma in self.gamma.comp.items():
+            a, b = uc[i - 1], vc[j - 1]
+            if not (a.is_zero or b.is_zero):
+                pairs[k - 1].append((gamma, a * b))
+        return Derivation(A, tuple(dot(p, A.apply(u, c))
+                                   for p, c in zip(pairs, vc)))
 
     def __eq__(self, other):
         return (isinstance(other, Connection)
@@ -217,8 +225,8 @@ def levi_civita(algebraifold, metric):
         for i in range(1, n + 1):
             for j in range(1, i + 1):
                 total = dot(
-                    ((metric.inv_entry(k, l), lowered.get((i, j, l), zero))
-                     for l in range(1, n + 1)), zero)
+                    [(metric.inv_entry(k, l), lowered.get((i, j, l), zero))
+                     for l in range(1, n + 1)], zero)
                 if not total.is_zero:
                     comp[(k, i, j)] = total
                     if i != j:
@@ -250,8 +258,8 @@ def ricci(algebraifold, riemann):
 
 def ricci_scalar(algebraifold, metric, ric):
     """Full contraction of the Ricci tensor with the inverse metric."""
-    return dot(((metric.inv_entry(i, j), value)
-                for (i, j), value in ric.comp.items()), algebraifold.zero())
+    return dot([(metric.inv_entry(i, j), value)
+                for (i, j), value in ric.comp.items()], algebraifold.zero())
 
 
 class Geometry:

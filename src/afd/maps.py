@@ -161,8 +161,8 @@ class PulledVector(_CoordinateVector):
         require_elements(self.hom.source, OneForm, xi)
         hom = self.hom
         # nothing is mapped along a zero coefficient
-        return dot(((c, hom.apply(x)) for c, x in zip(self.coeffs, xi.coeffs)
-                    if not c.is_zero), hom.target.zero())
+        return dot([(c, hom.apply(x)) for c, x in zip(self.coeffs, xi.coeffs)
+                    if not c.is_zero], hom.target.zero())
 
 
 def pushforward_connection(hom, connection, w, section):

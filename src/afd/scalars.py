@@ -23,9 +23,9 @@ that can represent them:
   ``2**15``, so a quotient key ``re - he`` is valid exactly when it is
   nonnegative with no guard bit set (a borrow sets one).  A product whose
   total degree would reach ``2**15`` raises ``ExponentOverflow``, and so
-  does a power of a polynomial or a rational function before it is built;
-  no key ever wraps.  A power of a rational that could pass ``2**20`` bits
-  raises it too, before it is built.
+  does any power that surely would, before it is built (an extension
+  element's by the degree of its norm); no key ever wraps.  So does a power
+  of a rational that could pass ``2**20`` bits.
 * ``_axpy`` is the one in-place update of integer numerators,
   ``out += factor * x**shift * src``, dropping every entry that cancels
   (the sparse accumulator of Monagan and Pearce).  A sum, a product (one
@@ -37,12 +37,13 @@ that can represent them:
   ``sum sign * a * b`` over many terms, each product's integer numerators
   added by ``_axpy`` straight into one dict per entry over one common
   integer denominator, and each entry made canonical once.  An ``ExtElem``
-  product, a Riemann numerator and the chain-rule term of a
-  shared-denominator partial all run through it.
-* ``dot`` is the one sum of products of ring elements, ``sum a * b`` folded
-  with ``+`` and skipping every pair with a zero factor; the contractions of
-  the geometry modules (a derivation applied to a scalar, a pairing, index
-  raising, the Ricci scalar) call it.
+  product, a Riemann numerator, the chain-rule term of a shared-denominator
+  partial and the polynomial products of ``dot`` all run through it.
+* ``dot`` is the one sum of products of Scalars, skipping every pair with a
+  zero factor: two or more polynomial products go to ``_sum_products`` at
+  once, any other pair is folded in with ``+``.  Every component sum of the
+  geometry modules (a derivation applied to a scalar, a bracket, a pairing,
+  a covariant or Lie derivative, index raising, the Ricci scalar) calls it.
 * ``RatFunc`` and ``ExtElem`` share one quotient form: polynomial
   numerators over one common monic denominator that shares no factor with
   all of them at once.  A ``RatFunc`` has one numerator; an ``ExtElem`` has
@@ -65,20 +66,18 @@ interpolate back and certify by the integer exact division that
 only when the heuristic gives up.
 
 Polynomials are evaluated by two kernels, one per kind of image.
-``Substitution`` maps any payload to ``Scalar`` images in a target context:
-it binds each name when a payload first uses it and keeps ``image ** k``
-per ``(name, k)`` for as long as it lives, so a homomorphism that maps many
-payloads through one substitution raises each image to each power once.
+``Substitution`` maps any payload to ``Scalar`` images in a target context,
+keeping ``image ** k`` per ``(name, k)`` for as long as it lives.
 ``_int_evaluate`` sets one variable of the integer numerators to an
-integer; GCDHEU evaluates with it, and so does the irreducibility test of
-a relation, one variable at a time.  Its loop is the one integer update
-besides ``_axpy``: it moves every key by a different amount.
+integer, for GCDHEU and the irreducibility test of a relation.  Its loop is
+the one integer update besides ``_axpy``: it moves every key by a
+different amount.
 
 A ``ScalarContext`` declares base parameter constants (adjoined to the
 coefficient field), the ordered transcendental variables, and at most one
 algebraic extension.  ``Scalar`` wraps a payload together with its context
-and provides field/ring arithmetic, partial derivatives (with implicit
-differentiation of the extension generator) and substitution.
+and provides field/ring arithmetic and partial derivatives (with implicit
+differentiation of the extension generator).
 
 Scalar arithmetic has one path: coerce the operand, lift the lower payload
 to the level of the other, run the payload operation, demote the result.
@@ -196,11 +195,19 @@ _POWER_BITS = 1 << 20
 
 
 def _require_power_fits(n, value):
-    """Raise ExponentOverflow before the ``n``-th power of a MultiPoly, or of
-    a RatFunc's numerator and denominator, is built with a total degree that
-    reaches the limit: over Q, ``deg p**n = n * deg p``.  A Fraction's power
-    other than 0, 1 or -1 is refused when its numerator or denominator
-    could pass ``_POWER_BITS`` bits: ``n`` times their larger bit length."""
+    """Raise ExponentOverflow before the ``n``-th power of a payload is built
+    when it surely reaches the degree limit, or for a Fraction other than 0,
+    1 and -1, ``_POWER_BITS`` bits (``n`` times its larger bit length).
+
+    A MultiPoly, and a RatFunc's numerator and denominator, have
+    ``deg p**n = n * deg p``.  An ExtElem is bounded by its norm,
+    ``N(a**n) = N(a)**n``: the determinant of ``ExtElem._minors`` and the
+    norm's denominator ``lead**P * den**d`` have degree at most
+    ``d * D + s * d * (d - 1) / 2`` for entries of degree at most D, a
+    relation of degree d and coefficients of degree at most s.  If ``a**n``
+    fits, D is below ``2**15``.  The norm is taken only when ``a``'s own
+    degrees allow an overflow.
+    """
     if type(value) is Fraction:
         bits = n * max(abs(value.numerator), value.denominator).bit_length()
         if bits > _POWER_BITS and value not in (0, 1, -1):
@@ -208,10 +215,47 @@ def _require_power_fits(n, value):
                 f"a rational power of about {bits} bits passes the limit"
                 " 2**20 bits")
         return
-    for p in (value,) if type(value) is MultiPoly else (value.num, value.den):
-        if p.nums:
-            _require_degree(n * (max(p.nums) >> _W * len(p.vars)),
-                            "a power of ")
+    top = max(map(_degree, (value,) if type(value) is MultiPoly
+                  else value.nums + (value.den,)))
+    if type(value) is not ExtElem:
+        return _require_degree(n * top, "a power of ")
+    ext, d = value.ext, value.ext.degree
+    slack = d * (d - 1) // 2 * max(
+        map(_degree, [ext.lead] + [c for _, c in ext.tail]))
+    bound = d * (_LIMIT - 1) + slack
+    if n * (d * top + slack) <= bound:
+        return
+    minor, powers = value._minors()
+    full = tuple(range(d))
+    try:
+        det = num = minor(full, full)
+    except ExponentOverflow:
+        return
+    factors = [value.den] * d + [ext.lead] * sum(powers)
+    for f in factors:
+        num = num.exact_div(poly_gcd(num, f))
+    # the reduced norm is num over a denominator of degree den
+    den = sum(map(_degree, factors)) - _degree(det) + _degree(num)
+    if n * max(_degree(num), den) > bound:
+        raise ExponentOverflow(
+            f"a power whose norm has degree {n * max(_degree(num), den)}"
+            f" passes the bound {bound} of its entries")
+
+
+def _power(base, n, result):
+    """``result * base**n`` for an int ``n >= 0``, by repeated squaring."""
+    while n:
+        if n & 1:
+            result = result * base
+        n >>= 1
+        if n:
+            base = base * base
+    return result
+
+
+def _degree(p):
+    """The total degree of a nonzero MultiPoly; 0 for zero."""
+    return max(p.nums) >> _W * len(p.vars) if p.nums else 0
 
 
 def _rational(value):
@@ -282,10 +326,6 @@ class MultiPoly:
         self.denom = den
 
     @classmethod
-    def from_terms(cls, variables, terms):
-        return cls(variables, terms)
-
-    @classmethod
     def zero(cls, variables):
         return _poly(tuple(variables), {}, 1)
 
@@ -337,18 +377,6 @@ class MultiPoly:
     def involves(self, name):
         s, _ = self._field(name)
         return bool(_support(self.nums) >> s & _FIELD)
-
-    def lead(self):
-        """Graded-lex leading (exponent tuple, coefficient) pair."""
-        e = max(self.nums)
-        return _unpack(e, len(self.vars)), Fraction(self.nums[e], self.denom)
-
-    def sorted_terms(self):
-        """(exponent tuple, Fraction coefficient) pairs in descending
-        graded-lex order."""
-        d, k, nums = self.denom, len(self.vars), self.nums
-        return [(_unpack(e, k), Fraction(nums[e], d))
-                for e in sorted(nums, reverse=True)]
 
     # -- ring operations
 
@@ -444,14 +472,7 @@ class MultiPoly:
         if n < 0:
             raise ValueError("negative power of a polynomial")
         _require_power_fits(n, self)
-        result = MultiPoly.const(self.vars, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        return _power(self, n, MultiPoly.const(self.vars, 1))
 
     def lead_num(self):
         """The integer numerator of the graded-lex leading coefficient."""
@@ -1098,11 +1119,6 @@ class Extension:
         return ExtElem((value.num,) + (zero,) * (self.degree - 1),
                        value.den, self)
 
-    def zero_elem(self):
-        zero = MultiPoly.zero(self.base_vars)
-        return ExtElem((zero,) * self.degree,
-                       MultiPoly.const(self.base_vars, 1), self)
-
     def __eq__(self, other):
         return self is other or (isinstance(other, Extension)
                                  and self.gen == other.gen
@@ -1153,23 +1169,28 @@ class ExtElem(_Quotient):
         return self.ext.reduce(_sum_products([(self.nums, other.nums, 1)]),
                                self.den * other.den)
 
-    def inverse(self):
-        """``den * adj(M) e0 / det M`` for the matrix M of multiplication by
-        the numerator: the signed cofactors of M's first row over its
-        determinant, from one Laplace expansion."""
-        if self.is_zero:
-            raise DivisionByZero("inverse of zero")
+    def _minors(self):
+        """The minors of the matrix M whose column j is ``lead**powers[j]``
+        times ``nums * gen**j`` modulo the relation, and the powers; over
+        ``lead**sum(powers) * den**degree``, det M is the element's norm."""
         ext = self.ext
-        # column j is lead**powers[j] * (nums * gen**j mod relation)
         cols, powers = [list(self.nums)], [0]
         zero = MultiPoly.zero(ext.base_vars)
         for _ in range(1, ext.degree):
             col, k = ext.pseudo_remainder([zero] + cols[-1])
             cols.append(col)
             powers.append(powers[-1] + k)
+        return _laplace_minors(list(zip(*cols)), zero,
+                               MultiPoly.const(ext.base_vars, 1)), powers
+
+    def inverse(self):
+        """``den * adj(M) e0 / det M`` for the matrix M of ``_minors``: the
+        signed cofactors of its first row over its determinant."""
+        if self.is_zero:
+            raise DivisionByZero("inverse of zero")
+        ext = self.ext
+        minor, powers = self._minors()
         full = tuple(range(ext.degree))
-        minor = _laplace_minors([[col[i] for col in cols] for i in full],
-                                zero, MultiPoly.const(ext.base_vars, 1))
         det = minor(full, full)
         if det.is_zero:
             raise DivisionByZero(
@@ -1231,11 +1252,9 @@ class SharedDenominator:
     derivatives (one without an extension).  ``widen`` takes numerators
     over ``D**2``, such as a product of two lifts, to numerators over
     ``outer``.  Sums of products of lifts and of partials are built by
-    ``_sum_products``, the one accumulator: all their integer numerators go
-    into one dict per entry, and no entry is cancelled until the end.
-    ``make`` is the canonical Scalar ``vec / outer``: one reduction modulo
-    the relation and one cancel.  A factor D or E of one is never
-    multiplied in.
+    ``_sum_products``, and ``make`` is the canonical Scalar ``vec / outer``:
+    one reduction modulo the relation and one cancel.  A factor D or E of
+    one is never multiplied in.
     """
 
     __slots__ = ("ctx", "den", "ext_den", "outer", "_cofactors", "_dden",
@@ -1623,11 +1642,6 @@ class Scalar:
     def is_constant_rational(self):
         return isinstance(self.val, Fraction)
 
-    def as_fraction(self):
-        if not isinstance(self.val, Fraction):
-            raise ValueError(f"{self!r} is not a base rational")
-        return self.val
-
     def __bool__(self):
         return not self.is_zero
 
@@ -1742,20 +1756,8 @@ class Scalar:
             raise TypeError("scalar exponents must be integers")
         if n < 0:
             return self.ctx.one() / (self ** (-n))
-        v = self.val
-        # the powers of a reduced quotient stay reduced; reduction changes
-        # an ExtElem's degrees, so only its products check
-        if type(v) is not ExtElem:
-            _require_power_fits(n, v)
-        result = self.ctx.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        _require_power_fits(n, self.val)
+        return _power(self, n, self.ctx.one())
 
     def inverse(self):
         return self.ctx.one() / self
@@ -1775,33 +1777,32 @@ class Scalar:
                 self.ctx, v.partial(name, _gen_derivative(self.ctx, name)))
         return Scalar.make(self.ctx, v.partial(name))
 
-    def substitute(self, bindings):
-        """Image under the ring homomorphism sending generators to bindings.
-
-        ``bindings`` maps transcendental and extension-generator names to
-        Scalars of a single target context; base constants map to the target
-        constants of the same name.
-        """
-        target = None
-        for img in bindings.values():
-            if target is None:
-                target = img.ctx
-            elif img.ctx != target:
-                raise ContextMismatch("binding images live in different contexts")
-        if target is None:
-            target = self.ctx
-        return Substitution(self.ctx.constants, bindings, target)(self.val)
-
 
 def dot(pairs, start):
-    """``start + sum a * b`` over the ``(a, b)`` pairs of ring elements
-    (Scalars or MultiPolys), folded with ``+`` in order; a pair with a zero
-    factor builds no product.  The one sum of products of the geometry
-    layers; ``start`` is their zero, or a first summand."""
-    total = start
+    """``start + sum a * b`` over the ``(a, b)`` pairs of Scalars; a pair
+    with a zero factor builds no product.  The one sum of products of the
+    geometry layers; ``start`` is their zero, or a first summand.
+
+    Two or more products of polynomials of ``start``'s context, with
+    ``start`` once it is a polynomial too, go into one ``_sum_products``
+    call: one lcm, one integer dict and one reduction.  Every other pair is
+    folded in with Scalar ``*`` and ``+``, quotients included."""
+    ctx, total, polys = start.ctx, start, []
     for a, b in pairs:
-        if not (a.is_zero or b.is_zero):
+        x, y = a.val, b.val
+        if type(x) is MultiPoly is type(y) and a.ctx is ctx is b.ctx:
+            polys.append(((x,), (y,), 1))
+        elif not (type(x) is Fraction and not x
+                  or type(y) is Fraction and not y):
             total = total + a * b
+    if len(polys) == 1:  # a product of non-constant polynomials
+        (x,), (y,), _ = polys[0]
+        return total + Scalar(ctx, x * y)
+    if polys:
+        if type(total.val) is MultiPoly:
+            polys.append(((total.val,), None, 1))
+            total = ctx.zero()
+        total = total + Scalar.make(ctx, _sum_products(polys)[0])
     return total
 
 
@@ -1836,7 +1837,6 @@ def _require_in_polynomial_ring(s):
     if type(v) is RatFunc and any(v.den.involves(name)
                                   for name in s.ctx.transcendentals):
         raise NotDivisible("quotient does not lie in the polynomial ring")
-    return s
 
 
 def _gen_derivative(ctx, name):
@@ -1852,7 +1852,7 @@ def _gen_derivative(ctx, name):
     if name not in cache:
         rel = ext.relation
         if not rel.involves(name):
-            cache[name] = ext.zero_elem()
+            cache[name] = ext.reduce([], MultiPoly.const(ctx.all_vars, 1))
         else:
             num = _poly_in_gen_to_elem(ctx, rel.partial(name))
             den = _poly_in_gen_to_elem(ctx, rel.partial(ext.gen))

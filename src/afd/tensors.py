@@ -161,7 +161,9 @@ class Tensor:
 
         The sum runs over the nonzero coefficients of the arguments only:
         each index tuple they support is looked up in the component table,
-        and a component found there is multiplied by its coefficients.
+        and a component found there is paired with the product of its
+        coefficients, which are small next to it.  One ``dot`` sums the
+        pairs.
         """
         if len(oneforms) != self.r or len(derivations) != self.s:
             raise ArityMismatch(
@@ -179,7 +181,7 @@ class Tensor:
             value = self.comp.get(tuple(i for i, _ in head) + (j,))
             if value is not None:
                 for _, h in head:
-                    value = value * h
+                    c = h * c
                 pairs.append((value, c))
         return dot(pairs, self.algebraifold.zero())
 
@@ -198,27 +200,31 @@ def derive_tensor(algebraifold, u, T, M):
     Such a derivation commutes with contractions, so it is fixed by u on
     scalars and by M: each component contributes u(T[K]); a contravariant
     slot holding m feeds M[k][m] into the slot-k component, a covariant slot
-    holding m feeds -M[m][j] into the slot-j component.  ``M`` is indexed
-    from 0; callers check that ``u`` and ``T`` live over ``algebraifold``.
+    holding m feeds -M[m][j] into the slot-j component.  The terms are
+    collected per output component, and one ``dot`` onto u(T[K]) sums each.
+    ``M`` is indexed from 0; callers check that ``u`` and ``T`` live over
+    ``algebraifold``.
     """
     n = algebraifold.n
-    out = {}
+    # per slot kind and value m, the nonzero (output value, factor) pairs
+    up = [[(k + 1, M[k][m]) for k in range(n) if not M[k][m].is_zero]
+          for m in range(n)] if T.r else []
+    down = [[(j + 1, -c) for j, c in enumerate(row) if not c.is_zero]
+            for row in M] if T.s else []
+    slots = [up] * T.r + [down] * T.s
+    terms = {idx: [] for idx in T.comp}
     for idx, c in T.comp.items():
-        accumulate(out, idx, algebraifold.apply(u, c))
-        for pos in range(T.r):
-            m = idx[pos] - 1
-            for k in range(n):
-                coeff = M[k][m]
-                if not coeff.is_zero:
-                    accumulate(out, idx[:pos] + (k + 1,) + idx[pos + 1:],
-                               coeff * c)
-        for pos in range(T.r, T.r + T.s):
-            row = M[idx[pos] - 1]
-            for j in range(n):
-                coeff = row[j]
-                if not coeff.is_zero:
-                    accumulate(out, idx[:pos] + (j + 1,) + idx[pos + 1:],
-                               -(coeff * c))
+        for pos, (m, table) in enumerate(zip(idx, slots)):
+            for k, coeff in table[m - 1]:
+                terms.setdefault(idx[:pos] + (k,) + idx[pos + 1:], []).append(
+                    (coeff, c))
+    zero = algebraifold.zero()
+    out = {}
+    for idx, pairs in terms.items():
+        c = T.comp.get(idx)
+        value = dot(pairs, zero if c is None else algebraifold.apply(u, c))
+        if not value.is_zero:
+            out[idx] = value
     return Tensor(algebraifold, T.r, T.s, out)
 
 
@@ -319,7 +325,7 @@ def _contract_first(table, vector):
     """Coefficients sum_j table[i, j] vector[j] of a rank-2 table."""
     A = vector.algebraifold
     return tuple(
-        dot(((table.get((i, j)), c) for j, c in enumerate(vector.coeffs, 1)),
+        dot([(table.get((i, j)), c) for j, c in enumerate(vector.coeffs, 1)],
             A.zero())
         for i in range(1, A.n + 1))
 

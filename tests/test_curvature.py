@@ -7,7 +7,7 @@ from itertools import product
 import pytest
 
 from afd import ScalarContext
-from afd.algebraifold import Algebraifold
+from afd.algebraifold import Algebraifold, Derivation
 from afd.curvature import (
     Connection,
     Geometry,
@@ -37,6 +37,7 @@ from helpers import (
     random_poly_scalar,
     random_scalar,
 )
+from scalar_views import substitute
 
 P2 = poly_ring("x", "y")
 X = P2.ctx.var("x")
@@ -419,7 +420,7 @@ class TestFriedmannCuspidalPresentation:
         images = {"t": s**3, "x": S4.ctx.var("x"), "y": S4.ctx.var("y"),
                   "z": S4.ctx.var("z"), "a": s**2}
         G_tt = einstein_tensor(self.A, self.metric).get((1, 1))
-        moved = G_tt.substitute(images)
+        moved = substitute(G_tt, images)
         assert 9 * s**4 * moved == S4.scalar(12) / s**2
 
 
@@ -760,6 +761,74 @@ class TestSecondBianchi:
         assert first_bianchi_violations(wrong) == []
         assert second_bianchi_violations(C, R) == []
         assert len(second_bianchi_violations(C, wrong)) == 36
+
+
+class TestParallelInverseAndKronecker:
+    """The Levi-Civita connection keeps the inverse metric (rank (2, 0))
+    and the Kronecker tensor (rank (1, 1)) parallel: the contravariant slots
+    of ``derive_tensor``, which ``Connection.apply`` does not reach."""
+
+    @staticmethod
+    def assert_parallel(A, metric, fields):
+        connection = levi_civita(A, metric)
+        delta = kronecker(A)
+        for u in fields:
+            assert covariant_derivative(connection, u, metric.g_inv).is_zero
+            assert covariant_derivative(connection, u, delta).is_zero
+        return connection
+
+    @staticmethod
+    def basis(A):
+        return [A.basis_derivation(i) for i in range(1, A.n + 1)]
+
+    @pytest.mark.parametrize("names", [("x", "y"), ("x", "y", "z")])
+    def test_random_metrics(self, names):
+        rng = random.Random(2107)
+        for trial in range(4):
+            A = (function_field if trial % 2 else poly_ring)(*names)
+            entry = random_field_scalar if trial % 2 else random_poly_scalar
+            metric = metric_inverse(A, random_invertible_metric(rng, A, entry))
+            self.assert_parallel(A, metric, self.basis(A) + [
+                random_derivation(rng, A, max_deg=2)])
+
+    def test_bundled_manifests(self, repo_root):
+        from afd.manifest import load_manifest
+
+        checked = []
+        for path in sorted((repo_root / "manifests").glob("*.json")):
+            manifest = load_manifest(path)
+            if manifest.metric is None:
+                continue
+            A = manifest.algebraifold
+            self.assert_parallel(A, metric_inverse(A, manifest.metric),
+                                 self.basis(A) + [Derivation(A, A.coords)])
+            checked.append(path.stem)
+        assert "friedmann" in checked and "kerr_family" in checked
+
+    @pytest.mark.parametrize("path", [
+        "perfbench/ks_extension.json", "tests/fixtures/schwarzschild_ks.json"])
+    def test_kerr_schild_over_an_extension(self, repo_root, path):
+        from afd.manifest import load_manifest
+
+        manifest = load_manifest(repo_root / path)
+        A = manifest.algebraifold
+        self.assert_parallel(A, metric_inverse(A, manifest.metric),
+                             self.basis(A))
+
+    def test_the_oracle_sees_the_contravariant_terms(self):
+        # the standard connection differentiates componentwise: the inverse
+        # of a curved metric is not parallel for it
+        metric = POLY_METRIC
+        standard = standard_connection(P2)
+        moved = covariant_derivative(standard, P2.basis_derivation(1),
+                                     metric.g_inv)
+        assert not moved.is_zero
+        # with the Christoffel symbols negated, the terms of the upper slots
+        # add to d_x g^-1 instead of cancelling it
+        connection = levi_civita(P2, metric)
+        flipped = Connection(P2, -connection.gamma)
+        assert not covariant_derivative(
+            flipped, P2.basis_derivation(1), metric.g_inv).is_zero
 
 
 class TestJacobiFormula:

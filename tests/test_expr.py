@@ -22,6 +22,7 @@ from afd.scalars import FIELD, POLYNOMIAL, ExtElem, MultiPoly, RatFunc
 
 from conftest import ext_scalars, field_scalars, poly_scalars
 from helpers import random_field_scalar, random_fraction, random_scalar
+from scalar_views import lead, sorted_terms
 
 POLY = ScalarContext(POLYNOMIAL, ("x", "y"))
 FIELD2 = ScalarContext(FIELD, ("x", "y"))
@@ -231,7 +232,7 @@ def _ref_render_poly(poly):
     if poly.is_zero:
         return "0"
     parts = []
-    for k, (exps, coeff) in enumerate(poly.sorted_terms()):
+    for k, (exps, coeff) in enumerate(sorted_terms(poly)):
         if k == 0:
             parts.append(_ref_render_term(coeff, exps, poly.vars,
                                           leading=True))
@@ -276,7 +277,7 @@ def _ref_render_ext(elem):
         c = coeffs[i]
         if c.is_zero:
             continue
-        _, lead_coeff = c.num.lead()
+        _, lead_coeff = lead(c.num)
         negative = lead_coeff < 0
         abs_c = RatFunc(-c.num, c.den) if negative else c
         if i == 0:

@@ -682,6 +682,19 @@ class TestCli:
         assert proc.returncode == 1
         assert proc.stderr.startswith("afd: [exponent-overflow]")
 
+    def test_extension_power_past_the_norm_bound_exits_one(self, tmp_path):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest_with(
+            algebra={"kind": "field", "generators": ["x", "y", "w"],
+                     "relations": ["w^2 - x"],
+                     "transcendence_basis": ["x", "y"]},
+            checks=[{"name": "big", "command": "dim",
+                     "expect": "(w + x + y + 1)^40000"}])), encoding="utf-8")
+        proc = self.run_cli("check", str(path), timeout=60)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("afd: [exponent-overflow]")
+        assert "Traceback" not in proc.stderr
+
     @pytest.mark.parametrize("check, code", [
         ({"name": "d", "command": "efe", "expect": ["zero"]},
          "manifest-validation-error"),

@@ -36,6 +36,8 @@ from afd.scalars import (
 
 from conftest import ext_scalars, field_scalars, nonzero_field_scalars, poly_scalars
 from helpers import elliptic_field, function_field
+from scalar_views import (
+    as_fraction, from_terms, lead, sorted_terms, substitute)
 
 POLY = ScalarContext(POLYNOMIAL, ("x", "y"))
 ELL = field_with_extension(("x",), "y", "y^2 - x^3 - 1")
@@ -265,7 +267,7 @@ def _random_poly(rng, variables, max_terms=6, max_deg=3):
     for _ in range(rng.randint(0, max_terms)):
         e = tuple(rng.randint(0, max_deg) for _ in variables)
         terms[e] = Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 6, 35)))
-    return MultiPoly.from_terms(variables, terms)
+    return from_terms(variables, terms)
 
 
 def _schoolbook_product(a, b):
@@ -498,9 +500,9 @@ def _check_kernels(rng, names, a, b, trial):
                        for e, v in ta.items()}),
     }
     if ta:
-        lead = ta[_ref_lead(ta)]
+        lc = ta[_ref_lead(ta)]
         checks["monic"] = (a.monic(),
-                           {e: v / lead for e, v in ta.items()})
+                           {e: v / lc for e, v in ta.items()})
     if tb:
         checks["exact_div"] = (a.exact_div(b), _ref_div(ta, tb))
         checks["exact_div of a product"] = ((a * b).exact_div(b), ta)
@@ -511,9 +513,9 @@ def _check_kernels(rng, names, a, b, trial):
         assert got.terms == want, (trial, op)
         _assert_int_canonical(got)
         want_order = sorted(want, key=lambda e: (sum(e), e), reverse=True)
-        assert [e for e, _ in got.sorted_terms()] == want_order, (trial, op)
+        assert [e for e, _ in sorted_terms(got)] == want_order, (trial, op)
         if want:
-            assert got.lead() == (want_order[0], want[want_order[0]]), \
+            assert lead(got) == (want_order[0], want[want_order[0]]), \
                 (trial, op)
 
 
@@ -600,20 +602,32 @@ class TestDot:
         assert scalars.dot(pairs, POLY.zero()) == X * Y + 3 * X * X - Y
 
     def test_zero_factor_builds_no_product(self, monkeypatch):
+        # products are counted where they are built: a polynomial product,
+        # or a product term of the multiply-accumulate kernel
+        xy, yy = X * Y, Y * Y
         calls = []
-        mul = Scalar.__mul__
+        mul, kernel = MultiPoly.__mul__, scalars._sum_products
 
-        def counted(a, b):
+        def counted_mul(a, b):
             calls.append((a, b))
             return mul(a, b)
 
-        monkeypatch.setattr(Scalar, "__mul__", counted)
+        def counted_kernel(terms):
+            calls.extend((a[0], b[0]) for a, b, _ in terms if b is not None)
+            return kernel(terms)
+
+        monkeypatch.setattr(MultiPoly, "__mul__", counted_mul)
+        monkeypatch.setattr(scalars, "_sum_products", counted_kernel)
         zero = POLY.zero()
         assert scalars.dot([(zero, X), (Y, zero), (zero, zero)], zero) \
             .is_zero
         assert calls == []
-        assert scalars.dot([(zero, X), (X, Y)], zero) == mul(X, Y)
-        assert calls == [(X, Y)]
+        assert scalars.dot([(zero, X), (X, Y)], zero) == xy
+        assert calls == [(X.val, Y.val)]
+        calls.clear()
+        assert scalars.dot([(zero, X), (X, Y), (Y, zero), (Y, Y)], zero) \
+            == xy + yy
+        assert calls == [(X.val, Y.val), (Y.val, Y.val)]
 
     def test_other_context_refused(self):
         other = ScalarContext(POLYNOMIAL, ("x", "y", "z")).var("x")
@@ -640,15 +654,15 @@ class TestPackedKeys:
     def test_exponent_limit(self):
         x, y = (MultiPoly.var(self.VARS, v) for v in ("x", "y"))
         top = x ** 32767
-        assert top.degree_in("x") == 32767 and top.lead()[0] == (32767, 0, 0)
-        assert (x ** 16000 * y ** 16000).lead()[0] == (16000, 16000, 0)
+        assert top.degree_in("x") == 32767 and lead(top)[0] == (32767, 0, 0)
+        assert lead(x ** 16000 * y ** 16000)[0] == (16000, 16000, 0)
         with pytest.raises(ExponentOverflow) as err:
             top * x
         assert err.value.code == "exponent-overflow"
         # each field fits on its own, the total degree does not
         with pytest.raises(ExponentOverflow):
             x ** 20000 * y ** 20000
-        assert MultiPoly(self.VARS, {(16383, 16384, 0): 1}).lead()[0] \
+        assert lead(MultiPoly(self.VARS, {(16383, 16384, 0): 1}))[0] \
             == (16383, 16384, 0)
         for exps in ((32768, 0, 0), (16384, 16384, 0)):
             with pytest.raises(ExponentOverflow):
@@ -672,6 +686,33 @@ class TestPackedKeys:
             with pytest.raises(ExponentOverflow):
                 value ** -40000
 
+    def test_extension_power_bounded_by_its_norm(self):
+        # squaring (w + x + y + 1) until a product trips the limit builds
+        # polynomials of thousands of terms; its norm (x + y + 1)**2 - x has
+        # degree 2, and 40000 * 2 passes the 2 * 32767 + 1 that any
+        # representable power's norm can reach
+        ext = field_with_extension(("x", "y"), "w", "w^2 - x")
+        w, x, y = (ext.var(v) for v in "wxy")
+        for value in (w + x + y + 1, x + w):
+            for n in (40000, -40000):
+                with pytest.raises(ExponentOverflow) as err:
+                    value ** n
+                assert err.value.code == "exponent-overflow"
+        # a norm -x of degree 1: the bound refuses only what cannot fit
+        assert w ** 40000 == x ** 20000
+        assert w ** 65535 == x ** 32767 * w
+        with pytest.raises(ExponentOverflow):
+            w ** 65536
+        # only the norm's denominator (y + 1)**2 grows too far
+        with pytest.raises(ExponentOverflow):
+            (w / (y + 1)) ** 40000
+        # a relation whose leading coefficient is no constant: w**2 = 1/x
+        lead = field_with_extension(("x",), "w", "x*w^2 - 1")
+        lw = lead.var("w")
+        assert lw ** 4000 == 1 / lead.var("x") ** 2000
+        with pytest.raises(ExponentOverflow):
+            lw ** 70000
+
     def test_malformed_exponent_tuples_are_refused(self):
         for exps in ((1, 2), (1, 0, -1)):
             with pytest.raises(ValueError):
@@ -681,7 +722,7 @@ class TestPackedKeys:
 def _assert_reduced(q):
     _assert_canonical(q.num)
     _assert_canonical(q.den)
-    assert q.den.lead()[1] == 1
+    assert lead(q.den)[1] == 1
     assert poly_gcd(q.num, q.den).is_const
 
 
@@ -1039,41 +1080,42 @@ class TestSubstitute:
         self.t = self.line.var("t")
 
     def test_polynomial_image(self):
-        value = (X**2 + Y).substitute({"x": self.t**2, "y": self.t**3})
+        value = substitute(X**2 + Y, {"x": self.t**2, "y": self.t**3})
         assert value == self.t**4 + self.t**3
 
     def test_field_image(self):
         field = ScalarContext(FIELD, ("x",))
         target = ScalarContext(FIELD, ("t",))
         t = target.var("t")
-        value = (field.one() / field.var("x")).substitute({"x": t**2})
+        value = substitute(field.one() / field.var("x"), {"x": t**2})
         assert value == target.one() / t**2
 
     def test_denominator_maps_to_zero(self):
         field = ScalarContext(FIELD, ("x",))
         target = ScalarContext(FIELD, ("t",))
         with pytest.raises(TargetDivisionByZero):
-            (field.one() / field.var("x")).substitute({"x": target.zero()})
+            substitute(field.one() / field.var("x"),
+                       {"x": target.zero()})
 
     def test_incomplete_bindings(self):
         with pytest.raises(IncompleteBindings):
-            (X + Y).substitute({"x": self.t})
+            substitute(X + Y, {"x": self.t})
 
     def test_images_from_two_contexts(self):
         other = ScalarContext(POLYNOMIAL, ("s",))
         with pytest.raises(ContextMismatch):
-            (X + Y).substitute({"x": self.t, "y": other.var("s")})
+            substitute(X + Y, {"x": self.t, "y": other.var("s")})
 
     def test_empty_bindings_map_into_the_source_context(self):
         # no image fixes no target: constants stay, base constants map to
         # themselves, and a variable without an image is refused
-        value = POLY.const(Fraction(3, 2)).substitute({})
+        value = substitute(POLY.const(Fraction(3, 2)), {})
         assert value == POLY.const(Fraction(3, 2)) and value.ctx == POLY
         with_m = ScalarContext(POLYNOMIAL, ("x",), ("m",))
         m = with_m.var("m")
-        assert (m**2 + 1).substitute({}) == m**2 + 1
+        assert substitute(m**2 + 1, {}) == m**2 + 1
         with pytest.raises(IncompleteBindings) as err:
-            X.substitute({})
+            substitute(X, {})
         assert "'x'" in str(err.value)
 
     @pytest.mark.parametrize("text", ["y / x", "1 / x"])
@@ -1083,7 +1125,7 @@ class TestSubstitute:
         sqrt = field_with_extension(("x",), "y", "y^2 - x")
         value = parse_scalar(text, sqrt)
         with pytest.raises(TargetDivisionByZero) as err:
-            value.substitute({"x": self.t**2, "y": self.t})
+            substitute(value, {"x": self.t**2, "y": self.t})
         assert err.value.code == "target-division-by-zero"
 
     def test_extension_element_maps_through_one_division(self, monkeypatch):
@@ -1096,11 +1138,11 @@ class TestSubstitute:
         monkeypatch.setattr(ExtElem, "coeffs", property(refuse))
         ctx = field_with_extension(("x", "z"), "y", "y^2 - x")
         images = {"x": self.t**2, "z": self.t, "y": self.t}
-        assert parse_scalar("(z - y) / (z - 1)", ctx).substitute(images) == 0
-        value = parse_scalar("(x + y*z) / z", ctx).substitute(images)
+        assert substitute(parse_scalar("(z - y) / (z - 1)", ctx), images) == 0
+        value = substitute(parse_scalar("(x + y*z) / z", ctx), images)
         assert value == 2 * self.t
         with pytest.raises(TargetDivisionByZero) as err:
-            parse_scalar("(z + y) / (z^2 - x)", ctx).substitute(images)
+            substitute(parse_scalar("(z + y) / (z^2 - x)", ctx), images)
         assert err.value.code == "target-division-by-zero"
 
     def test_variable_only_in_common_denominator_needs_an_image(self):
@@ -1108,7 +1150,7 @@ class TestSubstitute:
         # scan must read the denominator to ask for x
         sqrt = field_with_extension(("x",), "y", "y^2 - x")
         with pytest.raises(IncompleteBindings) as err:
-            parse_scalar("y / x", sqrt).substitute({"y": self.t})
+            substitute(parse_scalar("y / x", sqrt), {"y": self.t})
         assert "'x'" in str(err.value)
 
     def test_constant_only_in_denominator_maps_to_namesake(self):
@@ -1116,9 +1158,9 @@ class TestSubstitute:
         target = ScalarContext(FIELD, ("t",), ("m",))
         t, m = target.var("t"), target.var("m")
         value = parse_scalar("y / m", sqrt)
-        assert value.substitute({"x": t**2, "y": t}) == t / m
+        assert substitute(value, {"x": t**2, "y": t}) == t / m
         with pytest.raises(IncompleteBindings) as err:
-            value.substitute({"x": self.t**2, "y": self.t})
+            substitute(value, {"x": self.t**2, "y": self.t})
         assert "'m'" in str(err.value)
 
 
@@ -1126,7 +1168,7 @@ class TestCanonicalStorage:
     def test_polynomial_difference_demotes_to_rational(self):
         value = (X + 1) - X
         assert value.is_constant_rational
-        assert value.as_fraction() == 1
+        assert as_fraction(value) == 1
 
     def test_cancelled_quotient_demotes_to_polynomial(self):
         f = ScalarContext(FIELD, ("x", "y"))
@@ -1146,10 +1188,10 @@ class TestCanonicalStorage:
 
 class TestContextValidation:
     def test_tower_rejected(self):
-        rel1 = MultiPoly.from_terms(("x", "u"), {(0, 2): Fraction(1),
-                                                 (1, 0): Fraction(-1)})
-        rel2 = MultiPoly.from_terms(("x", "w"), {(0, 2): Fraction(1),
-                                                 (2, 0): Fraction(-1)})
+        rel1 = from_terms(("x", "u"), {(0, 2): Fraction(1),
+                                       (1, 0): Fraction(-1)})
+        rel2 = from_terms(("x", "w"), {(0, 2): Fraction(1),
+                                       (2, 0): Fraction(-1)})
         with pytest.raises(UnsupportedTower):
             ScalarContext(FIELD, ("x",),
                           extensions=(("u", rel1), ("w", rel2)))
@@ -1169,7 +1211,7 @@ class TestContextValidation:
         ctx = field_with_extension(("x", "z"), "y", relation)
         assert ctx.var("y") ** degree == ctx.var("z")
         # the context keeps the primitive part
-        assert ctx.extensions == (("y", MultiPoly.from_terms(
+        assert ctx.extensions == (("y", from_terms(
             ("x", "z", "y"), {(0, 0, degree): 1, (0, 1, 0): -1})),)
 
     def test_content_divided_out_before_the_checks(self):
@@ -1602,7 +1644,7 @@ class DenseExtension:
 
 
 def _assert_canonical_elem(elem):
-    assert elem.den.lead()[1] == 1
+    assert lead(elem.den)[1] == 1
     g = elem.den
     for n in elem.nums:
         g = poly_gcd(g, n)
