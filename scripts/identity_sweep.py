@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """Sweep random polynomial metrics and verify the curvature identity battery.
 
-For each trial: draw an invertible metric with degree <= 2 entries, build its
-Levi-Civita connection two ways (coordinate formula vs Koszul), then check
+For each trial: draw an invertible metric with degree <= 2 entries and build
+one ``Geometry`` of it, so each stage (inverse, Levi-Civita, Riemann, Ricci,
+Einstein) runs once.  Check the connection against the Koszul formula, then
 torsion, metric compatibility, curvature antisymmetry, the first Bianchi
-identity and Ricci symmetry.  Prints one line per trial with timings.
+identity, Ricci symmetry and, in dimension two, the vanishing Einstein
+tensor.  Prints one line per trial with timings.
 
 Usage:
     python scripts/identity_sweep.py [--trials N] [--dim 2|3] [--seed S]
@@ -23,23 +25,19 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "tests"))
 
 from afd.curvature import (  # noqa: E402
+    Geometry,
     covariant_derivative,
-    curvature_tensor,
-    einstein_tensor,
     koszul_rhs,
-    levi_civita,
-    ricci,
     torsion,
 )
-from afd.tensors import metric_inverse  # noqa: E402
 from helpers import poly_ring, random_invertible_metric  # noqa: E402
 
 
 def run_trial(rng, n):
     names = [f"x{i}" for i in range(1, n + 1)]
     A = poly_ring(*names)
-    metric = metric_inverse(A, random_invertible_metric(rng, A))
-    connection = levi_civita(A, metric)
+    geometry = Geometry(A, random_invertible_metric(rng, A))
+    metric, connection = geometry.metric, geometry.connection
     basis = [A.basis_derivation(i) for i in range(1, n + 1)]
 
     for u in basis:
@@ -52,7 +50,7 @@ def run_trial(rng, n):
         assert covariant_derivative(connection, u, metric.g).is_zero, \
             "metric not parallel"
 
-    R = curvature_tensor(connection)
+    R = geometry.riemann
     for l in range(1, n + 1):
         for i in range(1, n + 1):
             for j in range(1, n + 1):
@@ -60,12 +58,12 @@ def run_trial(rng, n):
                     assert R.get((l, i, j, k)) == -R.get((l, j, i, k))
                     assert (R.get((l, i, j, k)) + R.get((l, j, k, i))
                             + R.get((l, k, i, j))).is_zero
-    ric = ricci(A, R)
+    ric = geometry.ricci
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             assert ric.get((i, j)) == ric.get((j, i))
     if n == 2:
-        assert einstein_tensor(A, metric).is_zero
+        assert geometry.einstein.is_zero
     return len(R.comp)
 
 

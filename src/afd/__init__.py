@@ -25,13 +25,9 @@ from .tensors import (
 )
 from .curvature import (
     Connection,
-    CurvatureReport,
     Geometry,
     covariant_derivative,
-    curvature_report,
     curvature_tensor,
-    efe_residual,
-    einstein_tensor,
     koszul_rhs,
     levi_civita,
     ricci,
@@ -70,13 +66,9 @@ __all__ = [
     "musical_flat",
     "musical_sharp",
     "Connection",
-    "CurvatureReport",
     "Geometry",
     "covariant_derivative",
-    "curvature_report",
     "curvature_tensor",
-    "efe_residual",
-    "einstein_tensor",
     "koszul_rhs",
     "levi_civita",
     "ricci",

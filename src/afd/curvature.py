@@ -22,14 +22,13 @@ E are one and no factor is multiplied in.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
 from .algebraifold import Derivation, require_elements
 from .errors import DescriptorMismatch, NonConstantCoupling
 from .scalars import SharedDenominator, _sum_products, dot
-from .tensors import Tensor, accumulate, derive_tensor
+from .tensors import Tensor, accumulate, derive_tensor, metric_inverse
 
 
 class Connection:
@@ -263,18 +262,25 @@ def ricci_scalar(algebraifold, metric, ric):
 
 
 class Geometry:
-    """The Levi-Civita geometry of one metric, each stage built once.
+    """The Levi-Civita geometry of one metric tensor, each stage built once:
+    the one curvature pipeline.
 
-    The stages ``connection`` -> ``riemann`` -> ``ricci`` -> ``scalar`` ->
-    ``einstein`` are computed on first access and then kept; a stage that
-    raises keeps nothing, so the next access raises again.  Stages call the
-    module-level stage functions, so replacing one of those (to count or
-    time it) covers every caller.
+    ``g`` is the symmetric rank-(0, 2) metric tensor.  The stages ``metric``
+    (g with its inverse) -> ``connection`` -> ``riemann`` -> ``ricci`` ->
+    ``scalar`` -> ``einstein`` are computed on first access and then kept;
+    a stage that raises keeps nothing, so the next access raises again.
+    ``efe_residual`` reads ``einstein``.  Stages call the module-level stage
+    functions, so replacing one of those (to count or time it) covers every
+    caller.
     """
 
-    def __init__(self, algebraifold, metric):
+    def __init__(self, algebraifold, g):
         self.algebraifold = algebraifold
-        self.metric = metric
+        self.g = g
+
+    @cached_property
+    def metric(self):
+        return metric_inverse(self.algebraifold, self.g)
 
     @cached_property
     def connection(self):
@@ -295,12 +301,15 @@ class Geometry:
     @cached_property
     def einstein(self):
         half = self.algebraifold.scalar(Fraction(1, 2))
-        return self.ricci - self.metric.g.scale(half * self.scalar)
+        return self.ricci - self.g.scale(half * self.scalar)
 
     def efe_residual(self, lam, kappa, stress_energy=None):
-        """Residual of Ric - (1/2) S g + Lambda g - kappa T.
+        """Residual of Ric - (1/2) S g + Lambda g - kappa T, which vanishes
+        exactly when the metric and stress-energy satisfy the field
+        equations.
 
-        The couplings are checked before any curvature stage runs.
+        Both couplings must lie in the constants; they are checked before
+        any stage runs.
         """
         A = self.algebraifold
         lam = A.scalar(lam)
@@ -310,40 +319,9 @@ class Geometry:
                 raise NonConstantCoupling(f"{name} is not a constant")
         if kappa.is_zero:
             raise NonConstantCoupling("kappa must be nonzero")
-        residual = self.einstein + self.metric.g.scale(lam)
+        residual = self.einstein + self.g.scale(lam)
         if stress_energy is not None:
             if stress_energy.rank != (0, 2):
                 raise DescriptorMismatch("stress-energy must be rank (0, 2)")
             residual = residual - stress_energy.scale(kappa)
         return residual
-
-
-def einstein_tensor(algebraifold, metric):
-    """Ric - (1/2) S g for the Levi-Civita connection of the metric."""
-    return Geometry(algebraifold, metric).einstein
-
-
-def efe_residual(algebraifold, metric, lam, kappa, stress_energy=None):
-    """Residual of Ric - (1/2) S g + Lambda g - kappa T.
-
-    Both couplings must lie in the constants; the residual vanishes exactly
-    when the metric and stress-energy satisfy the field equations.
-    """
-    return Geometry(algebraifold, metric).efe_residual(lam, kappa,
-                                                       stress_energy)
-
-
-@dataclass(frozen=True)
-class CurvatureReport:
-    """Riemann, Ricci, scalar curvature and Einstein tensor of one metric."""
-
-    riemann: Tensor
-    ricci: Tensor
-    scalar: object
-    einstein: Tensor
-
-
-def curvature_report(algebraifold, metric):
-    geometry = Geometry(algebraifold, metric)
-    return CurvatureReport(geometry.riemann, geometry.ricci, geometry.scalar,
-                           geometry.einstein)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import __version__
 from .curvature import Geometry, levi_civita  # noqa: F401  callers import it here
@@ -16,7 +17,7 @@ from .errors import AfdError, ManifestValidationError
 from .expr import Renderer
 from .manifest import COMMANDS, NEEDS_METRIC, OPTIONAL, OPTIONS, CheckSpec
 from .maps import geodesic_residual
-from .tensors import lie_derivative, metric_inverse
+from .tensors import lie_derivative
 
 
 @dataclass
@@ -118,7 +119,6 @@ class _Runtime:
 
     def __init__(self, manifest):
         self.manifest = manifest
-        self._geometry = None
         self._homs = {}
         self.render = Renderer()
 
@@ -126,11 +126,9 @@ class _Runtime:
     def algebraifold(self):
         return self.manifest.algebraifold
 
+    @cached_property
     def geometry(self):
-        if self._geometry is None:
-            metric = metric_inverse(self.algebraifold, self.manifest.metric)
-            self._geometry = Geometry(self.algebraifold, metric)
-        return self._geometry
+        return Geometry(self.algebraifold, self.manifest.metric)
 
     def hom(self, curve_name):
         if curve_name not in self._homs:
@@ -167,11 +165,11 @@ def _run_check(runtime, spec):
 
     elif spec.command == "christoffel":
         result["christoffel"] = tensor_payload(
-            runtime.geometry().connection.gamma, render)
+            runtime.geometry.connection.gamma, render)
         result["status"] = "info"
 
     elif spec.command == "curvature":
-        geometry = runtime.geometry()
+        geometry = runtime.geometry
         result["riemann"] = tensor_payload(geometry.riemann, render)
         result["ricci"] = tensor_payload(geometry.ricci, render)
         result["ricci_scalar"] = render(geometry.scalar)
@@ -179,7 +177,7 @@ def _run_check(runtime, spec):
         result["status"] = "info"
 
     elif spec.command == "efe":
-        residual = runtime.geometry().efe_residual(
+        residual = runtime.geometry.efe_residual(
             manifest.lam, manifest.kappa, manifest.stress_energy)
         result["lambda"] = render(manifest.lam)
         result["kappa"] = render(manifest.kappa)
@@ -191,15 +189,16 @@ def _run_check(runtime, spec):
         curve = args["curve"]
         hom = runtime.hom(curve)
         residual = geodesic_residual(manifest.line, hom,
-                                     runtime.geometry().connection)
+                                     runtime.geometry.connection)
         result["curve"] = curve
         result["residual"] = [render(c) for c in residual.coeffs]
         result["status"] = _expect_status(args.get("expect"),
                                           residual.is_zero)
 
     elif spec.command == "lie":
+        # through the inverse, so a degenerate metric errors here as well
         derivative = lie_derivative(A, args["vector"],
-                                    runtime.geometry().metric.g)
+                                    runtime.geometry.metric.g)
         result["vector"] = list(options["vector"])
         result["metric_derivative"] = tensor_payload(derivative, render)
         result["status"] = _expect_status(args.get("expect"),

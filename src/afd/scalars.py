@@ -623,12 +623,7 @@ def _univar_coeffs(poly, idx):
 def _content_pp(poly, idx):
     """Content and primitive part with respect to variable ``idx``."""
     coeffs = list(_univar_coeffs(poly, idx).values())
-    content = coeffs[0]
-    for c in coeffs[1:]:
-        if content.is_const:
-            break
-        content = poly_gcd(content, c)
-    content = content.monic()
+    content = _content_gcd(coeffs[0], coeffs[1:]).monic()
     if content.is_const:
         return MultiPoly.const(poly.vars, 1), poly
     return content, poly.exact_div(content)

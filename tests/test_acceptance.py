@@ -15,13 +15,10 @@ import pytest
 from afd import ScalarContext, field_with_extension, parse_scalar, render_scalar
 from afd.algebraifold import Algebraifold
 from afd.curvature import (
+    Geometry,
     covariant_derivative,
-    curvature_tensor,
-    efe_residual,
-    einstein_tensor,
     koszul_rhs,
     levi_civita,
-    ricci,
     torsion,
 )
 from afd.manifest import load_manifest
@@ -48,13 +45,14 @@ def _pass(num, label, started, budget):
 
 @pytest.fixture(scope="module")
 def metric_pool():
-    """25 randomized invertible polynomial metrics, degree <= 2 entries."""
+    """The geometries of 25 randomized invertible polynomial metrics,
+    degree <= 2 entries; each stage is built once and shared by the
+    criteria that read it."""
     rng = random.Random(2024)
     pool = []
     for trial in range(25):
         A = poly_ring("x", "y") if trial % 2 == 0 else poly_ring("x", "y", "z")
-        metric = metric_inverse(A, random_invertible_metric(rng, A))
-        pool.append((A, metric, levi_civita(A, metric)))
+        pool.append((A, Geometry(A, random_invertible_metric(rng, A))))
     return pool
 
 
@@ -96,7 +94,8 @@ def test_criterion_03_dimension_values():
 
 def test_criterion_04_levi_civita_dual_construction(metric_pool):
     started = time.monotonic()
-    for A, metric, connection in metric_pool:
+    for A, geometry in metric_pool:
+        metric, connection = geometry.metric, geometry.connection
         basis = [A.basis_derivation(i) for i in range(1, A.n + 1)]
         for u in basis:
             for v in basis:
@@ -112,9 +111,9 @@ def test_criterion_04_levi_civita_dual_construction(metric_pool):
 
 def test_criterion_05_curvature_identities(metric_pool):
     started = time.monotonic()
-    for A, metric, connection in metric_pool:
+    for A, geometry in metric_pool:
         n = A.n
-        R = curvature_tensor(connection)
+        R = geometry.riemann
         for l in range(1, n + 1):
             for i in range(1, n + 1):
                 for j in range(1, n + 1):
@@ -123,12 +122,12 @@ def test_criterion_05_curvature_identities(metric_pool):
                         first_bianchi = R.get((l, i, j, k)) \
                             + R.get((l, j, k, i)) + R.get((l, k, i, j))
                         assert first_bianchi.is_zero
-        ric = ricci(A, R)
+        ric = geometry.ricci
         for i in range(1, n + 1):
             for j in range(1, n + 1):
                 assert ric.get((i, j)) == ric.get((j, i))
         if n == 2:
-            assert einstein_tensor(A, metric).is_zero
+            assert geometry.einstein.is_zero
     _pass(5, "curvature identities", started, 60.0)
 
 
@@ -136,15 +135,15 @@ def test_criterion_06_friedmann_einstein_algebra():
     started = time.monotonic()
     A = Algebraifold.build(ScalarContext(FIELD, ("s", "x", "y", "z")))
     s = A.ctx.var("s")
-    metric = metric_inverse(A, Tensor.make(A, 0, 2, {
+    geometry = Geometry(A, Tensor.make(A, 0, 2, {
         (1, 1): 9 * s**4,
         (2, 2): -(s**4), (3, 3): -(s**4), (4, 4): -(s**4)}))
-    G = einstein_tensor(A, metric)
+    G = geometry.einstein
     # all spatial and mixed components vanish; only G_ss survives
     assert set(G.comp) == {(1, 1)}
     assert G.get((1, 1)) == A.scalar(12) / s**2
     dust = Tensor.make(A, 0, 2, {(1, 1): A.scalar(12) / s**2})
-    residual = efe_residual(A, metric, A.zero(), A.one(), dust)
+    residual = geometry.efe_residual(A.zero(), A.one(), dust)
     assert residual.is_zero
     _pass(6, "Friedmann Einstein algebra", started, 30.0)
 

@@ -12,10 +12,7 @@ from afd.curvature import (
     Connection,
     Geometry,
     covariant_derivative,
-    curvature_report,
     curvature_tensor,
-    efe_residual,
-    einstein_tensor,
     koszul_rhs,
     levi_civita,
     ricci,
@@ -262,52 +259,50 @@ class TestRicciAndScalar:
         assert ricci(P2, Tensor.zero(P2, 1, 3)).is_zero
 
     def test_worked_metric_is_proportional_to_g(self):
-        report = curvature_report(P2, POLY_METRIC)
-        assert report.ricci == POLY_METRIC.g.scale(P2.scalar(-1))
-        assert report.scalar == P2.ctx.const(-2)
+        geometry = Geometry(P2, POLY_METRIC.g)
+        assert geometry.ricci == POLY_METRIC.g.scale(P2.scalar(-1))
+        assert geometry.scalar == P2.ctx.const(-2)
 
     def test_ricci_symmetry_randomized(self):
         rng = random.Random(13)
         for _ in range(3):
             g = random_invertible_metric(rng, P2)
-            report = curvature_report(P2, metric_inverse(P2, g))
+            ric = Geometry(P2, g).ricci
             for i in (1, 2):
                 for j in (1, 2):
-                    assert report.ricci.get((i, j)) == report.ricci.get((j, i))
+                    assert ric.get((i, j)) == ric.get((j, i))
 
     def test_flat_scalar(self):
-        identity = metric_inverse(P2, Tensor.make(P2, 0, 2,
-                                                  {(1, 1): 1, (2, 2): 1}))
-        report = curvature_report(P2, identity)
-        assert report.scalar.is_zero
+        identity = Tensor.make(P2, 0, 2, {(1, 1): 1, (2, 2): 1})
+        geometry = Geometry(P2, identity)
+        assert geometry.scalar.is_zero
 
 
 class TestEinsteinAndEfe:
     def test_two_dimensional_vanishing(self):
-        assert einstein_tensor(P2, POLY_METRIC).is_zero
+        assert Geometry(P2, POLY_METRIC.g).einstein.is_zero
 
     def test_minkowski(self):
         A = poly_ring("t", "x", "y", "z")
         g = Tensor.make(A, 0, 2, {(1, 1): 1, (2, 2): -1, (3, 3): -1,
                                   (4, 4): -1})
-        m = metric_inverse(A, g)
-        assert einstein_tensor(A, m).is_zero
-        assert efe_residual(A, m, A.zero(), A.one()).is_zero
+        geometry = Geometry(A, g)
+        assert geometry.einstein.is_zero
+        assert geometry.efe_residual(A.zero(), A.one()).is_zero
 
     def test_cosmological_term_shifts_residual(self):
         A = poly_ring("t", "x", "y", "z")
         g = Tensor.make(A, 0, 2, {(1, 1): 1, (2, 2): -1, (3, 3): -1,
                                   (4, 4): -1})
-        m = metric_inverse(A, g)
-        residual = efe_residual(A, m, A.one(), A.one())
-        assert residual == m.g
+        residual = Geometry(A, g).efe_residual(A.one(), A.one())
+        assert residual == g
 
     def test_non_constant_coupling_rejected(self):
-        residual_args = (P2, POLY_METRIC)
+        geometry = Geometry(P2, POLY_METRIC.g)
         with pytest.raises(NonConstantCoupling):
-            efe_residual(*residual_args, X, P2.one())
+            geometry.efe_residual(X, P2.one())
         with pytest.raises(NonConstantCoupling):
-            efe_residual(*residual_args, P2.zero(), P2.zero())
+            geometry.efe_residual(P2.zero(), P2.zero())
 
 
 class TestFriedmann:
@@ -352,26 +347,26 @@ class TestFriedmann:
         assert nonzero == expected
 
     def test_ricci_structure(self):
-        report = curvature_report(self.A, self.metric)
+        geometry = Geometry(self.A, self.metric.g)
         s = self.s
-        assert report.ricci.get((1, 1)) == self.A.scalar(6) / s**2
+        assert geometry.ricci.get((1, 1)) == self.A.scalar(6) / s**2
         for spatial in (2, 3, 4):
-            assert report.ricci.get((spatial, spatial)) \
+            assert geometry.ricci.get((spatial, spatial)) \
                 == self.A.scalar(Fraction(2, 3)) / s**2
-        offdiag = [idx for idx, _ in report.ricci.sorted_components()
+        offdiag = [idx for idx, _ in geometry.ricci.sorted_components()
                    if idx[0] != idx[1]]
         assert offdiag == []
-        assert report.scalar == self.A.scalar(Fraction(-4, 3)) / s**6
+        assert geometry.scalar == self.A.scalar(Fraction(-4, 3)) / s**6
 
     def test_einstein_tensor_is_pure_dust(self):
-        G = einstein_tensor(self.A, self.metric)
+        G = Geometry(self.A, self.metric.g).einstein
         assert G.comp == {(1, 1): self.A.scalar(12) / self.s**2}
 
     def test_efe_residual_vanishes_for_dust(self):
         T = Tensor.make(self.A, 0, 2,
                         {(1, 1): self.A.scalar(12) / self.s**2})
-        residual = efe_residual(self.A, self.metric, self.A.zero(),
-                                self.A.one(), T)
+        residual = Geometry(self.A, self.metric.g).efe_residual(
+            self.A.zero(), self.A.one(), T)
         assert residual.is_zero
 
 
@@ -403,14 +398,14 @@ class TestFriedmannCuspidalPresentation:
         assert self.a.partial("t") == (2 * self.a) / (3 * self.t)
 
     def test_einstein_tensor_is_pure_dust(self):
-        G = einstein_tensor(self.A, self.metric)
+        G = Geometry(self.A, self.metric.g).einstein
         assert G.comp == {(1, 1): self.A.scalar(4) / (3 * self.t**2)}
 
     def test_efe_residual_vanishes_for_dust(self):
         dust = Tensor.make(self.A, 0, 2,
                            {(1, 1): self.A.scalar(4) / (3 * self.t**2)})
-        assert efe_residual(self.A, self.metric, self.A.zero(), self.A.one(),
-                            dust).is_zero
+        assert Geometry(self.A, self.metric.g).efe_residual(
+            self.A.zero(), self.A.one(), dust).is_zero
 
     def test_matches_rational_presentation_through_the_isomorphism(self):
         # substituting t -> s^3, a -> s^2 into G_tt and applying the
@@ -419,9 +414,38 @@ class TestFriedmannCuspidalPresentation:
         s = S4.ctx.var("s")
         images = {"t": s**3, "x": S4.ctx.var("x"), "y": S4.ctx.var("y"),
                   "z": S4.ctx.var("z"), "a": s**2}
-        G_tt = einstein_tensor(self.A, self.metric).get((1, 1))
+        G_tt = Geometry(self.A, self.metric.g).einstein.get((1, 1))
         moved = substitute(G_tt, images)
         assert 9 * s**4 * moved == S4.scalar(12) / s**2
+
+
+class TestSweepStages:
+    """A 2D identity-sweep trial builds each stage once, from one Geometry."""
+
+    def test_each_stage_built_once(self, repo_root, monkeypatch):
+        import importlib.util
+
+        import afd
+        from afd import curvature
+
+        spec = importlib.util.spec_from_file_location(
+            "identity_sweep", repo_root / "scripts" / "identity_sweep.py")
+        sweep = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sweep)
+        counts = dict.fromkeys(
+            ("metric_inverse", "levi_civita", "curvature_tensor"), 0)
+        for name in counts:
+            original = getattr(afd, name)
+
+            def counted(*args, name=name, original=original):
+                counts[name] += 1
+                return original(*args)
+            # count the stage wherever the sweep or the pipeline looks it up
+            for module in (curvature, sweep):
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counted)
+        sweep.run_trial(random.Random(0), 2)
+        assert counts == dict.fromkeys(counts, 1)
 
 
 class TestCurvatureIdentities:
@@ -435,9 +459,9 @@ class TestCurvatureIdentities:
         y, z = ctx.var("y"), ctx.var("z")
         g = Tensor.make(E2, 0, 2, {(1, 1): y, (1, 2): E2.one(),
                                    (2, 1): E2.one(), (2, 2): z})
-        report = curvature_report(E2, metric_inverse(E2, g))
-        assert not report.scalar.is_zero
-        assert report.einstein.is_zero
+        geometry = Geometry(E2, g)
+        assert not geometry.scalar.is_zero
+        assert geometry.einstein.is_zero
 
     def test_randomized_metrics(self):
         rng = random.Random(17)
@@ -627,8 +651,8 @@ class TestContractedBianchi:
     terms of Riemann that the first Bianchi identity cannot."""
 
     @staticmethod
-    def assert_divergence_free(A, metric):
-        geometry = Geometry(A, metric)
+    def assert_divergence_free(A, g):
+        geometry = Geometry(A, g)
         assert all(v.is_zero for v in einstein_divergence(geometry))
         return geometry
 
@@ -637,8 +661,7 @@ class TestContractedBianchi:
 
         manifest = load_manifest(repo_root / "perfbench" / "ks_extension.json")
         A = manifest.algebraifold
-        geometry = self.assert_divergence_free(
-            A, metric_inverse(A, manifest.metric))
+        geometry = self.assert_divergence_free(A, manifest.metric)
         assert not geometry.einstein.is_zero
         # the derivatives of Gamma carry the generator's denominator E != 1
         frame = SharedDenominator(A.ctx, geometry.connection.gamma.comp.values())
@@ -653,8 +676,7 @@ class TestContractedBianchi:
             if manifest.metric is None:
                 continue
             A = manifest.algebraifold
-            geometry = self.assert_divergence_free(
-                A, metric_inverse(A, manifest.metric))
+            geometry = self.assert_divergence_free(A, manifest.metric)
             if not geometry.einstein.is_zero:
                 nonzero.append(path.name)
         assert "friedmann.json" in nonzero
@@ -665,8 +687,8 @@ class TestContractedBianchi:
         rng = random.Random(1905)
         for _ in range(trials):
             A = function_field(*names)
-            geometry = self.assert_divergence_free(A, metric_inverse(
-                A, random_invertible_metric(rng, A, random_field_scalar)))
+            geometry = self.assert_divergence_free(
+                A, random_invertible_metric(rng, A, random_field_scalar))
             assert geometry.einstein.is_zero == (len(names) == 2)
 
 

@@ -422,13 +422,15 @@ GEOMETRY_CHECKS = [
 
 
 class TestSharedGeometry:
-    """One run builds the connection and the curvature once for all checks."""
+    """One run builds the metric inverse, the connection and the curvature
+    once for all checks."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
         from afd import curvature
 
-        counts = {"levi_civita": 0, "curvature_tensor": 0}
+        counts = {"metric_inverse": 0, "levi_civita": 0,
+                  "curvature_tensor": 0}
 
         def counting(name):
             original = getattr(curvature, name)
@@ -452,13 +454,27 @@ class TestSharedGeometry:
         results = self.run([["1", "x"], ["x", "1 + x^2"]])
         assert [r["status"] for r in results] == [
             "info", "info", "pass", "info", "info"]
-        assert calls == {"levi_civita": 1, "curvature_tensor": 1}
+        assert calls == {"metric_inverse": 1, "levi_civita": 1,
+                         "curvature_tensor": 1}
 
     def test_degenerate_metric_errors_every_dependent_check(self, calls):
         results = self.run([["1", "1"], ["1", "1"]])
         assert [(r["status"], r["code"]) for r in results] == [
             ("error", "degenerate-metric")] * len(GEOMETRY_CHECKS)
-        assert calls == {"levi_civita": 0, "curvature_tensor": 0}
+        # a raising stage keeps nothing: each dependent check inverts again
+        assert calls == {"metric_inverse": len(GEOMETRY_CHECKS),
+                         "levi_civita": 0, "curvature_tensor": 0}
+
+    def test_lie_check_errors_on_a_degenerate_metric(self, calls):
+        # the Lie derivative needs no connection, but it reads the metric
+        # through the inverse stage
+        raw = manifest_with(metric=[["1", "1"], ["1", "1"]], checks=[
+            {"name": "killing", "command": "lie", "vector": ["0", "1"]}])
+        (result,) = run_command(build_manifest(raw), "check").results
+        assert (result["status"], result["code"]) == (
+            "error", "degenerate-metric")
+        assert calls == {"metric_inverse": 1, "levi_civita": 0,
+                         "curvature_tensor": 0}
 
     def test_failing_stage_is_not_cached(self, monkeypatch, calls):
         from afd import curvature
@@ -472,7 +488,8 @@ class TestSharedGeometry:
         results = self.run([["1", "x"], ["x", "1 + x^2"]])
         assert [(r["status"], r["code"]) for r in results] == [
             ("error", "division-by-zero")] * len(GEOMETRY_CHECKS)
-        assert calls == {"levi_civita": len(GEOMETRY_CHECKS),
+        assert calls == {"metric_inverse": 1,
+                         "levi_civita": len(GEOMETRY_CHECKS),
                          "curvature_tensor": 0}
 
     def test_efe_checks_couplings_before_curvature(self, calls):
@@ -480,7 +497,8 @@ class TestSharedGeometry:
                              **{"lambda": "x"})
         assert (result["status"], result["code"]) == (
             "error", "non-constant-coupling")
-        assert calls == {"levi_civita": 0, "curvature_tensor": 0}
+        assert calls == {"metric_inverse": 0, "levi_civita": 0,
+                         "curvature_tensor": 0}
 
 
 class TestEmitReport:
