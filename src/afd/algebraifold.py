@@ -52,7 +52,8 @@ class Algebraifold:
         return len(self.coords)
 
     def __eq__(self, other):
-        return isinstance(other, Algebraifold) and self.ctx == other.ctx
+        return self is other or (isinstance(other, Algebraifold)
+                                 and self.ctx == other.ctx)
 
     def __hash__(self):
         return hash(self.ctx)
@@ -176,7 +177,10 @@ def require_elements(algebraifold, kind, *elements):
         if not isinstance(e, kind):
             raise DescriptorMismatch(
                 f"expected a {kind.__name__}, got {type(e).__name__}")
-        if e.algebraifold != algebraifold:
+        # identity first: this runs on every module operation, and != is a
+        # Python call to __eq__
+        if (e.algebraifold is not algebraifold
+                and e.algebraifold != algebraifold):
             raise DescriptorMismatch(
                 "element belongs to a different algebraifold or map")
 

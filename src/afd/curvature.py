@@ -52,16 +52,21 @@ class Connection:
         sums each entry.
 
         Along a homomorphism ``hom``, ``u`` holds target scalars and each
-        Gamma is first mapped by ``hom.apply``.
+        Gamma is first mapped by ``hom.apply``, once per distinct value
+        (Gamma^k_{ij} and Gamma^k_{ji} of a symmetric connection are one).
         """
         n = self.algebraifold.n
         zero = (self.algebraifold if hom is None else hom.target).zero()
         pairs = [[[] for _ in range(n)] for _ in range(n)]
+        images = {}
         for (k, i, j), gamma in self.gamma.comp.items():
             c = u.coeffs[i - 1]
             if not c.is_zero:
                 if hom is not None:
-                    gamma = hom.apply(gamma)
+                    image = images.get(gamma)
+                    if image is None:
+                        image = images[gamma] = hom.apply(gamma)
+                    gamma = image
                 pairs[k - 1][j - 1].append((c, gamma))
         return [[dot(entry, zero) for entry in row] for row in pairs]
 

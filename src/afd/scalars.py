@@ -77,14 +77,19 @@ A ``ScalarContext`` declares base parameter constants (adjoined to the
 coefficient field), the ordered transcendental variables, and at most one
 algebraic extension.  ``Scalar`` wraps a payload together with its context
 and provides field/ring arithmetic and partial derivatives (with implicit
-differentiation of the extension generator).
+differentiation of the extension generator).  A Scalar equal to zero holds
+the module constant ``ZERO`` itself, never another rational 0, so every
+zero test is one identity comparison; each context builds its zero and one
+Scalars once and shares them.
 
 Scalar arithmetic has one path: coerce the operand, lift the lower payload
 to the level of the other, run the payload operation, demote the result.
 A zero summand of ``+`` or ``-`` and a factor 1 or -1 of ``*`` return the
 other operand (negated where the sign asks) right after coercion, before
-any lift.  Any other rational factor of ``*`` scales the other payload at
-its own level, and ``a / b`` is ``a`` times the payload inverse of ``b``.
+any lift, and a zero factor returns the context's zero.  Any other
+rational factor of ``*`` scales the other payload at its own level, and
+``a / b`` is ``a`` times the payload inverse of ``b``.  A context check
+tests identity before equality.
 
 Everything here is immutable after construction and all operations are pure.
 """
@@ -1494,11 +1499,13 @@ class ScalarContext:
     ``extension`` is the :class:`Extension` of that pair, or None.  A
     relation is divided by its content in the generator, a unit of the base
     field, before it is checked for separability and irreducibility, and
-    its primitive part is kept.
+    its primitive part is kept.  ``zero()`` and ``one()`` return the same
+    two immutable Scalars on every call, built with the context.
     """
 
     __slots__ = ("kind", "constants", "transcendentals", "extensions",
-                 "extension", "all_vars", "irreducibility_verified")
+                 "extension", "all_vars", "irreducibility_verified",
+                 "_zero", "_one")
 
     def __init__(self, kind, transcendentals, constants=(), extensions=()):
         if kind not in (POLYNOMIAL, FIELD):
@@ -1540,6 +1547,8 @@ class ScalarContext:
         self.extensions = tuple(checked)
         self.extension = (Extension(*checked[0], self.all_vars)
                           if checked else None)
+        self._zero = Scalar(self, ZERO)
+        self._one = Scalar(self, ONE)
 
     # -- identity
 
@@ -1570,13 +1579,14 @@ class ScalarContext:
     # -- element constructors
 
     def const(self, value):
-        return Scalar(self, _rational(value))
+        value = _rational(value)
+        return Scalar(self, value) if value else self._zero
 
     def zero(self):
-        return Scalar(self, ZERO)
+        return self._zero
 
     def one(self):
-        return Scalar(self, ONE)
+        return self._one
 
     def var(self, name):
         if name in self.all_vars:
@@ -1612,14 +1622,18 @@ class Scalar:
     """An exact element of a coordinate algebra.
 
     Stored at the lowest tower level that can represent it; all arithmetic is
-    exact and returns canonical values.
+    exact and returns canonical values.  Zero is stored as ``ZERO`` itself:
+    ``ScalarContext.const``, ``_demote``, ``-`` and ``*`` return no other
+    rational 0.
     """
 
     __slots__ = ("ctx", "val")
 
     def __init__(self, ctx, val):
         self.ctx = ctx
-        self.val = val  # trusted canonical; use Scalar.make otherwise
+        # trusted canonical, a rational zero being ZERO itself; use
+        # Scalar.make otherwise
+        self.val = val
 
     @classmethod
     def make(cls, ctx, payload):
@@ -1629,16 +1643,15 @@ class Scalar:
 
     @property
     def is_zero(self):
-        # zero is always stored as the rational 0 (see ``_demote``)
-        v = self.val
-        return type(v) is Fraction and not v
+        """One identity comparison: zero is stored as ``ZERO`` itself."""
+        return self.val is ZERO
 
     @property
     def is_constant_rational(self):
         return isinstance(self.val, Fraction)
 
     def __bool__(self):
-        return not self.is_zero
+        return self.val is not ZERO
 
     def __eq__(self, other):
         if not isinstance(other, Scalar):
@@ -1663,7 +1676,9 @@ class Scalar:
     def _coerce(self, other):
         """Coerce to a same-context Scalar; None signals NotImplemented."""
         if isinstance(other, Scalar):
-            if other.ctx != self.ctx:
+            # identity first: this runs on every operation, and != is a
+            # Python call to __eq__
+            if other.ctx is not self.ctx and other.ctx != self.ctx:
                 raise ContextMismatch(
                     f"operands live in different contexts: {self.ctx!r}"
                     f" vs {other.ctx!r}")
@@ -1678,11 +1693,11 @@ class Scalar:
         if other is None:
             return NotImplemented
         a, b = self.val, other.val
-        # zero is always stored as the rational 0; ``*`` reaches here with
-        # no rational operand, so these only cut short ``+`` and ``-``
-        if type(b) is Fraction and not b:
+        # ``*`` reaches here with no rational operand, so these only cut
+        # short ``+`` and ``-``
+        if b is ZERO:
             return self
-        if type(a) is Fraction and not a:
+        if a is ZERO:
             return other if op is add else -other
         la, lb = _LEVEL[type(a)], _LEVEL[type(b)]
         if la < lb:
@@ -1697,7 +1712,8 @@ class Scalar:
     __radd__ = __add__
 
     def __neg__(self):
-        return Scalar(self.ctx, -self.val)
+        v = self.val
+        return self if v is ZERO else Scalar(self.ctx, -v)
 
     def __sub__(self, other):
         return self._arith(other, sub)
@@ -1716,7 +1732,7 @@ class Scalar:
             return self._arith(other, mul)
         # a rational factor scales the other payload at its own level; a
         # nonzero one keeps it canonical
-        if not b:
+        if a is ZERO or b is ZERO:
             return self.ctx.zero()
         if b == 1:
             return Scalar(self.ctx, a)
@@ -1775,8 +1791,9 @@ class Scalar:
 
 def dot(pairs, start):
     """``start + sum a * b`` over the ``(a, b)`` pairs of Scalars; a pair
-    with a zero factor builds no product.  The one sum of products of the
-    geometry layers; ``start`` is their zero, or a first summand.
+    with a zero factor (``val is ZERO``) builds no product.  The one sum of
+    products of the geometry layers; ``start`` is their zero, or a first
+    summand.
 
     Two or more products of polynomials of ``start``'s context, with
     ``start`` once it is a polynomial too, go into one ``_sum_products``
@@ -1787,8 +1804,7 @@ def dot(pairs, start):
         x, y = a.val, b.val
         if type(x) is MultiPoly is type(y) and a.ctx is ctx is b.ctx:
             polys.append(((x,), (y,), 1))
-        elif not (type(x) is Fraction and not x
-                  or type(y) is Fraction and not y):
+        elif x is not ZERO and y is not ZERO:
             total = total + a * b
     if len(polys) == 1:  # a product of non-constant polynomials
         (x,), (y,), _ = polys[0]
@@ -1802,6 +1818,8 @@ def dot(pairs, start):
 
 
 def _demote(payload):
+    if type(payload) is Fraction:
+        return payload if payload else ZERO
     if type(payload) is ExtElem:
         if any(n.nums for n in payload.nums[1:]):
             return payload

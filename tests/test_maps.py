@@ -348,3 +348,37 @@ class TestGeodesics:
         hom = AlgebraifoldHom.build(function_field("x"), target, {"x": "t^2"})
         v = hom.differential(diag.derivation)
         assert v.coeffs == (2 * target.ctx.var("t"),)
+
+
+class TestConnectionMatrixAlongHom:
+    """``Connection.matrix(u, hom)`` maps each distinct Christoffel value
+    once: the symmetric Gamma^k_{ij} = Gamma^k_{ji} of Levi-Civita share
+    one image."""
+
+    def test_ks_extension_geodesic_maps_each_value_once(
+            self, repo_root, monkeypatch):
+        from afd.manifest import load_manifest
+
+        manifest = load_manifest(repo_root / "perfbench" / "ks_extension.json")
+        A, line = manifest.algebraifold, manifest.line
+        C = levi_civita(A, metric_inverse(A, manifest.metric))
+        hom = manifest.curve_hom("ingoing")
+        velocity = hom.differential(line.derivation)
+        assert not any(c.is_zero for c in velocity.coeffs)
+        # the matrix of every component mapped on its own
+        expected = [[hom.target.zero()] * A.n for _ in range(A.n)]
+        for (k, i, j), gamma in C.gamma.comp.items():
+            expected[k - 1][j - 1] = (expected[k - 1][j - 1]
+                                      + velocity.coeffs[i - 1] * hom.apply(gamma))
+
+        mapped = []
+        apply = AlgebraifoldHom.apply
+        monkeypatch.setattr(AlgebraifoldHom, "apply",
+                            lambda self, a: mapped.append(a) or apply(self, a))
+        assert C.matrix(velocity, hom) == expected
+        distinct = set(C.gamma.comp.values())
+        assert len(mapped) == len(distinct) == 17 < len(C.gamma.comp) == 27
+        assert set(mapped) == distinct
+        mapped.clear()
+        assert geodesic_residual(line, hom, C).is_zero
+        assert len(mapped) == 17

@@ -35,7 +35,9 @@ from afd.scalars import (
 )
 
 from conftest import ext_scalars, field_scalars, nonzero_field_scalars, poly_scalars
-from helpers import elliptic_field, function_field
+from helpers import (
+    elliptic_field, function_field, random_ext_scalar, random_field_scalar,
+    random_fraction, random_poly_scalar)
 from scalar_views import (
     as_fraction, from_terms, lead, sorted_terms, substitute)
 
@@ -1184,6 +1186,150 @@ class TestCanonicalStorage:
         from afd.scalars import MultiPoly as MP
 
         assert isinstance(value.val, MP)
+
+
+def _assert_zero_rule(value):
+    """A Scalar equal to zero holds ``scalars.ZERO`` itself, and its zero
+    tests agree with ``val == 0``."""
+    is_zero = value.val == 0
+    assert value.is_zero is is_zero
+    assert bool(value) is not is_zero
+    if is_zero:
+        assert value.val is scalars.ZERO
+    return is_zero
+
+
+class TestCanonicalZero:
+    """Every rational zero a Scalar holds is ``scalars.ZERO`` itself, so
+    every zero test is one identity comparison.  Each case below reaches a
+    different site that makes a zero: ``ScalarContext.const``, ``_demote``
+    of a rational, polynomial, quotient or extension payload, ``__neg__``
+    and both operand orders of ``__mul__``."""
+
+    CTX = field_with_extension(("x", "z"), "y", "y^2 - x^3 - 1")
+
+    def values(self):
+        """Seeded values at the four payload levels: rational, MultiPoly,
+        RatFunc and ExtElem."""
+        rng = random.Random(2310)
+        ctx = self.CTX
+        out = []
+        for level, make in enumerate([
+                lambda: ctx.const(random_fraction(rng, zero_ok=False)),
+                lambda: random_poly_scalar(rng, ctx, zero_ok=False),
+                lambda: random_field_scalar(rng, ctx),
+                lambda: random_ext_scalar(rng, ctx)]):
+            kind = (Fraction, MultiPoly, RatFunc, ExtElem)[level]
+            found = [v for v in (make() for _ in range(12))
+                     if type(v.val) is kind]
+            assert len(found) >= 3, kind
+            out.extend(found[:4])
+        return out
+
+    def test_shared_zero_and_one(self):
+        ctx = self.CTX
+        assert ctx.zero() is ctx.zero()
+        assert ctx.one() is ctx.one()
+        assert ctx.zero().val is scalars.ZERO
+        assert ctx.one().val is scalars.ONE
+
+    def test_constants(self):
+        ctx = self.CTX
+        for value in (0, Fraction(0), Fraction(0, 5), -0):
+            assert _assert_zero_rule(ctx.const(value))
+        assert not _assert_zero_rule(ctx.const(Fraction(1, 5)))
+
+    def test_cancelling_sums(self):
+        for a in self.values():
+            assert not _assert_zero_rule(a)
+            assert _assert_zero_rule(a - a)
+            assert _assert_zero_rule(a + (-a))
+            assert _assert_zero_rule(-a + a)
+            assert _assert_zero_rule(-(a - a))
+
+    def test_zero_products(self):
+        ctx = self.CTX
+        zero, minus_one = ctx.zero(), ctx.const(-1)
+        for a in self.values() + [minus_one, ctx.one(), ctx.const(3)]:
+            assert _assert_zero_rule(zero * a)
+            assert _assert_zero_rule(a * zero)
+            assert _assert_zero_rule(0 * a)
+            assert _assert_zero_rule(a * 0)
+            assert _assert_zero_rule((a - a) * a)
+            assert _assert_zero_rule(a * (a - a))
+        # a rational zero times -1, in both operand orders
+        assert _assert_zero_rule(zero * minus_one)
+        assert _assert_zero_rule(minus_one * zero)
+        assert _assert_zero_rule(ctx.const(Fraction(0, 5)) * -1)
+        assert _assert_zero_rule(-1 * ctx.const(Fraction(0, 5)))
+
+    def test_negated_zero(self):
+        ctx = self.CTX
+        assert _assert_zero_rule(-ctx.zero())
+        assert _assert_zero_rule(-ctx.const(0))
+        assert _assert_zero_rule(-(ctx.one() - 1))
+
+    def test_made_from_zero_payloads(self):
+        ctx = self.CTX
+        assert _assert_zero_rule(Scalar.make(ctx, MultiPoly.zero(ctx.all_vars)))
+        assert _assert_zero_rule(Scalar.make(ctx, Fraction(0)))
+        assert _assert_zero_rule(Scalar.make(
+            ctx, ctx.var("x").val - ctx.var("x").val))
+
+    def test_partial_of_a_constant(self):
+        ctx = self.CTX
+        x, y = ctx.var("x"), ctx.var("y")
+        # free of z at every level: rational, MultiPoly, RatFunc, ExtElem
+        for value in (ctx.const(Fraction(3, 2)), x**2 + 1, 1 / (x + 1),
+                      y / (x + 1) + x):
+            assert _assert_zero_rule(value.partial("z"))
+            assert _assert_zero_rule(value.partial("x")) \
+                == value.is_constant_rational
+
+    def test_extension_product_that_cancels(self):
+        ctx = self.CTX
+        x, y = ctx.var("x"), ctx.var("y")
+        for a in self.values():
+            assert type((y + a).val) is ExtElem or type(a.val) is ExtElem
+            assert _assert_zero_rule((y + a) * (y - a) - (x**3 + 1 - a * a))
+            assert _assert_zero_rule(a * a.inverse() - 1)
+        # the payload product itself, made canonical by Scalar.make
+        u = (y + x).val
+        assert _assert_zero_rule(
+            Scalar.make(ctx, u * (y - x).val) - (x**3 + 1 - x * x))
+
+    def test_parsed_cancellation(self):
+        ctx = self.CTX
+        for text in ("x - x", "0", "y*y - x^3 - 1", "0/5", "2 - 2"):
+            assert _assert_zero_rule(parse_scalar(text, ctx))
+
+    def test_dot_that_cancels(self):
+        ctx = self.CTX
+        x, z = ctx.var("x"), ctx.var("z")
+        values = self.values()
+        for a, b in zip(values, values[1:]):
+            assert _assert_zero_rule(
+                scalars.dot([(a, b), (-a, b)], ctx.zero()))
+            assert _assert_zero_rule(scalars.dot([(a, b)], -(a * b)))
+        # polynomial products go through the multiply-accumulate kernel
+        assert _assert_zero_rule(
+            scalars.dot([(x, z), (-x, z), (x, x)], -(x * x)))
+        assert _assert_zero_rule(scalars.dot([(x, z), (x, -z)], ctx.zero()))
+
+    def test_tensor_sum_that_cancels(self):
+        from afd.algebraifold import Algebraifold
+        from afd.tensors import Tensor
+
+        A = Algebraifold.build(self.CTX)
+        values = self.values()
+        T = Tensor.make(A, 1, 1, {(1, 1): values[0], (1, 2): values[5],
+                                  (2, 1): values[10], (2, 2): values[15]})
+        for total in (T - T, T + (-T), -T + T):
+            assert total.is_zero
+            assert all(_assert_zero_rule(total.get(idx))
+                       for idx in ((1, 1), (1, 2), (2, 1), (2, 2)))
+        half = Tensor.make(A, 1, 1, {(1, 1): values[0], (2, 2): values[15]})
+        assert sorted((T - half).comp) == [(1, 2), (2, 1)]
 
 
 class TestContextValidation:
