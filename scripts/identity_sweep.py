@@ -36,7 +36,7 @@ from helpers import poly_ring, random_invertible_metric  # noqa: E402
 def run_trial(rng, n):
     names = [f"x{i}" for i in range(1, n + 1)]
     A = poly_ring(*names)
-    geometry = Geometry(A, random_invertible_metric(rng, A))
+    geometry = Geometry(random_invertible_metric(rng, A))
     metric, connection = geometry.metric, geometry.connection
     basis = [A.basis_derivation(i) for i in range(1, n + 1)]
 
@@ -44,7 +44,7 @@ def run_trial(rng, n):
         for v in basis:
             for w in basis:
                 assert metric.pair(connection.apply(u, v), w) \
-                    == koszul_rhs(A, metric, u, v, w), "Koszul mismatch"
+                    == koszul_rhs(metric, u, v, w), "Koszul mismatch"
     assert torsion(connection).is_zero, "nonzero torsion"
     for u in basis:
         assert covariant_derivative(connection, u, metric.g).is_zero, \

@@ -15,12 +15,16 @@ from .scalars import Scalar, dot
 
 
 class Algebraifold:
-    """A scalar context with its coordinate derivation basis and dual basis."""
+    """A scalar context with its coordinate derivation basis and dual basis.
 
-    __slots__ = ("ctx", "coords", "basis_matrix")
+    ``zero`` and ``one`` are the context's own two Scalars."""
+
+    __slots__ = ("ctx", "coords", "basis_matrix", "zero", "one")
 
     def __init__(self, ctx, coords, basis_matrix):
         self.ctx = ctx
+        self.zero = ctx.zero
+        self.one = ctx.one
         self.coords = coords
         self.basis_matrix = basis_matrix
 
@@ -41,7 +45,7 @@ class Algebraifold:
         # is in particular invertible over the fraction field
         for i, row in enumerate(matrix):
             for j, entry in enumerate(row):
-                expected = ctx.one() if i == j else ctx.zero()
+                expected = ctx.one if i == j else ctx.zero
                 if entry != expected:
                     raise DescriptorMismatch(
                         "coordinate basis action is not the identity matrix")
@@ -74,17 +78,11 @@ class Algebraifold:
             return parse_scalar(value, self.ctx)
         return self.ctx.const(value)
 
-    def zero(self):
-        return self.ctx.zero()
-
-    def one(self):
-        return self.ctx.one()
-
     # -- constructors for module elements
 
     def _unit(self, kind, i):
-        coeffs = [self.zero()] * self.n
-        coeffs[i - 1] = self.one()
+        coeffs = [self.zero] * self.n
+        coeffs[i - 1] = self.one
         return kind(self, tuple(coeffs))
 
     def basis_derivation(self, i):
@@ -105,7 +103,7 @@ class Algebraifold:
 
     def apply(self, v, a):
         """Apply a derivation to a scalar: sum_i v_i da/dx_i."""
-        return dot(self._apply_pairs(v, self.scalar(a)), self.zero())
+        return dot(self._apply_pairs(v, self.scalar(a)), self.zero)
 
     def _apply_pairs(self, v, a):
         """The pairs (v_i, da/dx_i) of v(a); no partial is taken along a
@@ -128,12 +126,12 @@ class Algebraifold:
         require_elements(self, Derivation, u, v)
         return Derivation(self, tuple(
             dot(self._apply_pairs(u, b)
-                + [(-c, p) for c, p in self._apply_pairs(v, a)], self.zero())
+                + [(-c, p) for c, p in self._apply_pairs(v, a)], self.zero)
             for a, b in zip(u.coeffs, v.coeffs)))
 
     def dimension(self):
         """Trace of the basis action matrix; the count of coordinates."""
-        total = self.zero()
+        total = self.zero
         for i in range(self.n):
             total = total + self.basis_matrix[i][i]
         return total
@@ -163,7 +161,7 @@ class Algebraifold:
                                   self.apply(v, g) - g.partial(coord)))
         for j in range(self.n):
             for i in range(self.n):
-                delta = self.one() if i == j else self.zero()
+                delta = self.one if i == j else self.zero
                 residuals.append(
                     ("one_form", j + 1, self.ctx.transcendentals[i],
                      M[i][j] - delta))
@@ -251,4 +249,4 @@ class OneForm(_CoordinateVector):
     def __call__(self, v):
         """Pairing with a derivation."""
         require_elements(self.algebraifold, Derivation, v)
-        return dot(zip(self.coeffs, v.coeffs), self.algebraifold.zero())
+        return dot(zip(self.coeffs, v.coeffs), self.algebraifold.zero)

@@ -56,7 +56,7 @@ class Connection:
         (Gamma^k_{ij} and Gamma^k_{ji} of a symmetric connection are one).
         """
         n = self.algebraifold.n
-        zero = (self.algebraifold if hom is None else hom.target).zero()
+        zero = (self.algebraifold if hom is None else hom.target).zero
         pairs = [[[] for _ in range(n)] for _ in range(n)]
         images = {}
         for (k, i, j), gamma in self.gamma.comp.items():
@@ -109,7 +109,7 @@ def covariant_derivative(connection, u, T):
     A = connection.algebraifold
     require_elements(A, Derivation, u)
     require_elements(A, Tensor, T)
-    return derive_tensor(A, u, T, connection.matrix(u))
+    return derive_tensor(u, T, connection.matrix(u))
 
 
 def torsion(connection):
@@ -199,12 +199,12 @@ def curvature_tensor(connection):
     return Tensor(A, 1, 3, out)
 
 
-def levi_civita(algebraifold, metric):
+def levi_civita(metric):
     """Christoffel symbols of the unique torsion-free metric connection.
 
     Gamma^k_{ij} = (1/2) g^{kl} (d_j g_{il} + d_i g_{jl} - d_l g_{ij}).
     """
-    A = algebraifold
+    A = metric.algebraifold
     n = A.n
     names = A.ctx.transcendentals
     half = A.scalar(Fraction(1, 2))
@@ -224,7 +224,7 @@ def levi_civita(algebraifold, metric):
                 if not value.is_zero:
                     lowered[(i, j, l)] = half * value
     comp = {}
-    zero = A.zero()
+    zero = A.zero
     for k in range(1, n + 1):
         for i in range(1, n + 1):
             for j in range(1, i + 1):
@@ -238,58 +238,60 @@ def levi_civita(algebraifold, metric):
     return Connection(A, Tensor(A, 1, 2, comp))
 
 
-def koszul_rhs(algebraifold, metric, u, v, w):
+def koszul_rhs(metric, u, v, w):
     """The six-term right side defining 2 g(nabla_u v, w), halved.
 
     Valid for arbitrary derivations; the three bracket terms vanish on the
     coordinate basis but not in general.
     """
-    A = algebraifold
+    A = metric.algebraifold
     g = metric.pair
     value = A.apply(u, g(v, w)) + A.apply(v, g(w, u)) - A.apply(w, g(u, v)) \
         + g(A.bracket(u, v), w) - g(A.bracket(v, w), u) + g(A.bracket(w, u), v)
     return A.scalar(Fraction(1, 2)) * value
 
 
-def ricci(algebraifold, riemann):
+def ricci(riemann):
     """Contraction of the curvature: Ric(v, w) = sum_i (R(u_i, v)w)(a_i)."""
     out = {}
     for (l, i, j, k), value in riemann.comp.items():
         if l == i:
             accumulate(out, (j, k), value)
-    return Tensor(algebraifold, 0, 2, out)
+    return Tensor(riemann.algebraifold, 0, 2, out)
 
 
-def ricci_scalar(algebraifold, metric, ric):
+def ricci_scalar(metric, ric):
     """Full contraction of the Ricci tensor with the inverse metric."""
     return dot([(metric.inv_entry(i, j), value)
-                for (i, j), value in ric.comp.items()], algebraifold.zero())
+                for (i, j), value in ric.comp.items()],
+               metric.algebraifold.zero)
 
 
 class Geometry:
     """The Levi-Civita geometry of one metric tensor, each stage built once:
     the one curvature pipeline.
 
-    ``g`` is the symmetric rank-(0, 2) metric tensor.  The stages ``metric``
-    (g with its inverse) -> ``connection`` -> ``riemann`` -> ``ricci`` ->
-    ``scalar`` -> ``einstein`` are computed on first access and then kept;
-    a stage that raises keeps nothing, so the next access raises again.
-    ``efe_residual`` reads ``einstein``.  Stages call the module-level stage
-    functions, so replacing one of those (to count or time it) covers every
-    caller.
+    ``g`` is the symmetric rank-(0, 2) metric tensor; every stage lives over
+    its algebraifold, and the stage functions read it from their inputs.
+    The stages ``metric`` (g with its inverse) -> ``connection`` ->
+    ``riemann`` -> ``ricci`` -> ``scalar`` -> ``einstein`` are computed on
+    first access and then kept; a stage that raises keeps nothing, so the
+    next access raises again.  ``efe_residual`` reads ``einstein``.  Stages
+    call the module-level stage functions, so replacing one of those (to
+    count or time it) covers every caller.
     """
 
-    def __init__(self, algebraifold, g):
-        self.algebraifold = algebraifold
+    def __init__(self, g):
+        self.algebraifold = g.algebraifold
         self.g = g
 
     @cached_property
     def metric(self):
-        return metric_inverse(self.algebraifold, self.g)
+        return metric_inverse(self.g)
 
     @cached_property
     def connection(self):
-        return levi_civita(self.algebraifold, self.metric)
+        return levi_civita(self.metric)
 
     @cached_property
     def riemann(self):
@@ -297,11 +299,11 @@ class Geometry:
 
     @cached_property
     def ricci(self):
-        return ricci(self.algebraifold, self.riemann)
+        return ricci(self.riemann)
 
     @cached_property
     def scalar(self):
-        return ricci_scalar(self.algebraifold, self.metric, self.ricci)
+        return ricci_scalar(self.metric, self.ricci)
 
     @cached_property
     def einstein(self):

@@ -42,14 +42,6 @@ _ALGEBRA_KEYS = ("kind", "generators", "relations", "transcendence_basis")
 
 
 @dataclass(frozen=True)
-class AlgebraSpec:
-    kind: str
-    generators: tuple
-    relations: tuple
-    transcendence_basis: tuple
-
-
-@dataclass(frozen=True)
 class CheckSpec:
     name: str
     command: str
@@ -61,8 +53,6 @@ class CheckSpec:
 class Manifest:
     """Parsed and context-validated manifest contents."""
 
-    base_constants: tuple
-    algebra: AlgebraSpec
     metric: object               # rank-(0, 2) Tensor, or None
     lam: object                  # Scalar
     kappa: object                # Scalar
@@ -72,10 +62,6 @@ class Manifest:
     raw: dict                    # parsed JSON, echoed into reports
     algebraifold: Algebraifold
     line: FormalLine
-
-    @property
-    def n(self):
-        return self.algebraifold.n
 
     def curve_hom(self, name):
         """Build the validated homomorphism for a named curve."""
@@ -169,12 +155,13 @@ def build_manifest(raw):
     ext_gens = tuple(g for g in generators if g not in basis)
     _require(len(relations) == len(ext_gens),
              "one relation is required per algebraic generator")
-    algebra = AlgebraSpec(kind, generators, relations, basis)
 
     extensions = tuple(
         (gen, parse_relation(constants, basis, gen, rel_text))
         for gen, rel_text in zip(ext_gens, relations)
     )
+    for gen, rel in extensions:
+        _require(rel.involves(gen), f"relation for '{gen}' must involve it")
     ctx = ScalarContext(POLYNOMIAL if kind == "polynomial" else FIELD,
                         basis, constants, extensions)
     algebraifold = Algebraifold.build(ctx)
@@ -208,8 +195,6 @@ def build_manifest(raw):
                               metric is not None)
 
     return Manifest(
-        base_constants=constants,
-        algebra=algebra,
         metric=metric,
         lam=lam,
         kappa=kappa,

@@ -109,7 +109,7 @@ class AlgebraifoldHom:
         Coefficients of sum_i phi(xi(u_i)) d(phi(a_i)) in the target basis.
         """
         require_elements(self.source, OneForm, xi)
-        out = OneForm(self.target, (self.target.zero(),) * self.target.n)
+        out = OneForm(self.target, (self.target.zero,) * self.target.n)
         for coeff, name in zip(xi.coeffs, self.source.ctx.transcendentals):
             if not coeff.is_zero:
                 out = out + self.apply(coeff) * self.target.d(self.images[name])
@@ -162,7 +162,7 @@ class PulledVector(_CoordinateVector):
         hom = self.hom
         # nothing is mapped along a zero coefficient
         return dot([(c, hom.apply(x)) for c, x in zip(self.coeffs, xi.coeffs)
-                    if not c.is_zero], hom.target.zero())
+                    if not c.is_zero], hom.target.zero)
 
 
 def pushforward_connection(hom, connection, w, section):

@@ -128,7 +128,7 @@ class _Runtime:
 
     @cached_property
     def geometry(self):
-        return Geometry(self.algebraifold, self.manifest.metric)
+        return Geometry(self.manifest.metric)
 
     def hom(self, curve_name):
         if curve_name not in self._homs:
@@ -197,8 +197,7 @@ def _run_check(runtime, spec):
 
     elif spec.command == "lie":
         # through the inverse, so a degenerate metric errors here as well
-        derivative = lie_derivative(A, args["vector"],
-                                    runtime.geometry.metric.g)
+        derivative = lie_derivative(args["vector"], runtime.geometry.metric.g)
         result["vector"] = list(options["vector"])
         result["metric_derivative"] = tensor_payload(derivative, render)
         result["status"] = _expect_status(args.get("expect"),

@@ -80,7 +80,7 @@ and provides field/ring arithmetic and partial derivatives (with implicit
 differentiation of the extension generator).  A Scalar equal to zero holds
 the module constant ``ZERO`` itself, never another rational 0, so every
 zero test is one identity comparison; each context builds its zero and one
-Scalars once and shares them.
+Scalars once and holds them as the fields ``zero`` and ``one``.
 
 Scalar arithmetic has one path: coerce the operand, lift the lower payload
 to the level of the other, run the payload operation, demote the result.
@@ -1499,13 +1499,13 @@ class ScalarContext:
     ``extension`` is the :class:`Extension` of that pair, or None.  A
     relation is divided by its content in the generator, a unit of the base
     field, before it is checked for separability and irreducibility, and
-    its primitive part is kept.  ``zero()`` and ``one()`` return the same
-    two immutable Scalars on every call, built with the context.
+    its primitive part is kept.  ``zero`` and ``one`` are fields: the two
+    immutable Scalars built with the context, shared by every reader.
     """
 
     __slots__ = ("kind", "constants", "transcendentals", "extensions",
                  "extension", "all_vars", "irreducibility_verified",
-                 "_zero", "_one")
+                 "zero", "one")
 
     def __init__(self, kind, transcendentals, constants=(), extensions=()):
         if kind not in (POLYNOMIAL, FIELD):
@@ -1547,8 +1547,8 @@ class ScalarContext:
         self.extensions = tuple(checked)
         self.extension = (Extension(*checked[0], self.all_vars)
                           if checked else None)
-        self._zero = Scalar(self, ZERO)
-        self._one = Scalar(self, ONE)
+        self.zero = Scalar(self, ZERO)
+        self.one = Scalar(self, ONE)
 
     # -- identity
 
@@ -1580,13 +1580,7 @@ class ScalarContext:
 
     def const(self, value):
         value = _rational(value)
-        return Scalar(self, value) if value else self._zero
-
-    def zero(self):
-        return self._zero
-
-    def one(self):
-        return self._one
+        return Scalar(self, value) if value else self.zero
 
     def var(self, name):
         if name in self.all_vars:
@@ -1733,7 +1727,7 @@ class Scalar:
         # a rational factor scales the other payload at its own level; a
         # nonzero one keeps it canonical
         if a is ZERO or b is ZERO:
-            return self.ctx.zero()
+            return self.ctx.zero
         if b == 1:
             return Scalar(self.ctx, a)
         if b == -1:
@@ -1766,12 +1760,12 @@ class Scalar:
         if not isinstance(n, int):
             raise TypeError("scalar exponents must be integers")
         if n < 0:
-            return self.ctx.one() / (self ** (-n))
+            return self.ctx.one / (self ** (-n))
         _require_power_fits(n, self.val)
-        return _power(self, n, self.ctx.one())
+        return _power(self, n, self.ctx.one)
 
     def inverse(self):
-        return self.ctx.one() / self
+        return self.ctx.one / self
 
     # -- calculus
 
@@ -1782,7 +1776,7 @@ class Scalar:
                 f"'{name}' is not a transcendental of this context")
         v = self.val
         if type(v) is Fraction:
-            return self.ctx.zero()
+            return self.ctx.zero
         if type(v) is ExtElem:
             return Scalar.make(
                 self.ctx, v.partial(name, _gen_derivative(self.ctx, name)))
@@ -1812,7 +1806,7 @@ def dot(pairs, start):
     if polys:
         if type(total.val) is MultiPoly:
             polys.append(((total.val,), None, 1))
-            total = ctx.zero()
+            total = ctx.zero
         total = total + Scalar.make(ctx, _sum_products(polys)[0])
     return total
 
@@ -1917,7 +1911,7 @@ class Substitution:
         if isinstance(payload, Fraction):
             return Scalar.make(target, payload)
         if isinstance(payload, MultiPoly):
-            total = target.zero()
+            total = target.zero
             for e, c in payload.terms.items():
                 term = target.const(c)
                 for name, k in zip(payload.vars, e):
@@ -1927,7 +1921,7 @@ class Substitution:
             return total
         # a quotient: sum_i phi(nums_i) * phi(gen)**i over phi(den), one
         # division
-        num = target.zero()
+        num = target.zero
         for i, n in enumerate(payload.nums):
             if n.nums:
                 image = self(n)

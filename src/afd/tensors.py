@@ -82,7 +82,7 @@ class Tensor:
 
     def get(self, idx):
         value = self.comp.get(tuple(idx))
-        return self.algebraifold.zero() if value is None else value
+        return self.algebraifold.zero if value is None else value
 
     def as_scalar(self):
         if self.r or self.s:
@@ -183,17 +183,17 @@ class Tensor:
                 for _, h in head:
                     c = h * c
                 pairs.append((value, c))
-        return dot(pairs, self.algebraifold.zero())
+        return dot(pairs, self.algebraifold.zero)
 
 
 def kronecker(algebraifold):
     """The identity rank-(1, 1) tensor."""
-    one = algebraifold.one()
+    one = algebraifold.one
     return Tensor(algebraifold, 1, 1,
                   {(i, i): one for i in range(1, algebraifold.n + 1)})
 
 
-def derive_tensor(algebraifold, u, T, M):
+def derive_tensor(u, T, M):
     """The derivation of the tensor algebra along ``u`` acting on the
     derivation module by the matrix ``M``, applied to ``T`` componentwise.
 
@@ -202,10 +202,11 @@ def derive_tensor(algebraifold, u, T, M):
     slot holding m feeds M[k][m] into the slot-k component, a covariant slot
     holding m feeds -M[m][j] into the slot-j component.  The terms are
     collected per output component, and one ``dot`` onto u(T[K]) sums each.
-    ``M`` is indexed from 0; callers check that ``u`` and ``T`` live over
-    ``algebraifold``.
+    ``M`` is indexed from 0; callers check that ``u`` lives over the
+    algebraifold of ``T``.
     """
-    n = algebraifold.n
+    A = T.algebraifold
+    n = A.n
     # per slot kind and value m, the nonzero (output value, factor) pairs
     up = [[(k + 1, M[k][m]) for k in range(n) if not M[k][m].is_zero]
           for m in range(n)] if T.r else []
@@ -218,28 +219,28 @@ def derive_tensor(algebraifold, u, T, M):
             for k, coeff in table[m - 1]:
                 terms.setdefault(idx[:pos] + (k,) + idx[pos + 1:], []).append(
                     (coeff, c))
-    zero = algebraifold.zero()
+    zero = A.zero
     out = {}
     for idx, pairs in terms.items():
         c = T.comp.get(idx)
-        value = dot(pairs, zero if c is None else algebraifold.apply(u, c))
+        value = dot(pairs, zero if c is None else A.apply(u, c))
         if not value.is_zero:
             out[idx] = value
-    return Tensor(algebraifold, T.r, T.s, out)
+    return Tensor(A, T.r, T.s, out)
 
 
-def lie_derivative(algebraifold, u, T):
+def lie_derivative(u, T):
     """Lie derivative of a tensor along a derivation, componentwise.
 
     The tensor derivation with M[k][m] = -d(u^k)/dx_m.
     """
-    require_elements(algebraifold, Derivation, u)
-    require_elements(algebraifold, Tensor, T)
-    n = algebraifold.n
-    names = algebraifold.ctx.transcendentals
-    M = [[-u.coeffs[k].partial(names[m]) for m in range(n)]
-         for k in range(n)]
-    return derive_tensor(algebraifold, u, T, M)
+    # a non-module T (a Scalar has no algebraifold) fails the type check
+    A = getattr(T, "algebraifold", None)
+    require_elements(A, Tensor, T)
+    require_elements(A, Derivation, u)
+    names = A.ctx.transcendentals
+    M = [[-c.partial(name) for name in names] for c in u.coeffs]
+    return derive_tensor(u, T, M)
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +255,7 @@ def _matrix_inverse(ctx, rows):
     Raises Degenerate when the determinant vanishes, and in a polynomial
     context NotInvertibleInAlgebra when it is not a unit of the ring.
     """
-    minor = _laplace_minors(rows, ctx.zero(), ctx.one())
+    minor = _laplace_minors(rows, ctx.zero, ctx.one)
     n = len(rows)
     full = tuple(range(n))
     det = minor(full, full)
@@ -298,7 +299,7 @@ class Metric:
         return f"Metric(n={self.algebraifold.n})"
 
 
-def metric_inverse(algebraifold, g):
+def metric_inverse(g):
     """Build the Metric for a symmetric rank-(0, 2) tensor.
 
     The inverse is the adjugate times the inverse of the determinant, which
@@ -307,18 +308,19 @@ def metric_inverse(algebraifold, g):
     """
     if g.rank != (0, 2):
         raise ArityMismatch("a metric is a rank-(0, 2) tensor")
-    n = algebraifold.n
+    A = g.algebraifold
+    n = A.n
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             if g.get((i, j)) != g.get((j, i)):
                 raise NotSymmetric(f"g[{i},{j}] != g[{j},{i}]")
     rows = [[g.get((i, j)) for j in range(1, n + 1)] for i in range(1, n + 1)]
-    inverse = _matrix_inverse(algebraifold.ctx, rows)
-    g_inv = Tensor.make(algebraifold, 2, 0, {
+    inverse = _matrix_inverse(A.ctx, rows)
+    g_inv = Tensor.make(A, 2, 0, {
         (i + 1, j + 1): inverse[i][j]
         for i in range(n) for j in range(n)
     })
-    return Metric(algebraifold, g, g_inv)
+    return Metric(A, g, g_inv)
 
 
 def _contract_first(table, vector):
@@ -326,7 +328,7 @@ def _contract_first(table, vector):
     A = vector.algebraifold
     return tuple(
         dot([(table.get((i, j)), c) for j, c in enumerate(vector.coeffs, 1)],
-            A.zero())
+            A.zero)
         for i in range(1, A.n + 1))
 
 

@@ -29,7 +29,7 @@ def poly_scalars(ctx, max_deg=2, max_terms=3):
         nonzero_fractions())
 
     def build(terms):
-        total = ctx.zero()
+        total = ctx.zero
         for exps, coeff in terms:
             piece = ctx.const(coeff)
             for name, e in zip(ctx.all_vars, exps):

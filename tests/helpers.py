@@ -37,7 +37,7 @@ def random_fraction(rng, zero_ok=True):
 def random_poly_scalar(rng, ctx, max_terms=3, max_deg=2, zero_ok=True):
     """A small random polynomial Scalar of the context."""
     names = ctx.all_vars
-    total = ctx.zero()
+    total = ctx.zero
     for _ in range(rng.randint(0 if zero_ok else 1, max_terms)):
         term = ctx.const(random_fraction(rng, zero_ok=False))
         for name in names:
@@ -46,7 +46,7 @@ def random_poly_scalar(rng, ctx, max_terms=3, max_deg=2, zero_ok=True):
                 term = term * ctx.var(name) ** e
         total = total + term
     if not zero_ok and total.is_zero:
-        return ctx.one()
+        return ctx.one
     return total
 
 
@@ -93,7 +93,7 @@ def random_invertible_metric(rng, algebraifold, entry=random_poly_scalar):
     """
     A = algebraifold
     n = A.n
-    P = [[A.one() if i == j else A.zero() for j in range(n)] for i in range(n)]
+    P = [[A.one if i == j else A.zero for j in range(n)] for i in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
             P[i][j] = entry(rng, A.ctx, max_terms=2, max_deg=1)
@@ -101,7 +101,7 @@ def random_invertible_metric(rng, algebraifold, entry=random_poly_scalar):
     entries = {}
     for i in range(n):
         for j in range(n):
-            total = A.zero()
+            total = A.zero
             for k in range(n):
                 total = total + P[k][i] * D[k] * P[k][j]
             entries[(i + 1, j + 1)] = total

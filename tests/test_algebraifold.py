@@ -24,12 +24,17 @@ class TestBuild:
         assert P2.n == 2
         for i in range(2):
             for j in range(2):
-                expected = P2.one() if i == j else P2.zero()
+                expected = P2.one if i == j else P2.zero
                 assert P2.basis_matrix[i][j] == expected
+
+    def test_zero_and_one_are_the_context_fields(self):
+        for A in (P2, ELL):
+            assert A.zero is A.ctx.zero and A.one is A.ctx.one
+            assert A.zero.is_zero and A.one == A.ctx.const(1)
 
     def test_elliptic_rank_one(self):
         assert ELL.n == 1
-        assert ELL.basis_matrix[0][0] == ELL.one()
+        assert ELL.basis_matrix[0][0] == ELL.one
 
     def test_degenerate_relation_not_separable(self):
         with pytest.raises(NotSeparable):
@@ -53,7 +58,7 @@ class TestApplyDerivation:
         x, y = ELL.ctx.var("x"), ELL.ctx.var("y")
         v = ((2 * y) / (3 * x**2)) * ELL.basis_derivation(1)
         assert v(x) == (2 * y) / (3 * x**2)
-        assert v(y) == ELL.one()
+        assert v(y) == ELL.one
 
 
 class TestVectorKinds:
@@ -87,7 +92,7 @@ class TestVectorKinds:
 
 class TestDifferential:
     def test_square(self):
-        assert P2.d(X**2).coeffs == (2 * X, P2.zero())
+        assert P2.d(X**2).coeffs == (2 * X, P2.zero)
 
     def test_product(self):
         assert P2.d(X * Y).coeffs == (Y, X)
@@ -167,13 +172,13 @@ class TestDualBasis:
     def test_elliptic_residuals_vanish(self):
         # oracle for n = 1: v(a_1) u_1 = v and eta(u_1) da_1 = eta reduce to
         # the single entry u_1(a_1) = 1
-        assert ELL.basis_matrix[0][0] == ELL.one()
+        assert ELL.basis_matrix[0][0] == ELL.one
         assert all(r.is_zero for *_, r in ELL.dual_basis_residuals())
 
     def test_corrupted_matrix_reports_nonzero(self):
         matrix = tuple(tuple(row) for row in P2.basis_matrix)
         corrupted = Algebraifold(P2.ctx, P2.coords, (
-            (P2.zero(), matrix[0][1]),
+            (P2.zero, matrix[0][1]),
             matrix[1],
         ))
         assert any(not r.is_zero for *_, r in corrupted.dual_basis_residuals())
@@ -186,7 +191,7 @@ class TestDimension:
             assert A.dimension() == A.ctx.const(n)
 
     def test_elliptic(self):
-        assert ELL.dimension() == ELL.one()
+        assert ELL.dimension() == ELL.one
 
     def test_parametrized_field(self):
         A = Algebraifold.build(ScalarContext(

@@ -43,13 +43,13 @@ def manifest_with(**overrides):
 class TestLoadManifest:
     def test_bundled_poly_metric(self, repo_root):
         manifest = load_manifest(repo_root / "manifests" / "poly_metric.json")
-        assert manifest.n == 2
+        assert manifest.algebraifold.n == 2
         assert render_scalar(manifest.metric.get((1, 2))) == "x"
 
     def test_bundled_friedmann(self, repo_root):
         manifest = load_manifest(repo_root / "manifests" / "friedmann.json")
-        assert manifest.n == 4
-        assert manifest.algebra.kind == "field"
+        assert manifest.algebraifold.n == 4
+        assert manifest.algebraifold.ctx.kind == "field"
 
     def test_non_square_metric_rejected(self):
         raw = manifest_with(metric=[["1", "0", "0"], ["0", "1", "0"]])
@@ -211,7 +211,7 @@ class TestLoadManifest:
     def test_transcendence_basis_defaults_to_the_generators(self):
         algebra = {"kind": "polynomial", "generators": ["x", "y"]}
         manifest = build_manifest(manifest_with(algebra=algebra))
-        assert manifest.algebra.transcendence_basis == ("x", "y")
+        assert manifest.algebraifold.ctx.transcendentals == ("x", "y")
         # with every generator transcendental, a relation has no generator
         with pytest.raises(ManifestValidationError) as err:
             build_manifest(manifest_with(
@@ -730,6 +730,19 @@ class TestCli:
         assert proc.returncode == 1
         assert proc.stderr.startswith(f"afd: [{code}]")
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("relation", ["x - 1", "0"])
+    def test_relation_free_of_its_generator_exits_one(self, tmp_path, capsys,
+                                                      relation):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest_with(algebra={
+            "kind": "field", "generators": ["x", "y"],
+            "relations": [relation], "transcendence_basis": ["x"]},
+            metric=[["1"]])), encoding="utf-8")
+        assert main(["check", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err == ("afd: [manifest-validation-error] relation for 'y'"
+                       " must involve it\n")
 
     def test_unspellable_generator_exits_one(self, tmp_path):
         path = tmp_path / "manifest.json"

@@ -66,7 +66,7 @@ class TestAddMul:
         assert EY * EY == EX**3 + 1
 
     def test_multiply_by_zero(self):
-        assert (POLY.zero() * (X**5 + 3)).is_zero
+        assert (POLY.zero * (X**5 + 3)).is_zero
 
     def test_context_mismatch(self):
         with pytest.raises(ContextMismatch):
@@ -79,8 +79,8 @@ class TestDiv:
 
     def test_extension_inverse_oracle(self):
         # oracle: whatever 1/y is, multiplying back by y must reduce to 1
-        inv = ELL.one() / EY
-        assert inv * EY == ELL.one()
+        inv = ELL.one / EY
+        assert inv * EY == ELL.one
         # and it equals y / (x^3 + 1)
         assert inv == EY / (EX**3 + 1)
 
@@ -90,7 +90,7 @@ class TestDiv:
 
     def test_division_by_zero(self):
         with pytest.raises(DivisionByZero):
-            X / POLY.zero()
+            X / POLY.zero
 
     def test_parameter_denominators_are_allowed(self):
         ctx = ScalarContext(POLYNOMIAL, ("x",), constants=("m",))
@@ -206,7 +206,7 @@ class TestMixedLevels:
                                            (0,): Fraction(2, 3)})
 
     def test_zero_factor(self):
-        for product in (0 * ELL.var("y"), ELL.var("y") * ELL.zero()):
+        for product in (0 * ELL.var("y"), ELL.var("y") * ELL.zero):
             assert type(product.val) is Fraction and product.is_zero
 
     def test_polynomial_over_rational_stays_a_polynomial(self):
@@ -593,7 +593,7 @@ class TestDot:
     """``scalars.dot``, the sum of products behind every contraction."""
 
     def test_no_pairs_is_the_start(self):
-        zero = POLY.zero()
+        zero = POLY.zero
         assert scalars.dot([], zero) is zero
         assert scalars.dot(iter(()), X) is X
 
@@ -601,7 +601,7 @@ class TestDot:
         pairs = [(X, Y), (POLY.const(3), X * X), (Y, POLY.const(-1))]
         assert scalars.dot(pairs, POLY.const(2)) \
             == 2 + X * Y + 3 * X * X - Y
-        assert scalars.dot(pairs, POLY.zero()) == X * Y + 3 * X * X - Y
+        assert scalars.dot(pairs, POLY.zero) == X * Y + 3 * X * X - Y
 
     def test_zero_factor_builds_no_product(self, monkeypatch):
         # products are counted where they are built: a polynomial product,
@@ -620,7 +620,7 @@ class TestDot:
 
         monkeypatch.setattr(MultiPoly, "__mul__", counted_mul)
         monkeypatch.setattr(scalars, "_sum_products", counted_kernel)
-        zero = POLY.zero()
+        zero = POLY.zero
         assert scalars.dot([(zero, X), (Y, zero), (zero, zero)], zero) \
             .is_zero
         assert calls == []
@@ -634,9 +634,9 @@ class TestDot:
     def test_other_context_refused(self):
         other = ScalarContext(POLYNOMIAL, ("x", "y", "z")).var("x")
         with pytest.raises(ContextMismatch):
-            scalars.dot([(X, other)], POLY.zero())
+            scalars.dot([(X, other)], POLY.zero)
         # a zero factor is skipped before any product, whatever its context
-        assert scalars.dot([(X, other.ctx.zero())], POLY.zero()).is_zero
+        assert scalars.dot([(X, other.ctx.zero)], POLY.zero).is_zero
 
 
 class TestPackedKeys:
@@ -990,7 +990,7 @@ class TestKerrGcd:
               for j in range(4)] for i in range(4)]
         for i in range(4):
             for j in range(4):
-                entry = ctx.zero()
+                entry = ctx.zero
                 for n in range(4):
                     entry = entry + g[i][n] * h[n][j]
                 assert entry == (1 if i == j else 0), (i, j)
@@ -1089,15 +1089,15 @@ class TestSubstitute:
         field = ScalarContext(FIELD, ("x",))
         target = ScalarContext(FIELD, ("t",))
         t = target.var("t")
-        value = substitute(field.one() / field.var("x"), {"x": t**2})
-        assert value == target.one() / t**2
+        value = substitute(field.one / field.var("x"), {"x": t**2})
+        assert value == target.one / t**2
 
     def test_denominator_maps_to_zero(self):
         field = ScalarContext(FIELD, ("x",))
         target = ScalarContext(FIELD, ("t",))
         with pytest.raises(TargetDivisionByZero):
-            substitute(field.one() / field.var("x"),
-                       {"x": target.zero()})
+            substitute(field.one / field.var("x"),
+                       {"x": target.zero})
 
     def test_incomplete_bindings(self):
         with pytest.raises(IncompleteBindings):
@@ -1228,10 +1228,10 @@ class TestCanonicalZero:
 
     def test_shared_zero_and_one(self):
         ctx = self.CTX
-        assert ctx.zero() is ctx.zero()
-        assert ctx.one() is ctx.one()
-        assert ctx.zero().val is scalars.ZERO
-        assert ctx.one().val is scalars.ONE
+        assert ctx.zero is ctx.zero
+        assert ctx.one is ctx.one
+        assert ctx.zero.val is scalars.ZERO
+        assert ctx.one.val is scalars.ONE
 
     def test_constants(self):
         ctx = self.CTX
@@ -1249,8 +1249,8 @@ class TestCanonicalZero:
 
     def test_zero_products(self):
         ctx = self.CTX
-        zero, minus_one = ctx.zero(), ctx.const(-1)
-        for a in self.values() + [minus_one, ctx.one(), ctx.const(3)]:
+        zero, minus_one = ctx.zero, ctx.const(-1)
+        for a in self.values() + [minus_one, ctx.one, ctx.const(3)]:
             assert _assert_zero_rule(zero * a)
             assert _assert_zero_rule(a * zero)
             assert _assert_zero_rule(0 * a)
@@ -1265,9 +1265,9 @@ class TestCanonicalZero:
 
     def test_negated_zero(self):
         ctx = self.CTX
-        assert _assert_zero_rule(-ctx.zero())
+        assert _assert_zero_rule(-ctx.zero)
         assert _assert_zero_rule(-ctx.const(0))
-        assert _assert_zero_rule(-(ctx.one() - 1))
+        assert _assert_zero_rule(-(ctx.one - 1))
 
     def test_made_from_zero_payloads(self):
         ctx = self.CTX
@@ -1309,12 +1309,12 @@ class TestCanonicalZero:
         values = self.values()
         for a, b in zip(values, values[1:]):
             assert _assert_zero_rule(
-                scalars.dot([(a, b), (-a, b)], ctx.zero()))
+                scalars.dot([(a, b), (-a, b)], ctx.zero))
             assert _assert_zero_rule(scalars.dot([(a, b)], -(a * b)))
         # polynomial products go through the multiply-accumulate kernel
         assert _assert_zero_rule(
             scalars.dot([(x, z), (-x, z), (x, x)], -(x * x)))
-        assert _assert_zero_rule(scalars.dot([(x, z), (x, -z)], ctx.zero()))
+        assert _assert_zero_rule(scalars.dot([(x, z), (x, -z)], ctx.zero))
 
     def test_tensor_sum_that_cancels(self):
         from afd.algebraifold import Algebraifold
@@ -1424,7 +1424,7 @@ class TestContextValidation:
             s = c[0] + c[1] * w + c[2] * w**2 + c[3] * w**3
             if s.is_zero:
                 continue
-            assert s * s.inverse() == ctx.one(), trial
+            assert s * s.inverse() == ctx.one, trial
         assert time.monotonic() - started < 20
 
     def test_duplicate_names_rejected(self):
@@ -1642,7 +1642,7 @@ class TestFieldAxioms:
 
     @given(nonzero_field_scalars(FIELD2))
     def test_multiplicative_inverse(self, a):
-        assert a * a.inverse() == FIELD2.one()
+        assert a * a.inverse() == FIELD2.one
 
     @given(ext_scalars(ELL), ext_scalars(ELL), ext_scalars(ELL))
     def test_ring_axioms_extension(self, a, b, c):
@@ -1652,7 +1652,7 @@ class TestFieldAxioms:
 
     @given(ext_scalars(ELL).filter(lambda s: not s.is_zero))
     def test_extension_inverse(self, a):
-        assert a * a.inverse() == ELL.one()
+        assert a * a.inverse() == ELL.one
 
 
 class TestCalculusProperties:

@@ -106,7 +106,7 @@ def assert_christoffel(oracle, geometry, g_inv):
 
 def random_geometry(A, entry=random_poly_scalar):
     """Seed 0 draws a curved metric in each of the rings used below."""
-    return Geometry(A, random_invertible_metric(random.Random(0), A, entry))
+    return Geometry(random_invertible_metric(random.Random(0), A, entry))
 
 
 def sympy_inverse(oracle, geometry):
@@ -146,7 +146,7 @@ class TestChristoffel:
     def test_kerr_schild_over_an_extension(self, repo_root):
         manifest = load_manifest(repo_root / "perfbench" / "ks_extension.json")
         A = manifest.algebraifold
-        geometry = Geometry(A, manifest.metric)
+        geometry = Geometry(manifest.metric)
         r, x, y = sympy.symbols("r x y")
         oracle = Oracle(A, chain={r: (0, x / r, y / r)},
                         relation=(r, r**2 - x**2 - y**2))
