@@ -27,36 +27,48 @@ from functools import cached_property
 
 from .algebraifold import Derivation, require_elements
 from .errors import DescriptorMismatch, NonConstantCoupling
+from .maps import PulledVector
 from .scalars import SharedDenominator, _sum_products, dot
 from .tensors import Tensor, accumulate, derive_tensor, metric_inverse
 
 
 class Connection:
-    """A connection given by its Christoffel difference tensor."""
+    """A connection given by its Christoffel difference tensor, over the
+    algebraifold of that tensor."""
 
     __slots__ = ("algebraifold", "gamma")
 
-    def __init__(self, algebraifold, gamma):
+    def __init__(self, gamma):
+        require_elements(getattr(gamma, "algebraifold", None), Tensor, gamma)
         if gamma.rank != (1, 2):
             raise DescriptorMismatch("connection coefficients must be rank (1, 2)")
-        require_elements(algebraifold, Tensor, gamma)
-        self.algebraifold = algebraifold
+        self.algebraifold = gamma.algebraifold
         self.gamma = gamma
 
     def coeff(self, k, i, j):
         return self.gamma.get((k, i, j))
 
-    def matrix(self, u, hom=None):
+    def matrix(self, u):
         """M[k][j] = sum_i u^i Gamma^k_{ij}, indexed from 0: nabla_u sends
         the coordinate derivation u_j to sum_k M[k][j] u_k.  One ``dot``
         sums each entry.
 
-        Along a homomorphism ``hom``, ``u`` holds target scalars and each
-        Gamma is first mapped by ``hom.apply``, once per distinct value
-        (Gamma^k_{ij} and Gamma^k_{ji} of a symmetric connection are one).
+        ``u`` is a derivation over the connection's algebraifold, or a
+        vector pulled back along a homomorphism from it.  Along the map,
+        ``u`` holds target scalars and each Gamma is first mapped by
+        ``hom.apply``, once per distinct value (Gamma^k_{ij} and
+        Gamma^k_{ji} of a symmetric connection are one).
         """
-        n = self.algebraifold.n
-        zero = (self.algebraifold if hom is None else hom.target).zero
+        A = self.algebraifold
+        n = A.n
+        if isinstance(u, PulledVector):
+            hom = u.algebraifold  # a pulled vector lives over its map
+            if hom.source != A:
+                raise DescriptorMismatch("connection over a different source")
+            zero = hom.target.zero
+        else:
+            require_elements(A, Derivation, u)
+            hom, zero = None, A.zero
         pairs = [[[] for _ in range(n)] for _ in range(n)]
         images = {}
         for (k, i, j), gamma in self.gamma.comp.items():
@@ -86,9 +98,7 @@ class Connection:
                                    for p, c in zip(pairs, vc)))
 
     def __eq__(self, other):
-        return (isinstance(other, Connection)
-                and self.algebraifold == other.algebraifold
-                and self.gamma == other.gamma)
+        return isinstance(other, Connection) and self.gamma == other.gamma
 
     def __repr__(self):
         return f"Connection(nnz={len(self.gamma.comp)})"
@@ -96,7 +106,7 @@ class Connection:
 
 def standard_connection(algebraifold):
     """The componentwise-derivative connection (Gamma = 0)."""
-    return Connection(algebraifold, Tensor.zero(algebraifold, 1, 2))
+    return Connection(Tensor.zero(algebraifold, 1, 2))
 
 
 def covariant_derivative(connection, u, T):
@@ -235,7 +245,7 @@ def levi_civita(metric):
                     comp[(k, i, j)] = total
                     if i != j:
                         comp[(k, j, i)] = total
-    return Connection(A, Tensor(A, 1, 2, comp))
+    return Connection(Tensor(A, 1, 2, comp))
 
 
 def koszul_rhs(metric, u, v, w):

@@ -5,10 +5,12 @@ every minimal relation must map to zero, and the explicit pullback formula is
 checked against the differentials of all generators before the map is
 accepted.  It maps every scalar, the relations included, through one
 ``scalars.Substitution``, so the Christoffel symbols mapped along a curve
-share one table of image powers.  Curves are homomorphisms into a line (polynomial Q[t], or its
-rational diagnostic variant for field-type sources), and the geodesic
-residual transports a connection along the curve and differentiates the
-curve's own velocity.
+share one table of image powers.  A vector pulled back along a map carries
+the map, so ``Connection.matrix`` reads the map from it.  Curves are
+homomorphisms into a line (polynomial Q[t], or its rational diagnostic
+variant for field-type sources): the line is the map's target, and the
+geodesic residual transports a connection along the curve and
+differentiates the curve's own velocity by the line's one basis derivation.
 """
 
 from __future__ import annotations
@@ -64,12 +66,13 @@ class AlgebraifoldHom:
                 raise ContextMismatch(
                     f"target context lacks base constant '{name}'")
         hom = cls(source, target, images)
-        for gen, rel in source.ctx.extensions:
-            residual = hom.substitution(rel)
+        ext = source.ctx.extension
+        if ext is not None:
+            residual = hom.substitution(ext.relation)
             if not residual.is_zero:
                 from .expr import render_scalar
 
-                raise RelationNotPreserved(gen, render_scalar(residual))
+                raise RelationNotPreserved(ext.gen, render_scalar(residual))
         hom._verify_pullback()
         return hom
 
@@ -174,28 +177,28 @@ def pushforward_connection(hom, connection, w, section):
         w(b_k) + sum_j M[k][j] b_j,
 
     with M[k][j] = sum_i w(phi(a_i)) phi(Gamma^k_{ij}) the connection's
-    matrix along the velocity of w.
+    matrix along the velocity of w, which refuses a connection over another
+    source.
     """
-    if connection.algebraifold != hom.source:
-        raise DescriptorMismatch("connection over a different source")
     require_elements(hom, PulledVector, section)
-    M = connection.matrix(hom.differential(w), hom)
+    M = connection.matrix(hom.differential(w))
     coeffs = section.coeffs
     return PulledVector(hom, tuple(
         dot(zip(row, coeffs), hom.target.apply(w, b))
         for row, b in zip(M, coeffs)))
 
 
-def geodesic_residual(line, hom, connection):
+def geodesic_residual(hom, connection):
     """Covariant derivative of the curve's velocity along itself.
 
-    All-zero exactly when the curve opposite to the homomorphism is a
-    geodesic of the connection.
+    The curve is the homomorphism into a line, its target, and d/dt is that
+    line's one basis derivation.  All-zero exactly when the curve opposite
+    to the homomorphism is a geodesic of the connection.
     """
-    if hom.target != line.algebraifold:
-        raise DescriptorMismatch("homomorphism does not land in the line")
-    velocity = hom.differential(line.derivation)
-    return pushforward_connection(hom, connection, line.derivation, velocity)
+    if hom.target.n != 1:
+        raise DescriptorMismatch("the curve's target is not a line")
+    d = hom.target.basis_derivation(1)
+    return pushforward_connection(hom, connection, d, hom.differential(d))
 
 
 class FormalLine:

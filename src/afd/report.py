@@ -188,8 +188,7 @@ def _run_check(runtime, spec):
     elif spec.command == "geodesic":
         curve = args["curve"]
         hom = runtime.hom(curve)
-        residual = geodesic_residual(manifest.line, hom,
-                                     runtime.geometry.connection)
+        residual = geodesic_residual(hom, runtime.geometry.connection)
         result["curve"] = curve
         result["residual"] = [render(c) for c in residual.coeffs]
         result["status"] = _expect_status(args.get("expect"),

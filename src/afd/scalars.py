@@ -1063,10 +1063,11 @@ class Extension:
 
     The relation is ``lead * gen**degree + sum_i tail[i] * gen**i`` with
     polynomial coefficients over ``base_vars``; one whose leading
-    coefficient is a constant is scaled to be monic.  ``derivatives`` caches
-    the generator's implicit derivative per transcendental.  Built once per
-    context and shared by all of its elements; two extensions are equal when
-    their generator and relation are.
+    coefficient is a constant is scaled to be monic.  ``derivative`` gives
+    the generator's implicit derivative, cached per transcendental in
+    ``derivatives``.  Built once per context and shared by all of its
+    elements; two extensions are equal when their generator and relation
+    are.
     """
 
     __slots__ = ("gen", "relation", "base_vars", "degree", "lead", "tail",
@@ -1118,6 +1119,31 @@ class Extension:
         zero = MultiPoly.zero(self.base_vars)
         return ExtElem((value.num,) + (zero,) * (self.degree - 1),
                        value.den, self)
+
+    def element(self, poly):
+        """A polynomial over ``base_vars + (gen,)`` as a reduced element."""
+        return self.reduce(_vector_in_gen(poly, self.gen, self.base_vars),
+                           MultiPoly.const(self.base_vars, 1))
+
+    def derivative(self, name):
+        """Implicit derivative of the generator: -(dp/dname)/(dp/dgen),
+        which separability makes defined.
+
+        Always an element of the extension, even when the quotient happens
+        to collapse into the rational-function subfield; computed once per
+        transcendental.  A relation free of ``name`` gives zero without any
+        arithmetic.
+        """
+        d = self.derivatives.get(name)
+        if d is None:
+            rel = self.relation
+            if not rel.involves(name):
+                d = self.reduce([], MultiPoly.const(self.base_vars, 1))
+            else:
+                d = -(self.element(rel.partial(name))
+                      * self.element(rel.partial(self.gen)).inverse())
+            self.derivatives[name] = d
+        return d
 
     def __eq__(self, other):
         return self is other or (isinstance(other, Extension)
@@ -1201,12 +1227,13 @@ class ExtElem(_Quotient):
             nums.append(self.den * ext.lead ** k * (-cof if j & 1 else cof))
         return ExtElem.make(nums, det, ext)
 
-    def partial(self, name, gen_derivative):
-        """d/d(name), given the implicit derivative of the generator: the
-        quotient rule plus the chain-rule part
-        ``(sum_i i * nums_i * gen**(i-1)) / den * gen_derivative``."""
+    def partial(self, name):
+        """d/d(name): the quotient rule plus the chain-rule part
+        ``(sum_i i * nums_i * gen**(i-1)) / den * d(gen)/d(name)``, with
+        the generator's implicit derivative from ``ext``."""
         direct = super().partial(name)
         dnums = [n.scale(i) for i, n in enumerate(self.nums) if i]
+        gen_derivative = self.ext.derivative(name)
         if gen_derivative.is_zero or not any(map(_terms_of, dnums)):
             return direct
         # an unreduced factor, one entry short: only its product is kept
@@ -1276,7 +1303,7 @@ class SharedDenominator:
         if ext is not None:
             derivs = {}
             for name in ctx.transcendentals:
-                d = _gen_derivative(ctx, name)
+                d = ext.derivative(name)
                 if not d.is_zero:
                     derivs[name] = d
             E, cofactors = _lcm_cofactors([d.den for d in derivs.values()],
@@ -1494,18 +1521,18 @@ class ScalarContext:
 
     ``constants`` are base parameters adjoined to the coefficient field (they
     are killed by every derivation); ``transcendentals`` are the coordinate
-    variables; ``extensions`` holds at most one (generator, minimal relation)
-    pair.  ``kind`` distinguishes polynomial rings from function fields.
-    ``extension`` is the :class:`Extension` of that pair, or None.  A
-    relation is divided by its content in the generator, a unit of the base
-    field, before it is checked for separability and irreducibility, and
-    its primitive part is kept.  ``zero`` and ``one`` are fields: the two
+    variables; the input ``extensions`` holds at most one (generator,
+    minimal relation) pair.  ``kind`` distinguishes polynomial rings from
+    function fields.  ``extension``, the :class:`Extension` of that pair or
+    None, is the one record of the generator and its relation.  A relation
+    is divided by its content in the generator, a unit of the base field,
+    before it is checked for separability and irreducibility, and its
+    primitive part is kept.  ``zero`` and ``one`` are fields: the two
     immutable Scalars built with the context, shared by every reader.
     """
 
-    __slots__ = ("kind", "constants", "transcendentals", "extensions",
-                 "extension", "all_vars", "irreducibility_verified",
-                 "zero", "one")
+    __slots__ = ("kind", "constants", "transcendentals", "extension",
+                 "all_vars", "irreducibility_verified", "zero", "one")
 
     def __init__(self, kind, transcendentals, constants=(), extensions=()):
         if kind not in (POLYNOMIAL, FIELD):
@@ -1527,7 +1554,7 @@ class ScalarContext:
         self.transcendentals = transcendentals
         self.all_vars = constants + transcendentals
         self.irreducibility_verified = True
-        checked = []
+        self.extension = None
         for gen, rel in extensions:
             rel = rel.reordered(self.all_vars + (gen,))
             deg = rel.degree_in(gen)
@@ -1543,17 +1570,14 @@ class ScalarContext:
                         f"relation for '{gen}' is reducible over the base field")
             else:
                 self.irreducibility_verified = False
-            checked.append((gen, rel))
-        self.extensions = tuple(checked)
-        self.extension = (Extension(*checked[0], self.all_vars)
-                          if checked else None)
+            self.extension = Extension(gen, rel, self.all_vars)
         self.zero = Scalar(self, ZERO)
         self.one = Scalar(self, ONE)
 
     # -- identity
 
     def _key(self):
-        return (self.kind, self.constants, self.transcendentals, self.extensions)
+        return (self.kind, self.constants, self.transcendentals, self.extension)
 
     def __eq__(self, other):
         return self is other or (isinstance(other, ScalarContext)
@@ -1563,18 +1587,15 @@ class ScalarContext:
         return hash(self._key())
 
     def __repr__(self):
-        ext = "".join(f" [{g}]" for g, _ in self.extensions)
+        ext = f" [{self.extension.gen}]" if self.extension else ""
         return (f"ScalarContext({self.kind},"
                 f" Q({','.join(self.constants)})"
                 f"({','.join(self.transcendentals)}){ext})")
 
     @property
-    def extension_gens(self):
-        return tuple(g for g, _ in self.extensions)
-
-    @property
     def generators(self):
-        return self.transcendentals + self.extension_gens
+        ext = self.extension
+        return self.transcendentals + ((ext.gen,) if ext else ())
 
     # -- element constructors
 
@@ -1777,9 +1798,6 @@ class Scalar:
         v = self.val
         if type(v) is Fraction:
             return self.ctx.zero
-        if type(v) is ExtElem:
-            return Scalar.make(
-                self.ctx, v.partial(name, _gen_derivative(self.ctx, name)))
         return Scalar.make(self.ctx, v.partial(name))
 
 
@@ -1844,34 +1862,6 @@ def _require_in_polynomial_ring(s):
     if type(v) is RatFunc and any(v.den.involves(name)
                                   for name in s.ctx.transcendentals):
         raise NotDivisible("quotient does not lie in the polynomial ring")
-
-
-def _gen_derivative(ctx, name):
-    """Implicit derivative of the extension generator: -(dp/dname)/(dp/dgen).
-
-    Always returned at the extension level, even when the quotient happens to
-    collapse into the rational-function subfield; computed once per context
-    and transcendental.  A relation free of ``name`` gives zero without any
-    arithmetic.
-    """
-    ext = ctx.extension
-    cache = ext.derivatives
-    if name not in cache:
-        rel = ext.relation
-        if not rel.involves(name):
-            cache[name] = ext.reduce([], MultiPoly.const(ctx.all_vars, 1))
-        else:
-            num = _poly_in_gen_to_elem(ctx, rel.partial(name))
-            den = _poly_in_gen_to_elem(ctx, rel.partial(ext.gen))
-            cache[name] = -(num * den.inverse())
-    return cache[name]
-
-
-def _poly_in_gen_to_elem(ctx, poly):
-    """Convert a polynomial over all_vars + (gen,) into a reduced ExtElem."""
-    ext = ctx.extension
-    return ext.reduce(_vector_in_gen(poly, ext.gen, ctx.all_vars),
-                      MultiPoly.const(ctx.all_vars, 1))
 
 
 class Substitution:

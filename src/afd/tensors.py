@@ -276,12 +276,14 @@ def _matrix_inverse(ctx, rows):
 
 
 class Metric:
-    """A symmetric nondegenerate rank-(0, 2) tensor with its exact inverse."""
+    """A symmetric nondegenerate rank-(0, 2) tensor with its exact inverse,
+    over the algebraifold of ``g``."""
 
     __slots__ = ("algebraifold", "g", "g_inv")
 
-    def __init__(self, algebraifold, g, g_inv):
-        self.algebraifold = algebraifold
+    def __init__(self, g, g_inv):
+        require_elements(getattr(g, "algebraifold", None), Tensor, g, g_inv)
+        self.algebraifold = g.algebraifold
         self.g = g
         self.g_inv = g_inv
 
@@ -320,23 +322,25 @@ def metric_inverse(g):
         (i + 1, j + 1): inverse[i][j]
         for i in range(n) for j in range(n)
     })
-    return Metric(A, g, g_inv)
+    return Metric(g, g_inv)
 
 
-def _contract_first(table, vector):
-    """Coefficients sum_j table[i, j] vector[j] of a rank-2 table."""
-    A = vector.algebraifold
-    return tuple(
+def _contract_first(table, vector, kind, out):
+    """The ``out`` with coefficients sum_j table[i, j] vector[j] of a rank-2
+    table, for a ``kind`` vector over the table's algebraifold."""
+    A = table.algebraifold
+    require_elements(A, kind, vector)
+    return out(A, tuple(
         dot([(table.get((i, j)), c) for j, c in enumerate(vector.coeffs, 1)],
             A.zero)
-        for i in range(1, A.n + 1))
+        for i in range(1, A.n + 1)))
 
 
 def musical_flat(metric, v):
     """Lower an index: the one-form g(v, -)."""
-    return OneForm(metric.algebraifold, _contract_first(metric.g, v))
+    return _contract_first(metric.g, v, Derivation, OneForm)
 
 
 def musical_sharp(metric, eta):
     """Raise an index: the derivation paired to a one-form by the inverse."""
-    return Derivation(metric.algebraifold, _contract_first(metric.g_inv, eta))
+    return _contract_first(metric.g_inv, eta, OneForm, Derivation)

@@ -58,7 +58,7 @@ def nonzero_field_scalars(ctx, max_deg=1, max_terms=2):
 
 
 def ext_scalars(ctx, max_deg=1):
-    gen = ctx.extension_gens[0]
+    gen = ctx.extension.gen
     return st.builds(
         lambda c0, c1: c0 + c1 * ctx.var(gen),
         field_scalars(ctx, max_deg=max_deg),

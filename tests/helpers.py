@@ -58,14 +58,14 @@ def random_field_scalar(rng, ctx, max_terms=2, max_deg=2):
 
 def random_ext_scalar(rng, ctx):
     """c0 + c1 * gen with small rational-function coefficients."""
-    gen = ctx.extension_gens[0]
+    gen = ctx.extension.gen
     c0 = random_field_scalar(rng, ctx, max_terms=2, max_deg=1)
     c1 = random_field_scalar(rng, ctx, max_terms=1, max_deg=1)
     return c0 + c1 * ctx.var(gen)
 
 
 def random_scalar(rng, ctx):
-    level = rng.randint(0, 3 if ctx.extensions else 2)
+    level = rng.randint(0, 3 if ctx.extension else 2)
     if level == 0:
         return ctx.const(random_fraction(rng))
     if level == 1:

@@ -27,7 +27,14 @@ from afd.scalars import (
     ScalarContext,
     poly_gcd,
 )
-from afd.tensors import Tensor, lie_derivative, metric_inverse
+from afd.tensors import (
+    Metric,
+    Tensor,
+    lie_derivative,
+    metric_inverse,
+    musical_flat,
+    musical_sharp,
+)
 
 from helpers import elliptic_field, poly_ring
 
@@ -39,6 +46,9 @@ X = MultiPoly.var(("x",), "x")
 ZERO = MultiPoly.zero(("x",))
 ONE = MultiPoly.const(("x",), 1)
 E = elliptic_field()
+METRIC = metric_inverse(Tensor.make(A, 0, 2, {(1, 1): 1, (2, 2): 1}))
+# a connection with a nonzero Gamma, so that its matrix reads u
+CURVED = Connection(Tensor.make(A, 1, 2, {(1, 1, 1): "x"}))
 
 CODES = {ArityMismatch: "arity-mismatch", ContextMismatch: "context-mismatch",
          DescriptorMismatch: "descriptor-mismatch",
@@ -59,7 +69,18 @@ CASES = {
         (DescriptorMismatch,
          lambda: lie_derivative(A.basis_derivation(1), A.ctx.var("x"))),
     "connection-rank":
-        (DescriptorMismatch, lambda: Connection(A, Tensor.zero(A, 0, 2))),
+        (DescriptorMismatch, lambda: Connection(Tensor.zero(A, 0, 2))),
+    "connection-of-a-non-tensor": (DescriptorMismatch, lambda: Connection(None)),
+    "matrix-of-another-algebraifold":
+        (DescriptorMismatch, lambda: CURVED.matrix(B.basis_derivation(1))),
+    "matrix-of-a-one-form":
+        (DescriptorMismatch, lambda: CURVED.matrix(A.d(A.ctx.var("x")))),
+    "metric-inverse-over-another-algebraifold":
+        (DescriptorMismatch, lambda: Metric(METRIC.g, Tensor.zero(B, 2, 0))),
+    "flat-of-another-algebraifold":
+        (DescriptorMismatch, lambda: musical_flat(METRIC, B.basis_derivation(1))),
+    "sharp-of-another-algebraifold":
+        (DescriptorMismatch, lambda: musical_sharp(METRIC, B.d(B.ctx.var("u")))),
     "stress-energy-rank":
         (DescriptorMismatch, lambda: Geometry(Tensor.make(
             A, 0, 2, {(1, 1): 1, (2, 2): 1})).efe_residual(
@@ -71,10 +92,12 @@ CASES = {
     "not-composable": (DescriptorMismatch, lambda: HOM.compose(HOM)),
     "connection-over-another-source":
         (DescriptorMismatch, lambda: pushforward_connection(
-            HOM, standard_connection(B), LINE.derivation, None)),
-    "hom-into-another-line":
+            HOM, standard_connection(B), LINE.derivation,
+            HOM.differential(LINE.derivation))),
+    "curve-target-not-a-line":
         (DescriptorMismatch, lambda: geodesic_residual(
-            FormalLine.rational(), HOM, standard_connection(A))),
+            AlgebraifoldHom.build(A, A, {"x": "x", "y": "y"}),
+            standard_connection(A))),
     "index-out-of-range":
         (SlotOutOfRange, lambda: Tensor.make(A, 0, 2, {(1, 3): 1})),
     "as-scalar-of-rank-2":

@@ -323,7 +323,7 @@ class TestGeometrySitesMatchFolds:
         gamma = Tensor.make(A, 1, 2, {
             idx: random_poly_scalar(rng, A.ctx)
             for idx in product((1, 2, 3), repeat=3)})
-        connection = Connection(A, gamma)
+        connection = Connection(gamma)
         metric = metric_inverse(random_invertible_metric(rng, A))
         fields = [random_derivation(rng, A, max_deg=2) for _ in range(3)]
         assert_sites_match(A, metric, connection, fields, fields)
@@ -349,7 +349,7 @@ class TestGeometrySitesMatchFolds:
         connection = levi_civita(metric_inverse(manifest.metric))
         hom = manifest.curve_hom("ingoing")
         velocity = hom.differential(manifest.line.derivation)
-        assert connection.matrix(velocity, hom) \
+        assert connection.matrix(velocity) \
             == _ref_matrix(connection, velocity, hom)
 
     def test_bracket_of_polynomial_fields(self):

@@ -30,8 +30,6 @@ from afd.scalars import (
     ExtElem,
     RatFunc,
     Scalar,
-    _gen_derivative,
-    _poly_in_gen_to_elem,
 )
 
 from conftest import ext_scalars, field_scalars, nonzero_field_scalars, poly_scalars
@@ -1040,13 +1038,14 @@ class TestPartial:
 
     def test_generator_derivative_is_cached_per_context(self):
         ctx = field_with_extension(("x", "z"), "y", "y^2 - x^3 - z/2 - 1")
-        gen, rel = ctx.extensions[0]
+        ext = ctx.extension
+        gen, rel = ext.gen, ext.relation
         for name in ("x", "z"):
-            cached = _gen_derivative(ctx, name)
-            assert _gen_derivative(ctx, name) is cached
-            assert ctx.extension.derivatives[name] is cached
-            num = Scalar.make(ctx, _poly_in_gen_to_elem(ctx, rel.partial(name)))
-            den = Scalar.make(ctx, _poly_in_gen_to_elem(ctx, rel.partial(gen)))
+            cached = ext.derivative(name)
+            assert ext.derivative(name) is cached
+            assert ext.derivatives[name] is cached
+            num = Scalar.make(ctx, ext.element(rel.partial(name)))
+            den = Scalar.make(ctx, ext.element(rel.partial(gen)))
             assert Scalar.make(ctx, cached) == -(num / den)
         assert ctx.var("y").partial("z") == 1 / (4 * ctx.var("y"))
 
@@ -1059,9 +1058,9 @@ class TestPartial:
             raise AssertionError("dy/dt inverted dp/dy")
 
         monkeypatch.setattr(ExtElem, "inverse", refuse)
-        zero = _gen_derivative(ctx, "t")
+        zero = ctx.extension.derivative("t")
         assert type(zero) is ExtElem and zero.is_zero
-        assert _gen_derivative(ctx, "t") is zero
+        assert ctx.extension.derivative("t") is zero
         y, t = ctx.var("y"), ctx.var("t")
         assert (y * t).partial("t") == y
 
@@ -1357,8 +1356,8 @@ class TestContextValidation:
         ctx = field_with_extension(("x", "z"), "y", relation)
         assert ctx.var("y") ** degree == ctx.var("z")
         # the context keeps the primitive part
-        assert ctx.extensions == (("y", from_terms(
-            ("x", "z", "y"), {(0, 0, degree): 1, (0, 1, 0): -1})),)
+        assert (ctx.extension.gen, ctx.extension.relation) == ("y", from_terms(
+            ("x", "z", "y"), {(0, 0, degree): 1, (0, 1, 0): -1}))
 
     def test_content_divided_out_before_the_checks(self):
         with pytest.raises(ReducibleRelation):
@@ -1685,7 +1684,7 @@ class TestExtensionConsistency:
             v = scalar.val
             if isinstance(v, Fraction):
                 return ELL.const(v)
-            return Scalar.make(ELL, _poly_in_gen_to_elem(ELL, v.reordered(("x", "y"))))
+            return Scalar.make(ELL, ELL.extension.element(v.reordered(("x", "y"))))
 
         direct = to_ext(p) * to_ext(q)
         via_lift = to_ext(p * q)
@@ -1709,7 +1708,7 @@ class DenseExtension:
     and inverted by the extended Euclidean algorithm."""
 
     def __init__(self, ctx):
-        self.gen, self.rel = ctx.extensions[0]
+        self.gen, self.rel = ctx.extension.gen, ctx.extension.relation
         self.base = ctx.all_vars
         one = MultiPoly.const(self.base, 1)
         self.zero = RatFunc(MultiPoly.zero(self.base), one)
@@ -1869,7 +1868,7 @@ class TestCommonDenominator:
                 got["/"] = _to_top(ctx, quotient.val)
                 want["/"] = ref.mul(ra, want["inverse"])
             for name in names:
-                got["d" + name] = a.partial(name, _gen_derivative(ctx, name))
+                got["d" + name] = a.partial(name)
                 want["d" + name] = ref.partial(ra, name)
             for op, elem in got.items():
                 assert list(elem.coeffs) == want[op], (text, trial, op)

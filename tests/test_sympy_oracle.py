@@ -44,7 +44,7 @@ class Oracle:
     def __init__(self, A, chain=None, relation=None):
         ctx = A.ctx
         self.symbols = {name: sympy.Symbol(name)
-                        for name in ctx.all_vars + ctx.extension_gens}
+                        for name in ctx.constants + ctx.generators}
         self.coords = [self.symbols[name] for name in ctx.transcendentals]
         self.chain = chain or {}    # generator -> its coordinate partials
         self.relation = relation

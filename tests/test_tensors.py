@@ -319,8 +319,7 @@ class TestMetricInverse:
 def _fraction_field(ctx):
     if ctx.kind == FIELD:
         return ctx
-    return ScalarContext(FIELD, ctx.transcendentals, ctx.constants,
-                         ctx.extensions)
+    return ScalarContext(FIELD, ctx.transcendentals, ctx.constants)
 
 
 def reference_matrix_inverse(ctx, rows):
