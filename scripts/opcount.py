@@ -6,14 +6,17 @@ Usage:
 
 WORKLOAD is a workload of ``perfbench/workloads.py`` (``bundled``,
 ``poly_sweep`` or ``ks_extension``), built with seed 0.  The script runs the
-workload's setup and one warm pass untraced, so that lazy imports and
-per-process caches are in place, and then one more pass under two tracers:
-``sys.setprofile`` counts the Python function calls and ``sys.settrace``
-with ``f_trace_opcodes`` counts the bytecodes executed.  It prints one JSON
-line: ``workload``, ``calls``, ``bytecodes`` and ``correct``, which is true
-when the traced pass verified every op.  The exit status is 1 when it did
-not, and 2 when the interpreter reports no opcode events (CPython 3.12.1
-sends none to a ``sys.settrace`` function).
+workload's setup and one warm pass untraced, so that lazy imports are in
+place.  It then runs the setup again, as ``perfbench/run.py`` does before
+every pass: the setup re-imports afd, so the traced pass starts with afd's
+caches (the ``poly_gcd`` memo among them) as empty as a timed pass does.
+That pass runs under two tracers: ``sys.setprofile`` counts the Python
+function calls and ``sys.settrace`` with ``f_trace_opcodes`` counts the
+bytecodes executed.  It prints one JSON line: ``workload``, ``calls``,
+``bytecodes`` and ``correct``, which is true when the traced pass verified
+every op.  The exit status is 1 when it did not, and 2 when the interpreter
+reports no opcode events (CPython 3.12.1 sends none to a ``sys.settrace``
+function).
 
 Unlike a timing, the counts do not move with the load of the host, so two
 checkouts can be compared from one run each.  They do depend on the Python
@@ -73,6 +76,7 @@ def main(argv=None):
     workload = WORKLOADS[args.workload](0)
     workload.setup()
     workload.run_pass()
+    workload.setup()  # a cold pass, as every timed pass is
     outcome, calls, bytecodes = traced_pass(workload)
     if not bytecodes:
         # CPython 3.12.1 sends no opcode events to a sys.settrace function

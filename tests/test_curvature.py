@@ -20,9 +20,10 @@ from afd.curvature import (
     torsion,
 )
 from afd.errors import NonConstantCoupling
+from afd.expr import parse_scalar
 from afd.scalars import (
     FIELD, ExtElem, MultiPoly, RatFunc, Scalar, SharedDenominator,
-    _laplace_minors)
+    _laplace_minors, dot)
 from afd.tensors import Tensor, kronecker, metric_inverse
 
 from helpers import (
@@ -910,3 +911,58 @@ class TestJacobiFormula:
             g = Tensor.make(field, 0, 2, entries)
             nonzero += sum(not t.is_zero for t in self.traces(field, g))
         assert nonzero
+
+
+def kretschmann(g):
+    """The Kretschmann scalar ``R_aijk R^aijk`` of the metric tensor ``g``,
+    from afd's Riemann tensor ``R^a_ijk`` (slots ``(a, i, j, k)``), ``g`` and
+    its inverse, by tensor products and contractions."""
+    geometry = Geometry(g)
+    riemann, g_inv = geometry.riemann, geometry.metric.g_inv
+    lowered = g.tensor(riemann).contract(1, 2)  # R_aijk
+    raised = riemann
+    # raise k, then j, then i: each raised index becomes the first slot, so
+    # the slots end as (i, j, k, a); the antisymmetric pair (j, k) is raised
+    # first, which keeps the intermediate tensors sparse
+    for slot in (3, 2, 1):
+        raised = g_inv.tensor(raised).contract(2, slot)
+    return dot([(value, raised.get((i, j, k, a)))
+                for (a, i, j, k), value in lowered.comp.items()],
+               g.algebraifold.zero)
+
+
+class TestKretschmann:
+    """A curvature invariant against closed forms from the literature, over
+    the extension ``Q(m)(t,x,y,z)[r]/(r^2-x^2-y^2-z^2)``: metric inverse,
+    Levi-Civita, Riemann and the contractions all take part, and nothing in
+    the expected values was computed by afd."""
+
+    @pytest.fixture(scope="class")
+    def schwarzschild(self, repo_root):
+        from afd.manifest import load_manifest
+
+        return load_manifest(
+            repo_root / "tests" / "fixtures" / "schwarzschild_ks.json")
+
+    def test_schwarzschild(self, schwarzschild):
+        # K = 48 m^2 / r^6 (R. C. Henry, ApJ 535, 2000)
+        ctx = schwarzschild.algebraifold.ctx
+        assert kretschmann(schwarzschild.metric) == parse_scalar(
+            "48*m^2 / r^6", ctx)
+
+    def test_perturbed_metric(self, schwarzschild):
+        # negative control: g - (m^2/r^2) l l with l = dt + (x dx + y dy +
+        # z dz)/r is Reissner-Nordstrom in Kerr-Schild form with charge
+        # q^2 = m^2, so K = (48 m^2 r^2 - 96 m q^2 r + 56 q^4) / r^8 (Henry's
+        # Kerr-Newman form at a = 0)
+        A, g = schwarzschild.algebraifold, schwarzschild.metric
+        ctx = A.ctx
+        l = [parse_scalar(text, ctx) for text in ("1", "x/r", "y/r", "z/r")]
+        h = -parse_scalar("m^2 / r^2", ctx)
+        perturbed = g + Tensor.make(A, 0, 2, {
+            (a, b): h * l[a - 1] * l[b - 1]
+            for a in range(1, 5) for b in range(1, 5)})
+        k = kretschmann(perturbed)
+        assert k != parse_scalar("48*m^2 / r^6", ctx)
+        assert k == parse_scalar(
+            "(48*m^2*r^2 - 96*m^3*r + 56*m^4) / r^8", ctx)

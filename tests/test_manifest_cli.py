@@ -19,6 +19,7 @@ from afd.errors import (
 from afd.expr import render_scalar
 from afd.manifest import COMMANDS, OPTIONS, build_manifest, load_manifest
 from afd.report import emit_report, run_command, tensor_payload
+from afd.scalars import poly_gcd
 from afd.tensors import Tensor
 
 from helpers import poly_ring
@@ -577,6 +578,29 @@ class TestGoldenReports:
                              "check")
         assert emit_report(report, "json") == (
             bench / "ks_extension.check.json").read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("workload", ["bundled", "ks_extension"])
+    def test_same_bytes_on_a_cold_and_a_warm_gcd_memo(self, repo_root,
+                                                      workload):
+        # the first run starts with an empty memo, and the second run, in
+        # the same process, must read some of the first run's gcds
+        if workload == "bundled":
+            manifests = repo_root / "manifests"
+            pairs = [(manifests / golden.name.replace(".check", ""), golden)
+                     for golden in sorted((manifests / "golden").glob("*"))]
+        else:
+            bench = repo_root / "perfbench"
+            pairs = [(bench / "ks_extension.json",
+                      bench / "ks_extension.check.json")]
+        cases = [(load_manifest(path), reference.read_text(encoding="utf-8"))
+                 for path, reference in pairs]
+        poly_gcd.cache_clear()
+        for run in ("cold", "warm"):
+            hits = poly_gcd.cache_info().hits
+            for manifest, reference in cases:
+                report = run_command(manifest, "check")
+                assert emit_report(report, "json") == reference, run
+        assert poly_gcd.cache_info().hits > hits
 
 
 class TestParseOnce:

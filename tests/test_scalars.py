@@ -891,6 +891,7 @@ class TestPolyGcd:
             m.setattr(scalars, "_prs_poly_gcd", _no_fallback)
             got = [poly_gcd(ga, gb) for _, ga, gb in pairs]
         monkeypatch.setattr(scalars, "_heu_gcd", lambda f, g: None)
+        poly_gcd.cache_clear()  # no heuristic gcd answers the reference
         for (g, ga, gb), d in zip(pairs, got):
             assert d == scalars._prs_poly_gcd(ga, gb).monic()
             assert d.exact_div(g.monic()) is not None
@@ -913,6 +914,7 @@ class TestPolyGcd:
             m.setattr(scalars, "_prs_poly_gcd", _no_fallback)
             got = [poly_gcd(ga, gb) for _, ga, gb in pairs]
         monkeypatch.setattr(scalars, "_heu_gcd", lambda f, g: None)
+        poly_gcd.cache_clear()  # no heuristic gcd answers the reference
         for (g, ga, gb), d in zip(pairs, got):
             assert d == scalars._prs_poly_gcd(ga, gb).monic()
             assert d.exact_div(g.monic()) is not None
@@ -965,6 +967,19 @@ class TestPolyGcdFallback(TestPolyGcd):
     test_heuristic_matches_prs_reference = None
     test_heuristic_matches_prs_reference_in_8_to_9_variables = None
 
+    def test_cases_run_the_fallback(self, monkeypatch):
+        # TestPolyGcd answered these pairs with the heuristic earlier in the
+        # run; the memo starts each test empty (tests/conftest.py), so they
+        # reach the remainder sequence here instead of the cache
+        calls = []
+        prs = scalars._prs_poly_gcd
+        monkeypatch.setattr(scalars, "_prs_poly_gcd",
+                            lambda a, b: calls.append((a, b)) or prs(a, b))
+        self.test_linear_factor()
+        assert len(calls) == 1
+        self.test_high_degree_trivariate_common_factor()
+        assert len(calls) > 1
+
 
 class TestKerrGcd:
     """Genuine Kerr in Kerr-Schild form, where the remainder sequence once
@@ -1005,6 +1020,93 @@ class TestKerrGcd:
         sympy = pytest.importorskip("sympy")
         a, b, want = _kerr_gcd_pair(repo_root)
         assert render_poly(_sympy_gcd(sympy, a, b)) == want
+
+
+class TestEqualDenominatorSum:
+    """A sum of two canonical quotients over one denominator ``D``: Henrici's
+    sum with ``gcd(D, D) = D``, so only the numerator sum cancels against
+    ``D``.  The result must equal the cross-multiplied sum over ``D * D``
+    made canonical, and the only gcds are those of the final content gcd."""
+
+    VARS = ("x", "y", "z")
+
+    @staticmethod
+    def _check(monkeypatch, p, q):
+        den = p.den
+        assert q.den == den and not den.is_const
+        want = scalars._cancel(
+            [x * den + y * den for x, y in zip(p.nums, q.nums)], den * den)
+        calls = []
+        memo = scalars.poly_gcd
+        with monkeypatch.context() as m:
+            m.setattr(scalars, "poly_gcd",
+                      lambda a, b: calls.append((a, b)) or memo(a, b))
+            got = p + q
+        assert type(got) is type(p)
+        assert (tuple(got.nums), got.den) == (tuple(want[0]), want[1])
+        # the content gcd of the numerator sum against D, nothing else
+        t = [x + y for x, y in zip(p.nums, q.nums)]
+        assert len(calls) <= sum(not n.is_zero for n in t)
+        assert all(n in t for _, n in calls)
+        assert (den, den) not in calls
+        return got
+
+    @staticmethod
+    def _denominator(rng, variables):
+        """A monic denominator with a planted factor, and that factor."""
+        one = MultiPoly.const(variables, 1)
+        x = MultiPoly.var(variables, "x")
+        y = MultiPoly.var(variables, "y")
+        shared = (x - one, x * y + one.scale(2), (x - one) * (y + one))
+        while True:
+            factor = rng.choice(shared)
+            den = _random_poly(rng, variables, max_terms=3, max_deg=1)
+            den = (den * factor).monic()
+            if not den.is_const:
+                return den, factor
+
+    @pytest.mark.parametrize("relation", [None, "x*w^3 + y*w^2 + 1"],
+                             ids=["RatFunc", "ExtElem"])
+    def test_matches_the_cross_multiplied_sum(self, monkeypatch, relation):
+        rng = random.Random(2601)
+        if relation is None:
+            variables, width = self.VARS, 1
+
+            def make(nums, den):
+                return RatFunc.make(nums[0], den)
+        else:
+            ctx = field_with_extension(("x", "y"), "w", relation)
+            variables, width = ctx.all_vars, ctx.extension.degree
+
+            def make(nums, den):
+                return ExtElem.make(nums, den, ctx.extension)
+
+        def vector(max_terms, max_deg):
+            return [_random_poly(rng, variables, max_terms, max_deg)
+                    for _ in range(width)]
+
+        cases = dict.fromkeys(("plain", "zero", "shared factor"), 0)
+        while min(cases.values()) < 4:
+            den, factor = self._denominator(rng, variables)
+            a = vector(3, 2)
+            p = make(a, den)
+            kind = rng.choice(sorted(cases))
+            if kind == "zero":
+                q = -p
+            elif kind == "shared factor":
+                # the numerator sum is factor * h, which den shares
+                q = make([factor * h - n for h, n in zip(vector(2, 1), a)],
+                         den)
+            else:
+                q = make(vector(3, 2), den)
+            if p.den != den or q.den != den:
+                continue  # a numerator cancelled against den
+            got = self._check(monkeypatch, p, q)
+            if kind == "zero":
+                assert got.is_zero and got.den.is_const
+            elif kind == "shared factor" and not got.is_zero:
+                assert got.den != den
+            cases[kind] += 1
 
 
 class TestPartial:
