@@ -4,8 +4,8 @@ Grammar (whitespace between tokens is ignored)::
 
     expr    := term { ("+"|"-") term }
     term    := factor { ("*"|"/") factor }
-    factor  := base [ "^" exponent ]
-    base    := integer | identifier | "(" expr ")" | "-" base
+    factor  := "-" factor | base [ "^" exponent ]
+    base    := integer | identifier | "(" expr ")"
     integer := digit+
     exponent:= ["-"] digit+          (negative only in field contexts)
 
@@ -140,6 +140,8 @@ class _Parser:
         return value
 
     def factor(self):
+        if self.peek()[0] == "-":  # "^" binds tighter: -m^2 is -(m^2)
+            return -self.nested(self.factor, self.advance()[2])
         value = self.base()
         if self.peek()[0] == "^":
             self.advance()
@@ -174,9 +176,6 @@ class _Parser:
                 self.fail(expected=(")",))
             self.advance()
             return value
-        if kind == "-":
-            self.advance()
-            return -self.nested(self.base, where)
         self.fail(expected=("integer", "identifier", "(", "-"))
 
 

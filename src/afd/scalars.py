@@ -40,8 +40,8 @@ that can represent them:
   product, a Riemann numerator, the chain-rule term of a shared-denominator
   partial and the polynomial products of ``dot`` all run through it.
 * ``dot`` is the one sum of products of Scalars, skipping every pair with a
-  zero factor: two or more polynomial products go to ``_sum_products`` at
-  once, any other pair is folded in with ``+``.  Every component sum of the
+  zero factor: the polynomial products go to ``_sum_products`` at once,
+  any other pair is folded in with ``+``.  Every component sum of the
   geometry modules (a derivation applied to a scalar, a bracket, a pairing,
   a covariant or Lie derivative, index raising, the Ricci scalar) calls it.
 * ``RatFunc`` and ``ExtElem`` share one quotient form: polynomial
@@ -64,7 +64,9 @@ evaluate the integer numerators at large integers, take an integer gcd,
 interpolate back and certify by the integer exact division that
 ``exact_div`` also uses); a primitive polynomial remainder sequence runs
 only when the heuristic gives up.  The last 1024 gcds are memoized by
-operand pair.
+operand pair.  ``_pseudo_fold`` is the one pseudo-division, on dense
+coefficient vectors: it reduces modulo an extension's minimal relation and
+takes each remainder of that sequence.
 
 Polynomials are evaluated by two kernels, one per kind of image.
 ``Substitution`` maps any payload to ``Scalar`` images in a target context,
@@ -616,50 +618,58 @@ def _shared_vars(a, b):
     return [i for i, (x, y) in enumerate(zip(_used(a), _used(b))) if x and y]
 
 
-def _univar_coeffs(poly, idx):
-    """Split by the exponent of variable ``idx``: degree -> coefficient poly."""
+def _coeffs_in(poly, idx):
+    """The dense coefficient vector of ``poly`` in variable ``idx``, constant
+    term first: polynomials over the same variables, free of that one.
+    Zero has the empty vector."""
     s, unit = _var_field(len(poly.vars), idx)
-    out = {}
+    out = []
     for e, c in poly.nums.items():
         j = e >> s & _FIELD
-        out.setdefault(j, {})[e - j * unit] = c
-    return {k: _reduced(poly.vars, t, poly.denom) for k, t in out.items()}
+        while len(out) <= j:
+            out.append({})
+        out[j][e - j * unit] = c
+    return [_reduced(poly.vars, t, poly.denom) for t in out]
 
 
-def _content_pp(poly, idx):
-    """Content and primitive part with respect to variable ``idx``."""
-    coeffs = list(_univar_coeffs(poly, idx).values())
-    content = _content_gcd(coeffs[0], coeffs[1:]).monic()
+def _primitive(vec):
+    """The monic content of a polynomial vector whose last entry is nonzero
+    (the gcd of its entries) and the vector divided by it."""
+    content = _content_gcd(vec[-1], vec[:-1]).monic()
     if content.is_const:
-        return MultiPoly.const(poly.vars, 1), poly
-    return content, poly.exact_div(content)
+        return content, vec
+    return content, [c.exact_div(content) for c in vec]
 
 
-def _prem(f, g, idx):
-    """Pseudo-remainder of f by g in variable ``idx``.
+def _pseudo_fold(vec, lead, tail, d):
+    """Pseudo-division (Knuth, TAOCP vol. 2, 4.6.1) of the polynomial vector
+    ``vec`` (constant term first) by ``lead * x**d + sum c * x**i`` over the
+    ``(i, c)`` pairs of ``tail``.
 
-    Multiplies through by the leading coefficient only when it does not
-    divide the current leading term, which keeps intermediate coefficients
-    from swelling on the common quasi-monic inputs.
+    Returns ``(r, k)``: ``r``, a list of at most ``d`` entries, is
+    ``lead**k * vec`` modulo the divisor.  Each fold divides the top entry
+    by ``lead`` when that is exact and multiplies the vector through by
+    ``lead`` only when it is not, which keeps the entries from swelling on
+    quasi-monic divisors; a ``lead`` of one divides nothing.
     """
-    by_deg = _univar_coeffs(g, idx)
-    m = max(by_deg)
-    lg = by_deg[m]
-    _, unit = _var_field(len(f.vars), idx)
-    r = f
-    while not r.is_zero:
-        r_by = _univar_coeffs(r, idx)
-        n = max(r_by)
-        if n < m:
-            break
-        lr = r_by[n]
-        xk = _poly(f.vars, {(n - m) * unit: 1}, 1)
-        q = lr.exact_div(lg)
-        if q is not None:
-            r = r - q * xk * g
-        else:
-            r = lg * r - lr * xk * g
-    return r
+    vec = list(vec)
+    k = 0
+    one = lead.denom == 1 and lead.nums == {0: 1}
+    while len(vec) > d:
+        c = vec.pop()
+        if not c.nums:
+            continue
+        if not one:
+            q = c.exact_div(lead)
+            if q is None:
+                vec = [lead * v for v in vec]
+                k += 1
+            else:
+                c = q
+        shift = len(vec) - d
+        for i, t in tail:
+            vec[shift + i] = vec[shift + i] - c * t
+    return vec, k
 
 
 # poly_gcd results kept: enough for the repeats of a curvature contraction,
@@ -705,8 +715,6 @@ def poly_gcd(a, b):
         return base
     if _scalar_multiple(a, b):
         return (base * a).monic()
-    if not _shared_vars(a, b):
-        return base
     h = _heu_gcd(a.nums, b.nums)
     if h is None:
         return (base * _prs_poly_gcd(a, b)).monic()
@@ -716,29 +724,33 @@ def poly_gcd(a, b):
 
 
 def _prs_poly_gcd(a, b):
-    """gcd of two non-constant polynomials that share a variable, by
-    recursive contents and a primitive remainder sequence; not normalized."""
+    """gcd of two non-constant polynomials, by recursive contents and a
+    primitive remainder sequence on their coefficient vectors in one shared
+    variable; not normalized.  Operands that share no variable have gcd 1."""
+    shared = _shared_vars(a, b)
+    if not shared:
+        return MultiPoly.const(a.vars, 1)
     # eliminate the lowest-degree shared variable first: fewest remainder
     # steps, least coefficient swell
-    idx = min(_shared_vars(a, b),
+    idx = min(shared,
               key=lambda i: min(a.degree_in(a.vars[i]), b.degree_in(a.vars[i])))
-    ca, pa = _content_pp(a, idx)
-    cb, pb = _content_pp(b, idx)
+    ca, pa = _primitive(_coeffs_in(a, idx))
+    cb, pb = _primitive(_coeffs_in(b, idx))
     cont = poly_gcd(ca, cb)
-    if pa.degree_in(a.vars[idx]) < pb.degree_in(a.vars[idx]):
+    if len(pa) < len(pb):
         pa, pb = pb, pa
-    return cont * _prs_gcd(pa, pb, idx)
-
-
-def _prs_gcd(pa, pb, idx):
-    """Primitive polynomial remainder sequence in variable ``idx``."""
-    while True:
-        r = _prem(pa, pb, idx)
-        if r.is_zero:
-            return pb
-        if not r.involves(pa.vars[idx]):
-            return MultiPoly.const(pa.vars, 1)
-        pa, pb = pb, _content_pp(r, idx)[1]
+    # a remainder free of the variable leaves a constant pb: the gcd is cont
+    while len(pb) > 1:
+        r, _ = _pseudo_fold(pa, pb[-1],
+                            [(i, c) for i, c in enumerate(pb[:-1]) if c.nums],
+                            len(pb) - 1)
+        while r and not r[-1].nums:
+            r.pop()
+        if not r:
+            break
+        pa, pb = pb, _primitive(r)[1]
+    x = MultiPoly.var(a.vars, a.vars[idx])
+    return cont * reduce(lambda g, c: g * x + c, reversed(pb))
 
 
 # evaluation points tried per variable before the heuristic gives up
@@ -894,15 +906,9 @@ class _Quotient:
         # of one is the constant 1 (monic)
         a, b = self.nums, self.den
         c, d = other.nums, other.den
-        if b.is_const:
-            if d.is_const:
-                return self._with(list(map(add, a, c)), d)
-            return self._with([x * d + y for x, y in zip(a, c)], d)
-        if d.is_const:
-            return self._with([x + y * b for x, y in zip(a, c)], b)
         if b == d:  # g = b: only the numerator sum cancels against it
             return self._with(*_cancel(list(map(add, a, c)), b))
-        g = poly_gcd(b, d)
+        g = b if b.is_const else d if d.is_const else poly_gcd(b, d)
         if g.is_const:
             return self._with([x * d + y * b for x, y in zip(a, c)], b * d)
         b = b.exact_div(g)
@@ -999,11 +1005,9 @@ class RatFunc(_Quotient):
 
 def _vector_in_gen(poly, gen, base_vars):
     """A polynomial over base_vars + (gen,) as a dense vector in gen of
-    polynomials over base_vars, constant term first."""
-    by_power = _univar_coeffs(poly, poly.vars.index(gen))
-    zero = MultiPoly.zero(base_vars)
-    return [by_power[k].reordered(base_vars) if k in by_power else zero
-            for k in range(max(by_power, default=0) + 1)]
+    polynomials over base_vars, constant term first; empty for zero."""
+    return [c.reordered(base_vars)
+            for c in _coeffs_in(poly, poly.vars.index(gen))]
 
 
 def _sum_products(terms):
@@ -1116,18 +1120,8 @@ class Extension:
         ``lead**k`` times ``vec`` modulo the relation; ``k`` is 0 for a
         monic relation.  Only polynomial arithmetic runs.
         """
-        vec = list(vec)
-        d, lead, k = self.degree, self.lead, 0
-        while len(vec) > d:
-            c = vec.pop()
-            if c.is_zero:
-                continue
-            if not lead.is_const:
-                vec = [lead * v for v in vec]
-                k += 1
-            shift = len(vec) - d
-            for i, t in self.tail:
-                vec[shift + i] = vec[shift + i] - c * t
+        d = self.degree
+        vec, k = _pseudo_fold(vec, self.lead, self.tail, d)
         return vec + [MultiPoly.zero(self.base_vars)] * (d - len(vec)), k
 
     def reduce(self, vec, den):
@@ -1514,10 +1508,14 @@ def relation_is_irreducible(relation, gen):
         return not _is_square(b * b - (a * c).scale(4))
     s, _ = relation._field(gen)
     others = [relation._field(v) for v in relation.vars if v != gen]
-    for seed in _SPECIALIZE_SEEDS:
+    n = len(_SPECIALIZE_SEEDS)
+    for t in range(n):
         f = relation.nums
+        # variable i takes the seed 5 * i places further on: 5 is prime to
+        # n, so each variable meets every seed, and the trial points lie on
+        # no line such as y = x + 1 that a root could follow
         for i, (vs, unit) in enumerate(others):
-            f = _int_evaluate(f, vs, unit, seed + i)
+            f = _int_evaluate(f, vs, unit, _SPECIALIZE_SEEDS[(t + 5 * i) % n])
         int_coeffs = [0] * (deg + 1)
         for e, c in f.items():
             int_coeffs[e >> s & _FIELD] = c
@@ -1584,7 +1582,8 @@ class ScalarContext:
                 raise ValueError(f"relation for '{gen}' must involve it")
             # kept primitive, so that no map satisfies the relation by
             # sending its content to zero
-            _, rel = _content_pp(rel, len(self.all_vars))
+            rel = rel.exact_div(
+                _primitive(_coeffs_in(rel, len(self.all_vars)))[0])
             validate_relation_separable(rel, gen)
             if deg <= 3:
                 if not relation_is_irreducible(rel, gen):
@@ -1829,8 +1828,8 @@ def dot(pairs, start):
     products of the geometry layers; ``start`` is their zero, or a first
     summand.
 
-    Two or more products of polynomials of ``start``'s context, with
-    ``start`` once it is a polynomial too, go into one ``_sum_products``
+    The products of polynomials of ``start``'s context, with ``start``
+    once it is a polynomial too, go into one ``_sum_products``
     call: one lcm, one integer dict and one reduction.  Every other pair is
     folded in with Scalar ``*`` and ``+``, quotients included."""
     ctx, total, polys = start.ctx, start, []
@@ -1840,9 +1839,6 @@ def dot(pairs, start):
             polys.append(((x,), (y,), 1))
         elif x is not ZERO and y is not ZERO:
             total = total + a * b
-    if len(polys) == 1:  # a product of non-constant polynomials
-        (x,), (y,), _ = polys[0]
-        return total + Scalar(ctx, x * y)
     if polys:
         if type(total.val) is MultiPoly:
             polys.append(((total.val,), None, 1))

@@ -931,11 +931,20 @@ def kretschmann(g):
                g.algebraifold.zero)
 
 
+# Kerr's Kretschmann scalar in the chart (t, r, c, phi) with c = cos(theta):
+# 48 m^2 (r^2 - a^2 c^2)(S^2 - 16 r^2 a^2 c^2) / S^6 with S = r^2 + a^2 c^2
+# (Henry, ApJ 535, 2000)
+_SIGMA = "(r^2 + a^2*c^2)"
+KERR_KRETSCHMANN = (f"48*m^2*(r^2 - a^2*c^2)*({_SIGMA}^2 - 16*r^2*a^2*c^2)"
+                    f" / {_SIGMA}^6")
+
+
 class TestKretschmann:
     """A curvature invariant against closed forms from the literature, over
-    the extension ``Q(m)(t,x,y,z)[r]/(r^2-x^2-y^2-z^2)``: metric inverse,
-    Levi-Civita, Riemann and the contractions all take part, and nothing in
-    the expected values was computed by afd."""
+    the extension ``Q(m)(t,x,y,z)[r]/(r^2-x^2-y^2-z^2)`` and over Kerr's
+    rational chart ``Q(m,a)(t,r,c,phi)``: metric inverse, Levi-Civita,
+    Riemann and the contractions all take part, and nothing in the expected
+    values was computed by afd."""
 
     @pytest.fixture(scope="class")
     def schwarzschild(self, repo_root):
@@ -966,3 +975,36 @@ class TestKretschmann:
         assert k != parse_scalar("48*m^2 / r^6", ctx)
         assert k == parse_scalar(
             "(48*m^2*r^2 - 96*m^3*r + 56*m^4) / r^8", ctx)
+
+    def test_kerr_chart(self, repo_root):
+        from afd.manifest import load_manifest
+
+        kerr = load_manifest(
+            repo_root / "manifests" / "charts" / "kerr_chart.json")
+        assert kretschmann(kerr.metric) == parse_scalar(
+            KERR_KRETSCHMANN, kerr.algebraifold.ctx)
+
+    def test_kerr_newman_chart(self):
+        # negative control: Kerr-Newman in the same chart, with charge q and
+        # D = r^2 - 2 m r + a^2 + q^2; q = 0 gives kerr_chart.json's entries.
+        # Its K is Henry's Kerr-Newman form, with C = a^2 c^2
+        A = function_field("t", "r", "c", "phi", constants=("m", "a", "q"))
+        ctx = A.ctx
+        d, s2 = "(r^2 - 2*m*r + a^2 + q^2)", "(1 - c^2)"
+        entries = {
+            (1, 1): f"-({d} - a^2*{s2}) / {_SIGMA}",
+            (1, 4): f"-a*{s2}*(2*m*r - q^2) / {_SIGMA}",
+            (2, 2): f"{_SIGMA} / {d}",
+            (3, 3): f"{_SIGMA} / {s2}",
+            (4, 4): f"{s2}*((r^2 + a^2)^2 - {d}*a^2*{s2}) / {_SIGMA}",
+        }
+        entries[4, 1] = entries[1, 4]
+        g = Tensor.make(A, 0, 2, {
+            key: parse_scalar(text, ctx) for key, text in entries.items()})
+        k = kretschmann(g)
+        assert k != parse_scalar(KERR_KRETSCHMANN, ctx)
+        c = "(a^2*c^2)"
+        assert k == parse_scalar(
+            f"8*(6*m^2*(r^6 - 15*r^4*{c} + 15*r^2*{c}^2 - {c}^3)"
+            f" - 12*m*q^2*r*(r^4 - 10*r^2*{c} + 5*{c}^2)"
+            f" + q^4*(7*r^4 - 34*r^2*{c} + 7*{c}^2)) / {_SIGMA}^6", ctx)

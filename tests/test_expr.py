@@ -68,9 +68,9 @@ class TestParse:
         with pytest.raises(ExprSyntaxError):
             parse_scalar("x 2", POLY)
 
-    def test_unary_minus_binds_before_power(self):
-        # factor := base ["^" int] with base := "-" base: -2^2 is (-2)^2
-        assert parse_scalar("-2^2", POLY) == POLY.const(4)
+    def test_power_binds_before_unary_minus(self):
+        # factor := "-" factor | base ["^" exponent]: -2^2 is -(2^2)
+        assert parse_scalar("-2^2", POLY) == POLY.const(-4)
 
     def test_rational_literal(self):
         assert parse_scalar("1/2", POLY) == POLY.const(Fraction(1, 2))

@@ -1,6 +1,6 @@
 """The fused sums of products against the Scalar folds they replace.
 
-``scalars.dot`` sends two or more products of polynomials to one
+``scalars.dot`` sends its products of polynomials to one
 ``_sum_products`` call, and the geometry sites collect their terms per
 output component into one ``dot`` each.  The ``_ref_*`` functions below are
 the earlier forms of those sums: every product and every sum one Scalar

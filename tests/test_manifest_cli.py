@@ -570,6 +570,20 @@ class TestGoldenReports:
             assert emit_report(report, "json") == golden.read_text(
                 encoding="utf-8"), stem
 
+    def test_chart_manifests_match_goldens(self, repo_root):
+        # the charts live apart from manifests/*.json, which the bundled
+        # benchmark workload reads; each one passes with no warning
+        chart_dir = repo_root / "manifests" / "charts"
+        goldens = sorted((chart_dir / "golden").glob("*.check.json"))
+        assert [g.name for g in goldens] == ["kerr_chart.check.json"]
+        for golden in goldens:
+            stem = golden.name.replace(".check.json", "")
+            report = run_command(load_manifest(chart_dir / f"{stem}.json"),
+                                 "check")
+            assert report.exit_code == 0, stem
+            text = emit_report(report, "json")
+            assert json.loads(text)["warnings"] == [], stem
+            assert text == golden.read_text(encoding="utf-8"), stem
 
     def test_extension_workload_matches_its_reference(self, repo_root):
         # Schwarzschild-like Kerr-Schild metric over Q(m)(t,x,y)[r]/(r^2-x^2-y^2)

@@ -1496,6 +1496,21 @@ class TestContextValidation:
         with pytest.raises(ReducibleRelation):
             field_with_extension(("x",), "y", "((x - 1)*y - 1)*(y^2 + 2)")
 
+    @pytest.mark.parametrize("relation", ["x*w^3 + w + y", "x*w^3 - y*w - 1"])
+    def test_cubic_with_roots_along_a_line_accepted(self, relation):
+        # linear in y and primitive in w, so irreducible over Q(x, y) by
+        # Gauss's lemma; w = -1 is a root wherever y = x + 1, so trial points
+        # on that line alone would call it reducible
+        ctx = field_with_extension(("x", "y"), "w", relation)
+        assert ctx.extension.degree == 3
+        w = ctx.var("w")
+        assert parse_scalar(relation, ctx) == ctx.zero
+        assert w * w.inverse() == ctx.one
+
+    def test_reducible_cubic_over_two_variables_refused(self):
+        with pytest.raises(ReducibleRelation):
+            field_with_extension(("x", "y"), "w", "(x*w - y)*(w^2 - x - y)")
+
     def test_relation_over_the_rationals_alone(self):
         with pytest.raises(ReducibleRelation):
             field_with_extension((), "y", "y^2 - 4")
