@@ -9,15 +9,15 @@ componentwise.
 The curvature R(u, v) = [nabla_u, nabla_v] - nabla_[u, v] is pure algebra on
 the Christoffel symbols, so it is computed over one common denominator
 instead of cancelling a gcd after every product and sum: every Gamma becomes
-polynomial numerators over D, the lcm of the Christoffel denominators, and
-every derivative d_a Gamma numerators over D**2 E, where E is the lcm of the
-denominators of the extension generator's implicit derivatives.  Each
-component's numerator is a polynomial sum of products, built in one pass of
+polynomial numerators over D, the lcm of the Christoffel denominators and of
+the denominators of the extension generator's implicit derivatives, and
+every derivative d_a Gamma numerators over D**2.  Each component's
+numerator is a polynomial sum of products, built in one pass of
 the sparse multiply-accumulate kernel ``scalars._sum_products``: every
 product's integer numerators go into one dict per power of the generator,
 with no intermediate polynomial, and the sum is made canonical by one
-reduction modulo the relation and one cancel.  Over a polynomial ring D and
-E are one and no factor is multiplied in.
+reduction modulo the relation and one cancel.  Over a polynomial ring D is
+one and no factor is multiplied in.
 """
 
 from __future__ import annotations
@@ -141,13 +141,12 @@ def curvature_tensor(connection):
             + sum_m (Gamma^l_{im} Gamma^m_{jk} - Gamma^l_{jm} Gamma^m_{ik}).
 
     Every Gamma is lifted to polynomial numerators over D, the lcm of the
-    Christoffel denominators, and every derivative d_a Gamma to numerators
-    over D**2 E, where E is the lcm of the denominators of the extension
-    generator's derivatives (one without an extension); each is computed
-    once per distinct Gamma value and direction.  A component's products
-    and its two derivative vectors go into one ``_sum_products`` call; over
-    an extension the product sum, over D**2, is widened by E first.  The
-    numerator is made canonical by one reduction and cancel.
+    Christoffel denominators and of the denominators of the extension
+    generator's derivatives, and every derivative d_a Gamma to numerators
+    over D**2; each is computed once per distinct Gamma value and
+    direction.  A component's products and its two derivative vectors go
+    into one ``_sum_products`` call, and the numerator is made canonical
+    by one reduction and cancel.
     """
     A = connection.algebraifold
     n = A.n
@@ -160,15 +159,13 @@ def curvature_tensor(connection):
     for value in comp.values():
         if value not in slots:
             slots[value] = len(vecs)
-            vecs.append(frame.lift(value))
+            vecs.append(frame.lift(value.val))
     slot = {idx: slots[value] for idx, value in comp.items()}
     gamma = {idx: vecs[s] for idx, s in slot.items()}
     partials = {}
-    # over an extension the products, over D**2, are widened to D**2 E
-    widen = not frame.ext_den.is_const
 
     def partial(a, idx):
-        """Numerators of d_a Gamma^idx over D**2 E; None for a zero Gamma."""
+        """Numerators of d_a Gamma^idx over D**2; None for a zero Gamma."""
         s = slot.get(idx)
         if s is None:
             return None
@@ -191,8 +188,6 @@ def curvature_tensor(connection):
                         a, b = gamma.get((l, j, m)), gamma.get((m, i, k))
                         if a and b:
                             terms.append((a, b, -1))
-                    if terms and widen:
-                        terms = [(frame.widen(_sum_products(terms)), None, 1)]
                     d = partial(i, (l, j, k))
                     if d:
                         terms.append((d, None, 1))

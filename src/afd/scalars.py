@@ -1287,55 +1287,42 @@ class SharedDenominator:
     generator, constant term first, or one polynomial without an extension;
     vectors may be longer than the relation's degree until ``make`` reduces
     them.  ``den`` is D, the monic lcm of the denominators of the given
-    scalars, found with one gcd per distinct denominator, and ``lift`` gives
-    a scalar's numerators over D.  ``partial`` gives the numerators of a
-    partial derivative of ``vec / D`` over ``outer = D**2 * E``, by the
-    quotient rule plus the chain rule through the generator; E,
-    ``ext_den``, is the lcm of the denominators of the generator's implicit
-    derivatives (one without an extension).  ``widen`` takes numerators
-    over ``D**2``, such as a product of two lifts, to numerators over
-    ``outer``.  Sums of products of lifts and of partials are built by
-    ``_sum_products``, and ``make`` is the canonical Scalar ``vec / outer``:
-    one reduction modulo the relation and one cancel.  A factor D or E of
-    one is never multiplied in.
+    scalars and of the generator's implicit derivatives, found with one gcd
+    per distinct denominator, and ``lift`` gives a payload's numerators
+    over D.  ``partial`` gives the numerators of a partial derivative of
+    ``vec / D`` over ``outer = D**2``, by the quotient rule plus the chain
+    rule through the generator, whose derivative lifts over D too.  Sums of
+    products of lifts and of partials are built by ``_sum_products``, and
+    ``make`` is the canonical Scalar ``vec / outer``: one reduction modulo
+    the relation and one cancel.  A factor D of one is never multiplied in.
     """
 
-    __slots__ = ("ctx", "den", "ext_den", "outer", "_cofactors", "_dden",
-                 "_chain")
+    __slots__ = ("ctx", "den", "outer", "_cofactors", "_dden", "_chain")
 
     def __init__(self, ctx, scalars):
         self.ctx = ctx
-        one = MultiPoly.const(ctx.all_vars, 1)
-        D, self._cofactors = _lcm_cofactors(
-            [s.val.den for s in scalars if isinstance(s.val, _Quotient)], one)
-        self.den = D
-        self._dden = ({} if D.is_const else
-                      {name: D.partial(name) for name in ctx.transcendentals})
-        # per transcendental, the numerators over E of the generator's
-        # derivative, times D: the chain-rule factor of ``partial``
-        self._chain = {}
-        E = one
         ext = ctx.extension
+        derivs = {}
         if ext is not None:
-            derivs = {}
             for name in ctx.transcendentals:
                 d = ext.derivative(name)
                 if not d.is_zero:
                     derivs[name] = d
-            E, cofactors = _lcm_cofactors([d.den for d in derivs.values()],
-                                          one)
-            for name, d in derivs.items():
-                c = cofactors[d.den]
-                nums = d.nums if c is None else [n * c for n in d.nums]
-                self._chain[name] = (nums if D.is_const
-                                     else [n * D for n in nums])
-        self.ext_den = E
-        outer = D if D.is_const else D * D
-        self.outer = outer if E.is_const else outer * E
+        D, self._cofactors = _lcm_cofactors(
+            [s.val.den for s in scalars if isinstance(s.val, _Quotient)]
+            + [d.den for d in derivs.values()],
+            MultiPoly.const(ctx.all_vars, 1))
+        self.den = D
+        self._dden = ({} if D.is_const else
+                      {name: D.partial(name) for name in ctx.transcendentals})
+        # per transcendental, the numerators over D of the generator's
+        # derivative: the chain-rule factor of ``partial``
+        self._chain = {name: self.lift(d) for name, d in derivs.items()}
+        self.outer = D if D.is_const else D * D
 
-    def lift(self, scalar):
-        """The numerator vector of ``scalar`` over ``den``."""
-        v, D = scalar.val, self.den
+    def lift(self, v):
+        """The numerator vector over ``den`` of the payload ``v``."""
+        D = self.den
         if type(v) is Fraction:
             v = MultiPoly.const(self.ctx.all_vars, v)
         if type(v) is MultiPoly:
@@ -1351,7 +1338,6 @@ class SharedDenominator:
             dD = self._dden[name]
             out = ([p * D - n * dD for p, n in zip(out, vec)] if dD.nums
                    else [p * D for p in out])
-        out = self.widen(out)
         chain = self._chain.get(name)
         if chain is not None and len(vec) > 1:
             # the derivative of vec in the generator, times D * d(gen)
@@ -1359,11 +1345,6 @@ class SharedDenominator:
             if any(map(_terms_of, dvec)):
                 out = _sum_products([(out, None, 1), (dvec, chain, 1)])
         return out
-
-    def widen(self, vec):
-        """Numerators over ``den**2`` as numerators over ``outer``."""
-        E = self.ext_den
-        return vec if E.is_const else [p * E for p in vec]
 
     def make(self, vec):
         """The canonical Scalar ``vec / outer``."""

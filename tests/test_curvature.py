@@ -23,7 +23,7 @@ from afd.errors import NonConstantCoupling
 from afd.expr import parse_scalar
 from afd.scalars import (
     FIELD, ExtElem, MultiPoly, RatFunc, Scalar, SharedDenominator,
-    _laplace_minors, dot)
+    _laplace_minors, _lcm_cofactors, _Quotient, dot)
 from afd.tensors import Tensor, kronecker, metric_inverse
 
 from helpers import (
@@ -609,6 +609,40 @@ class TestCurvatureOverSharedDenominator:
             (1, 1, 1): u * w, (2, 1, 2): u + 1, (1, 2, 2): 1 / (u**2 - w)})
         assert self.assert_matches_reference(Connection(gamma)).comp
 
+    def test_generator_derivative_joins_the_denominator(self):
+        # every Gamma over Q(x, z)[y]/(y^2 - x^3 - 1) has denominator 1, but
+        # dy/dx = 3x^2 y / (2(x^3 + 1)), so D is x^3 + 1
+        from afd import field_with_extension
+
+        ctx = field_with_extension(("x", "z"), "y", "y^2 - x^3 - 1")
+        A = Algebraifold.build(ctx)
+        x, y, z = ctx.var("x"), ctx.var("y"), ctx.var("z")
+        gamma = Tensor.make(A, 1, 2, {
+            (1, 1, 1): x * y, (1, 2, 1): y + z, (2, 1, 2): x * z,
+            (2, 2, 1): y, (1, 2, 2): x})
+        assert all(not isinstance(v.val, _Quotient) or v.val.den.is_const
+                   for v in gamma.comp.values())
+        frame = SharedDenominator(ctx, gamma.comp.values())
+        assert frame.den == (x**3 + 1).val
+        assert self.assert_matches_reference(Connection(gamma)).comp
+
+    @pytest.mark.parametrize("path", [
+        "perfbench/ks_extension.json", "tests/fixtures/schwarzschild_ks.json"])
+    def test_kerr_schild_denominator_is_the_christoffel_lcm(
+            self, repo_root, path):
+        # the generator's derivative denominators already divide the lcm of
+        # the Christoffel denominators, so they add no factor to D
+        from afd.manifest import load_manifest
+
+        manifest = load_manifest(repo_root / path)
+        ctx = manifest.algebraifold.ctx
+        values = levi_civita(metric_inverse(manifest.metric)).gamma.comp.values()
+        lcm_, _ = _lcm_cofactors(
+            [v.val.den for v in values if isinstance(v.val, _Quotient)],
+            MultiPoly.const(ctx.all_vars, 1))
+        assert not ctx.extension.derivative("x").den.is_const
+        assert SharedDenominator(ctx, values).den == lcm_
+
     def test_numerator_vanishing_modulo_the_relation_is_dropped(self):
         # over Q(x, z)[y]/(y^2 - x) with Gamma^1_{12} = Gamma^1_{21} = y and
         # Gamma^1_{22} = x^2/2, R^1_{212} = y^2 - x: its numerator is
@@ -663,9 +697,12 @@ class TestContractedBianchi:
         A = manifest.algebraifold
         geometry = self.assert_divergence_free(manifest.metric)
         assert not geometry.einstein.is_zero
-        # the derivatives of Gamma carry the generator's denominator E != 1
+        # the derivatives of Gamma carry the generator's derivative, whose
+        # denominator is not constant and divides the shared D
         frame = SharedDenominator(A.ctx, geometry.connection.gamma.comp.values())
-        assert not frame.ext_den.is_const
+        E = A.ctx.extension.derivative("x").den
+        assert not E.is_const
+        assert frame.den.exact_div(E) is not None
 
     def test_bundled_manifests(self, repo_root):
         from afd.manifest import load_manifest
@@ -1008,3 +1045,62 @@ class TestKretschmann:
             f"8*(6*m^2*(r^6 - 15*r^4*{c} + 15*r^2*{c}^2 - {c}^3)"
             f" - 12*m*q^2*r*(r^4 - 10*r^2*{c} + 5*{c}^2)"
             f" + q^4*(7*r^4 - 34*r^2*{c} + 7*{c}^2)) / {_SIGMA}^6", ctx)
+
+
+def maxwell_stress_energy(g, potential):
+    """``T_ab = 2(F_ac F_b^c - (1/4) g_ab F_cd F^cd)`` with ``F = dA``, from
+    the components of the potential A, afd's partials and the inverse of the
+    metric tensor ``g`` alone."""
+    A = g.algebraifold
+    n, names = A.n, A.ctx.transcendentals
+    inv = metric_inverse(g)
+    F = {(a, b): potential[b].partial(names[a]) - potential[a].partial(names[b])
+         for a in range(n) for b in range(n)}
+    mixed = {(a, c): dot([(F[a, e], inv.inv_entry(e + 1, c + 1))
+                          for e in range(n)], A.zero)
+             for a in range(n) for c in range(n)}  # F_a^c
+    square = dot([(F[a, b], inv.inv_entry(a + 1, c + 1) * mixed[c, b])
+                  for a in range(n) for b in range(n) for c in range(n)],
+                 A.zero)
+    return Tensor.make(A, 0, 2, {
+        (a + 1, b + 1): 2 * (dot([(F[a, c], mixed[b, c]) for c in range(n)],
+                                 A.zero)
+                             - g.get((a + 1, b + 1)) * square / 4)
+        for a in range(n) for b in range(n)})
+
+
+class TestKerrNewmanChart:
+    """``manifests/charts/kerr_newman_chart.json`` writes out Maxwell's
+    stress-energy of ``A = -(q r/S)(dt - a (1 - c^2) dphi)``, with
+    ``S = r^2 + a^2 c^2``; here it is rebuilt from A without the curvature
+    pipeline."""
+
+    @pytest.fixture(scope="class")
+    def manifest(self, repo_root):
+        from afd.manifest import load_manifest
+
+        return load_manifest(
+            repo_root / "manifests" / "charts" / "kerr_newman_chart.json")
+
+    @staticmethod
+    def potential(manifest, charge):
+        ctx = manifest.algebraifold.ctx
+        zero = manifest.algebraifold.zero
+        return [parse_scalar(f"-{charge}*r / {_SIGMA}", ctx), zero, zero,
+                parse_scalar(f"{charge}*r*a*(1 - c^2) / {_SIGMA}", ctx)]
+
+    def test_stress_energy_is_maxwells(self, manifest):
+        T = maxwell_stress_energy(manifest.metric,
+                                  self.potential(manifest, "q"))
+        assert len(T.comp) == 6
+        assert T == manifest.stress_energy
+
+    def test_doubled_charge_leaves_a_residual(self, manifest):
+        # negative control: the potential of charge 2q against the metric of
+        # charge q
+        T = maxwell_stress_energy(manifest.metric,
+                                  self.potential(manifest, "(2*q)"))
+        assert T != manifest.stress_energy
+        residual = Geometry(manifest.metric).efe_residual(
+            manifest.lam, manifest.kappa, T)
+        assert not residual.is_zero
