@@ -64,9 +64,12 @@ evaluate the integer numerators at large integers, take an integer gcd,
 interpolate back and certify by the integer exact division that
 ``exact_div`` also uses); a primitive polynomial remainder sequence runs
 only when the heuristic gives up.  The last 1024 gcds are memoized by
-operand pair.  ``_pseudo_fold`` is the one pseudo-division, on dense
-coefficient vectors: it reduces modulo an extension's minimal relation and
-takes each remainder of that sequence.
+operand pair.  A ``MultiPoly`` hashes its numerators once, on the first
+``hash``, and keeps the value, so every payload-keyed memo (the gcd memo,
+the partial memo below, the renderer's and the Riemann frame's) pays one
+``frozenset`` per polynomial, not one per lookup.  ``_pseudo_fold`` is the
+one pseudo-division, on dense coefficient vectors: it reduces modulo an
+extension's minimal relation and takes each remainder of that sequence.
 
 Polynomials are evaluated by two kernels, one per kind of image.
 ``Substitution`` maps any payload to ``Scalar`` images in a target context,
@@ -80,10 +83,15 @@ A ``ScalarContext`` declares base parameter constants (adjoined to the
 coefficient field), the ordered transcendental variables, and at most one
 algebraic extension.  ``Scalar`` wraps a payload together with its context
 and provides field/ring arithmetic and partial derivatives (with implicit
-differentiation of the extension generator).  A Scalar equal to zero holds
-the module constant ``ZERO`` itself, never another rational 0, so every
-zero test is one identity comparison; each context builds its zero and one
-Scalars once and holds them as the fields ``zero`` and ``one``.
+differentiation of the extension generator).  Each context keeps the
+partial derivatives taken in it in one dict, ``partials``, keyed by
+``(payload, name)`` (a memo function in Michie's sense, *Nature* 218,
+1968), so Levi-Civita, the Lie and covariant derivatives, the Koszul check
+and the geodesic pullback differentiate each metric component once.  It is
+filled idempotently and lives and dies with its context.  A Scalar equal to
+zero holds the module constant ``ZERO`` itself, never another rational 0,
+so every zero test is one identity comparison; each context builds its zero
+and one Scalars once and holds them as the fields ``zero`` and ``one``.
 
 Scalar arithmetic has one path: coerce the operand, lift the lower payload
 to the level of the other, run the payload operation, demote the result.
@@ -283,6 +291,7 @@ def _poly(variables, nums, denom):
     p.vars = variables
     p.nums = nums
     p.denom = denom
+    p._hash = None
     return p
 
 
@@ -314,13 +323,15 @@ class MultiPoly:
 
     The form is canonical: ``gcd(denom, *nums.values()) == 1``, and zero is
     ``nums == {}`` with ``denom == 1``, so ``==`` and ``hash`` compare
-    ``(vars, nums, denom)``.  Every kernel works on plain ints.
+    ``(vars, nums, denom)``; the hash is computed on first use and kept in
+    ``_hash`` (None until then), which is sound because a MultiPoly is never
+    mutated.  Every kernel works on plain ints.
     ``MultiPoly(variables, terms)`` normalizes a dict from exponent tuples to
     int or Fraction coefficients; ``terms`` is the read-only view in that
     form, with Fraction coefficients, for rendering.
     """
 
-    __slots__ = ("vars", "nums", "denom")
+    __slots__ = ("vars", "nums", "denom", "_hash")
 
     def __init__(self, variables, terms):
         self.vars = tuple(variables)
@@ -332,6 +343,7 @@ class MultiPoly:
         self.nums = {e: c.numerator * (den // c.denominator)
                      for e, c in fracs.items()}
         self.denom = den
+        self._hash = None
 
     @classmethod
     def zero(cls, variables):
@@ -393,7 +405,11 @@ class MultiPoly:
                 and self.denom == other.denom and self.nums == other.nums)
 
     def __hash__(self):
-        return hash((self.vars, frozenset(self.nums.items()), self.denom))
+        h = self._hash
+        if h is None:
+            h = self._hash = hash(
+                (self.vars, frozenset(self.nums.items()), self.denom))
+        return h
 
     def __add__(self, other):
         return self._combine(other, 1)
@@ -1530,10 +1546,14 @@ class ScalarContext:
     before it is checked for separability and irreducibility, and its
     primitive part is kept.  ``zero`` and ``one`` are fields: the two
     immutable Scalars built with the context, shared by every reader.
+    ``partials`` maps ``(payload, name)`` to the Scalar ``Scalar.partial``
+    returned for it; it only grows, by values that any later call would
+    recompute equal, so it needs no bound and no reset.
     """
 
     __slots__ = ("kind", "constants", "transcendentals", "extension",
-                 "all_vars", "irreducibility_verified", "zero", "one")
+                 "all_vars", "irreducibility_verified", "zero", "one",
+                 "partials")
 
     def __init__(self, kind, transcendentals, constants=(), extensions=()):
         if kind not in (POLYNOMIAL, FIELD):
@@ -1575,6 +1595,7 @@ class ScalarContext:
             self.extension = Extension(gen, rel, self.all_vars)
         self.zero = Scalar(self, ZERO)
         self.one = Scalar(self, ONE)
+        self.partials = {}
 
     # -- identity
 
@@ -1793,14 +1814,23 @@ class Scalar:
     # -- calculus
 
     def partial(self, name):
-        """Exact partial derivative with respect to a transcendental."""
+        """Exact partial derivative with respect to a transcendental.
+
+        A rational has derivative zero.  Any other payload is differentiated
+        once per context: the result is kept in ``ctx.partials`` under
+        ``(payload, name)``, and a repeat call returns the same Scalar.
+        """
         if name not in self.ctx.transcendentals:
             raise UnknownVariable(
                 f"'{name}' is not a transcendental of this context")
         v = self.val
         if type(v) is Fraction:
             return self.ctx.zero
-        return Scalar.make(self.ctx, v.partial(name))
+        memo = self.ctx.partials
+        d = memo.get((v, name))
+        if d is None:
+            d = memo[v, name] = Scalar.make(self.ctx, v.partial(name))
+        return d
 
 
 def dot(pairs, start):

@@ -576,7 +576,8 @@ class TestGoldenReports:
         chart_dir = repo_root / "manifests" / "charts"
         goldens = sorted((chart_dir / "golden").glob("*.check.json"))
         assert [g.name for g in goldens] == [
-            "kerr_chart.check.json", "kerr_newman_chart.check.json"]
+            "kerr_chart.check.json", "kerr_newman_chart.check.json",
+            "reissner_nordstrom_chart.check.json"]
         for golden in goldens:
             stem = golden.name.replace(".check.json", "")
             report = run_command(load_manifest(chart_dir / f"{stem}.json"),

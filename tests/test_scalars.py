@@ -121,6 +121,22 @@ class TestHash:
         assert table[Y + X] == "sum"
         assert table[POLY.var("x") + POLY.var("y")] == "sum"
 
+    def test_multipoly_hash_is_cached_and_shared_by_every_constructor(self):
+        names = ("x", "y")
+        built = MultiPoly(names, {(1, 0): 1, (0, 2): Fraction(1, 2)})
+        y = MultiPoly.var(names, "y")
+        summed = MultiPoly.var(names, "x") + (y * y).scale(Fraction(1, 2))
+        trusted = scalars._poly(names, dict(built.nums), built.denom)
+        polys = (built, summed, trusted)
+        assert all(p._hash is None for p in polys)
+        first = [hash(p) for p in polys]
+        assert first == [hash((names, frozenset(built.nums.items()), 2))] * 3
+        assert [p._hash for p in polys] == first
+        assert [hash(p) for p in polys] == first
+        for key in polys:
+            table = {key: "found"}
+            assert all(table[p] == "found" for p in polys)
+
 
 PARAM = ScalarContext(POLYNOMIAL, ("x",), constants=("m",))
 
@@ -1175,6 +1191,79 @@ class TestPartial:
         # and the Leibniz rule still holds through the collapsed derivative
         a = y * ctx.var("x")
         assert a.partial("x") == y - ctx.var("x")
+
+
+def _metric_of(repo_root, path):
+    from afd.manifest import load_manifest
+
+    return load_manifest(repo_root / path).metric
+
+
+class TestPartialMemo:
+    """``Scalar.partial`` keeps each result in ``ctx.partials`` under
+    ``(payload, name)``."""
+
+    @pytest.mark.parametrize("path", [
+        "perfbench/ks_extension.json", "manifests/charts/kerr_chart.json"])
+    def test_memo_values_equal_a_cold_context(self, repo_root, path):
+        warm = _metric_of(repo_root, path)
+        cold = _metric_of(repo_root, path)
+        names = warm.algebraifold.ctx.transcendentals
+        entries = list(warm.comp.items())
+        first = {(idx, name): g.partial(name)
+                 for idx, g in entries for name in names}
+        memo = warm.algebraifold.ctx.partials
+        for idx, g in entries:
+            for name in names:
+                again = g.partial(name)
+                assert again is first[idx, name]
+                assert again == cold.comp[idx].partial(name)
+                if not g.is_constant_rational:
+                    assert memo[g.val, name] is again
+
+    def test_unknown_name_raises_and_leaves_no_entry(self):
+        ctx = ScalarContext(FIELD, ("x", "y"), constants=("m",))
+        f = parse_scalar("m*x/(x + y)", ctx)
+        assert f.partial("x") == parse_scalar("m*y/(x + y)^2", ctx)
+        for name in ("z", "m"):
+            with pytest.raises(UnknownVariable):
+                f.partial(name)
+        assert set(ctx.partials) == {(f.val, "x")}
+        f.partial("y")
+        assert set(ctx.partials) == {(f.val, "x"), (f.val, "y")}
+
+    def test_contexts_share_no_entry(self, repo_root):
+        path = "perfbench/ks_extension.json"
+        one = _metric_of(repo_root, path)
+        two = _metric_of(repo_root, path)
+        ctx1, ctx2 = one.algebraifold.ctx, two.algebraifold.ctx
+        assert ctx1 == ctx2 and ctx1 is not ctx2
+        assert ctx1.partials is not ctx2.partials
+        before = dict(ctx2.partials)
+        g1, g2 = one.comp[1, 2], two.comp[1, 2]
+        d1 = g1.partial("x")
+        assert ctx1.partials[g1.val, "x"] is d1
+        assert ctx2.partials == before
+        d2 = g2.partial("x")
+        assert d2 == d1 and d2 is not d1 and d2.ctx is ctx2
+        assert ctx2.partials[g2.val, "x"] is d2
+
+    def test_lie_derivative_reuses_the_connection_partials(self, repo_root):
+        from afd.curvature import Geometry
+        from afd.tensors import lie_derivative
+
+        g = _metric_of(repo_root, "perfbench/ks_extension.json")
+        A = g.algebraifold
+        memo = A.ctx.partials
+        Geometry(g).connection
+        names = A.ctx.transcendentals
+        payloads = {c.val for c in g.comp.values()
+                    if not c.is_constant_rational}
+        assert {(v, name) for v in payloads for name in names} <= set(memo)
+        before = set(memo)
+        x, y = A.ctx.var("x"), A.ctx.var("y")
+        assert lie_derivative(A.derivation(0, -y, x), g).is_zero
+        assert not {v for v, _ in set(memo) - before} & payloads
 
 
 class TestSubstitute:
